@@ -4,47 +4,35 @@ Subpackages cover the sampling/interpolation operators, ideal lowpass
 filtering, the cosine-module compensator, the iterative and hybrid
 reconstruction engines with Chebyshev acceleration, closed-form convergence
 and noise analysis, and a grayscale image enlargement benchmark.
+
+Signals, samples and operators take one :class:`GridSpec` per axis: a lone
+GridSpec for 1-D, or a tuple such as ``(grid_y, grid_x)`` for an image.  The
+multi-axis operators are the 1-D ones applied along each axis in turn.
 """
 
 from .signal_core import (
     ConfigurationError,
-    DenseImage,
     DenseSignal,
     GridSpec,
     UsageError,
     add_awgn,
     gen_bandlimited,
-    gen_bandlimited2d,
-    image_snr_db,
     psnr_db,
     snr_db,
 )
-from .samplers import (
-    CoarseSamples,
-    InterpKind,
-    LatticeSamples,
-    interpolate,
-    interpolate2d,
-    sample,
-    sample_lattice,
-)
-from .spectral import LowpassSpec, lowpass, lowpass2d
-from .modular import cosine_mix, cosine_mix2d, modular_reconstruct, modular_reconstruct2d
+from .samplers import CoarseSamples, InterpKind, interpolate, sample
+from .spectral import LowpassSpec, lowpass
+from .modular import cosine_mix, modular_reconstruct
 from .solver import (
     ChebyshevAccel,
     ReconConfig,
     ReconOperator,
-    ReconOperator2D,
     ReconReport,
     SingularSystemError,
     apply_operator,
-    apply_operator2d,
-    chebyshev_iterate,
-    chebyshev_iterate2d,
     chebyshev_lambdas,
     fixed_point_oracle,
     iterate,
-    iterate2d,
 )
 from .analysis import (
     AnalysisResult,

@@ -23,22 +23,13 @@ from .imagebench import (
     EnlargeConfig,
     GrayImage,
     decimate,
-    enlarge,
     psnr_benchmark,
     read_pgm,
     write_pgm,
 )
-from .samplers import InterpKind, sample, sample_lattice
-from .signal_core import (
-    ConfigurationError,
-    GridSpec,
-    UsageError,
-    add_awgn,
-    add_awgn2d,
-    gen_bandlimited,
-    gen_bandlimited2d,
-)
-from .solver import ChebyshevAccel, ReconConfig, ReconOperator, ReconOperator2D, iterate, iterate2d
+from .samplers import InterpKind, sample
+from .signal_core import ConfigurationError, GridSpec, UsageError, add_awgn, gen_bandlimited
+from .solver import ChebyshevAccel, ReconConfig, ReconOperator, iterate
 
 DEFAULT_TRIALS = 50
 DEFAULT_POWER_DB = 34.0
@@ -87,36 +78,19 @@ def _float_list(text: str) -> List[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _grid_pair(args, k_rate: int):
-    gy = GridSpec(args.n_coarse_2d, args.ticks_2d, k_rate)
-    return gy, gy
-
-
-def _mean_traces(args, kind, modules, relax, k_rate, noise_db=None, accel=None):
+def _mean_traces(args, kind, modules, relax, k_rate, noise_db=None):
     """Mean initial SNR and mean per-iteration SNR trace over the trial set."""
+    if args.dims == 1:
+        grid = GridSpec(args.n_coarse, args.ticks, k_rate)
+    else:
+        grid = (GridSpec(args.n_coarse_2d, args.ticks_2d, k_rate),) * 2
+    cfg = ReconConfig(ReconOperator(grid, kind, modules), relax=relax, iterations=args.iterations)
     inits, traces = [], []
     for t in range(args.trials):
         seed = args.seed + t
-        if args.dims == 1:
-            grid = GridSpec(args.n_coarse, args.ticks, k_rate)
-            x = gen_bandlimited(seed, grid, DEFAULT_POWER_DB)
-            observed = add_awgn(x, noise_db, seed + 10_000_019) if noise_db is not None else x
-            op = ReconOperator(grid, kind, modules)
-            rep = iterate(
-                sample(observed),
-                ReconConfig(op, relax=relax, iterations=args.iterations, acceleration=accel),
-                reference=x,
-            )
-        else:
-            gy, gx = _grid_pair(args, k_rate)
-            img = gen_bandlimited2d(seed, gy, gx, DEFAULT_POWER_DB)
-            observed = add_awgn2d(img, noise_db, seed + 10_000_019) if noise_db is not None else img
-            op = ReconOperator2D(gy, gx, kind, modules)
-            rep = iterate2d(
-                sample_lattice(observed),
-                ReconConfig(op, relax=relax, iterations=args.iterations, acceleration=accel),
-                reference=img,
-            )
+        x = gen_bandlimited(seed, grid, DEFAULT_POWER_DB)
+        observed = add_awgn(x, noise_db, seed + 10_000_019) if noise_db is not None else x
+        rep = iterate(sample(observed), cfg, reference=x)
         inits.append(rep.snr_initial_db)
         traces.append(rep.snr_trace_db)
     mean_init = None if inits[0] is None else float(np.mean(inits))
@@ -202,10 +176,7 @@ def cmd_rate(args) -> int:
 
 def cmd_analyze(args) -> int:
     kind = _kind(args.kind)
-    r = ana.contraction_factor(kind, args.modules_single, args.relax, args.k_rate)
-    minimax = ana.lambda_opt_minimax(kind, args.modules_single, args.k_rate)
-    db = ana.predicted_gain_db(r) if 0.0 < r < 1.0 else math.nan
-    noise = ana.noise_tolerance_coeff(kind, args.modules_single, args.relax, iteration_k=2)
+    res = ana.analyze(kind, args.modules_single, args.relax, args.k_rate)
     adds, mults = ana.op_counts(
         args.iterations, args.fft_block, args.modules_single == 1
     )
@@ -214,10 +185,10 @@ def cmd_analyze(args) -> int:
         ("modules", args.modules_single),
         ("lambda", args.relax),
         ("k_rate", args.k_rate),
-        ("contraction_factor", r),
-        ("lambda_opt_minimax", minimax),
-        ("predicted_db_per_iteration", db),
-        ("noise_coeff", noise.coeff if noise.coeff is not None else "n/a"),
+        ("contraction_factor", res.r),
+        ("lambda_opt_minimax", res.lambda_opt),
+        ("predicted_db_per_iteration", res.db_per_iter),
+        ("noise_coeff", res.noise_coeff if res.noise_coeff is not None else "n/a"),
         ("adds_per_sample", adds),
         ("mults_per_sample", mults),
     ]
@@ -239,16 +210,19 @@ def cmd_analyze(args) -> int:
 
 def _parse_method(token: str) -> EnlargeConfig:
     """bilinear | iterative:ITERS | hybrid:ITERS:MODULES"""
-    parts = token.split(":")
-    name = parts[0]
+    name, *fields = token.split(":")
+    try:
+        counts = [int(f) for f in fields]
+    except ValueError:
+        raise UsageError(f"method {token!r}: ITERS and MODULES must be integers") from None
     if name == "bilinear":
         return EnlargeConfig(method="bilinear")
     if name == "iterative":
-        iters = int(parts[1]) if len(parts) > 1 else 2
+        iters = counts[0] if counts else 2
         return EnlargeConfig(method="iterative", iterations=iters)
     if name == "hybrid":
-        iters = int(parts[1]) if len(parts) > 1 else 2
-        modules = int(parts[2]) if len(parts) > 2 else 1
+        iters = counts[0] if counts else 2
+        modules = counts[1] if len(counts) > 1 else 1
         return EnlargeConfig(method="hybrid", iterations=iters, modules=modules)
     raise UsageError(f"unknown method {token!r}; use bilinear, iterative:N, hybrid:N:M")
 
@@ -271,8 +245,7 @@ def cmd_image(args) -> int:
     low = decimate(original, args.factor)
     write_pgm(low, os.path.join(out_dir, "decimated.pgm"))
     rows = []
-    for cfg, psnr in psnr_benchmark(original, methods):
-        recon = enlarge(low, cfg)
+    for cfg, psnr, recon in psnr_benchmark(original, methods):
         tag = cfg.label.replace("(", "_").replace(")", "").replace(",", "_")
         write_pgm(recon, os.path.join(out_dir, f"recon_{tag}.pgm"))
         err = np.abs(

@@ -15,9 +15,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .samplers import InterpKind, LatticeSamples, interpolate2d
+from .samplers import CoarseSamples, InterpKind, interpolate
 from .signal_core import ConfigurationError, GridSpec, UsageError, psnr_db
-from .solver import ChebyshevAccel, ReconConfig, ReconOperator2D, iterate2d
+from .solver import ChebyshevAccel, ReconConfig, ReconOperator, iterate
 
 __all__ = [
     "PgmError",
@@ -119,17 +119,24 @@ def read_pgm(path) -> GrayImage:
         rd.fail(f"not a PGM file (magic {magic!r})")
     width = rd.int_token("width")
     height = rd.int_token("height")
+    if width < 1 or height < 1:
+        rd.fail(f"image size must be positive, got {width}x{height}")
     maxval = rd.int_token("maxval")
     if maxval != 255:
         rd.fail(f"unsupported maxval {maxval}, only 255 is handled")
     count = width * height
     if magic == b"P5":
         rd.pos += 1  # single whitespace byte after maxval
-        raster = data[rd.pos : rd.pos + count]
-        if len(raster) < count:
-            rd.pos += len(raster)
-            rd.fail(f"truncated raster: expected {count} bytes, got {len(raster)}")
-        pixels = np.frombuffer(raster, dtype=np.uint8, count=count)
+        need = count
+    else:
+        need = 2 * count - 1  # one digit per pixel, one separator between pixels
+    # checked before any array is made, so a huge header cannot allocate
+    left = len(data) - rd.pos
+    if left < need:
+        rd.pos = len(data)
+        rd.fail(f"truncated raster: {count} pixels need at least {need} bytes, got {left}")
+    if magic == b"P5":
+        pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=rd.pos)
     else:
         values = np.empty(count, dtype=np.int64)
         for i in range(count):
@@ -213,21 +220,20 @@ def _mirror_extend(values: np.ndarray) -> np.ndarray:
 def enlarge_dense(low: GrayImage, cfg: EnlargeConfig) -> np.ndarray:
     """Float-valued enlargement (no clamping); shape (h*factor, w*factor)."""
     ext = _mirror_extend(low.pixels.astype(np.float64))
-    grid_y = GridSpec(ext.shape[0], cfg.factor)
-    grid_x = GridSpec(ext.shape[1], cfg.factor)
-    samples = LatticeSamples(grid_y, grid_x, ext)
+    grids = (GridSpec(ext.shape[0], cfg.factor), GridSpec(ext.shape[1], cfg.factor))
+    samples = CoarseSamples(grids, ext)
     if cfg.method == "bilinear":
-        dense = interpolate2d(samples, InterpKind.LINEAR).values
+        dense = interpolate(samples, InterpKind.LINEAR).values
     else:
         modules = cfg.modules if cfg.method == "hybrid" else 0
-        op = ReconOperator2D(grid_y, grid_x, InterpKind.SAMPLE_AND_HOLD, modules)
+        op = ReconOperator(grids, InterpKind.SAMPLE_AND_HOLD, modules)
         run = ReconConfig(
             op,
             relax=cfg.relax,
             iterations=cfg.iterations,
             acceleration=cfg.acceleration,
         )
-        dense = iterate2d(samples, run).estimate.values
+        dense = iterate(samples, run).estimate.values
     return dense[: low.height * cfg.factor, : low.width * cfg.factor]
 
 
@@ -239,16 +245,17 @@ def enlarge(low: GrayImage, cfg: EnlargeConfig) -> GrayImage:
 
 def psnr_benchmark(
     original: GrayImage, methods: Sequence[EnlargeConfig]
-) -> List[Tuple[EnlargeConfig, float]]:
+) -> List[Tuple[EnlargeConfig, float, GrayImage]]:
     """Decimate, enlarge with each method, and score PSNR against the original.
 
-    Rows come back in the order the methods were given.
+    Each row is (method, PSNR, the enlarged image that was scored); rows
+    come back in the order the methods were given.
     """
     rows = []
     for cfg in methods:
         low = decimate(original, cfg.factor)
         recon = enlarge(low, cfg)
-        rows.append((cfg, psnr_db(original.pixels, recon.pixels)))
+        rows.append((cfg, psnr_db(original.pixels, recon.pixels), recon))
     return rows
 
 

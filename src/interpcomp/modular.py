@@ -4,7 +4,9 @@ Multiplying an interpolated signal by ``1 + 2*sum_{m=1..N} cos(2*pi*m*t/T)``
 shifts the spectral replicas created by sampling back into the baseband; an
 ideal lowpass then turns the per-bin distortion into the partial sinc sum
 ``H_N(f) = sum_{|m|<=N} sinc^p(f*T - m)``.  The mixer is phase-anchored so
-that fine tick 0 is a coarse sample position.
+that fine tick 0 is a coarse sample position.  On a lattice of several axes
+the mixer is the product of the per-axis mixers, so the distortion gain is
+the product of the per-axis sinc sums.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .samplers import CoarseSamples, InterpKind, LatticeSamples, interpolate, interpolate2d
-from .signal_core import ConfigurationError, DenseImage, DenseSignal
-from .spectral import LowpassSpec, lowpass_array
+from .samplers import CoarseSamples, InterpKind, interpolate
+from .signal_core import ConfigurationError, DenseSignal
+from .spectral import axis_specs, lowpass_array
 
-__all__ = ["mixer_period", "cosine_mix", "cosine_mix2d", "modular_reconstruct", "modular_reconstruct2d"]
+__all__ = ["mixer_period", "cosine_mix", "modular_reconstruct"]
 
 
 @lru_cache(maxsize=128)
@@ -52,40 +54,29 @@ def _mix_axis(values: np.ndarray, ticks_per_sample: int, modules: int, axis: int
 
 
 def cosine_mix(s: DenseSignal, modules: int) -> DenseSignal:
-    """Pointwise product with the harmonic mixer; ``modules=0`` is the identity."""
+    """Pointwise product with the harmonic mixer; ``modules=0`` is the identity.
+
+    On several axes the mixer is separable: the product of the per-axis
+    mixers, applied last axis first.
+    """
     if modules == 0:
         return s
-    return s.with_values(_mix_axis(s.values, s.grid.ticks_per_sample, modules, axis=0))
-
-
-def cosine_mix2d(img: DenseImage, modules: int) -> DenseImage:
-    """Separable 2-D mixer: the product of the per-axis 1-D mixers."""
-    if modules == 0:
-        return img
-    out = _mix_axis(img.values, img.grid_x.ticks_per_sample, modules, axis=1)
-    out = _mix_axis(out, img.grid_y.ticks_per_sample, modules, axis=0)
-    return img.with_values(out)
+    out = s.values
+    for axis in reversed(range(out.ndim)):
+        out = _mix_axis(out, s.grids[axis].ticks_per_sample, modules, axis)
+    return s.with_values(out)
 
 
 def modular_reconstruct(
-    samples: CoarseSamples, kind: InterpKind, modules: int, lpf: LowpassSpec
+    samples: CoarseSamples, kind: InterpKind, modules: int, lpf
 ) -> DenseSignal:
-    """One-shot modular reconstruction: interpolate, mix, lowpass."""
-    dense = interpolate(samples, kind)
-    mixed = cosine_mix(dense, modules)
-    return mixed.with_values(lowpass_array(mixed.values, lpf))
+    """One-shot modular reconstruction: interpolate, mix, lowpass.
 
-
-def modular_reconstruct2d(
-    samples: LatticeSamples,
-    kind: InterpKind,
-    modules: int,
-    lpf_x: LowpassSpec,
-    lpf_y: LowpassSpec,
-) -> DenseImage:
-    """2-D modular reconstruction on the rectangular lattice."""
-    dense = interpolate2d(samples, kind)
-    mixed = cosine_mix2d(dense, modules)
-    out = lowpass_array(mixed.values, lpf_x, axis=1)
-    out = lowpass_array(out, lpf_y, axis=0)
+    ``lpf`` is one LowpassSpec per axis (a lone one for 1-D samples).
+    """
+    mixed = cosine_mix(interpolate(samples, kind), modules)
+    out = mixed.values
+    specs = axis_specs(lpf, out.ndim)
+    for axis in reversed(range(out.ndim)):
+        out = lowpass_array(out, specs[axis], axis)
     return mixed.with_values(out)

@@ -1,5 +1,6 @@
 """The sampling operator: coarse samples out of a dense signal, and their
-re-interpolation with Sample-and-Hold or Linear Interpolation, 1-D and 2-D.
+re-interpolation with Sample-and-Hold or Linear Interpolation, on one axis
+or separably on several.
 
 Both interpolators are zero phase on the fine grid.  The hold window is
 centered on each sample; since ``ticks_per_sample`` is even, the window
@@ -14,19 +15,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Tuple, Union
 
 import numpy as np
 
-from .signal_core import ConfigurationError, DenseImage, DenseSignal, GridSpec
+from .signal_core import DenseSignal, GridSpec, _check_values, per_axis
 
 __all__ = [
     "InterpKind",
     "CoarseSamples",
-    "LatticeSamples",
     "sample",
-    "sample_lattice",
     "interpolate",
-    "interpolate2d",
 ]
 
 
@@ -44,52 +43,33 @@ class InterpKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CoarseSamples:
-    """One value per sampling interval; values[n] sits at fine tick n * ticks_per_sample."""
+    """One value per sampling interval on every axis.
 
-    grid: GridSpec
+    ``values[n]`` sits at fine tick ``n * ticks_per_sample`` of its axis;
+    ``grid`` is a lone GridSpec or one GridSpec per array axis, as for
+    :class:`DenseSignal`.
+    """
+
+    grid: Union[GridSpec, Tuple[GridSpec, ...]]
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.size != self.grid.n_coarse:
-            raise ConfigurationError(
-                f"CoarseSamples: expected {self.grid.n_coarse} values, got {arr.size}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError("CoarseSamples: values must all be finite")
-        object.__setattr__(self, "values", arr)
+        shape = tuple(g.n_coarse for g in self.grids)
+        object.__setattr__(self, "values", _check_values(self.values, shape, "CoarseSamples"))
+
+    @property
+    def grids(self) -> Tuple[GridSpec, ...]:
+        return per_axis(self.grid, GridSpec)
 
 
-@dataclass(frozen=True)
-class LatticeSamples:
-    """Samples on a rectangular lattice: values[row, col] at (row*T_y, col*T_x)."""
-
-    grid_y: GridSpec
-    grid_x: GridSpec
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        shape = (self.grid_y.n_coarse, self.grid_x.n_coarse)
-        if arr.shape != shape:
-            raise ConfigurationError(
-                f"LatticeSamples: expected shape {shape}, got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError("LatticeSamples: values must all be finite")
-        object.__setattr__(self, "values", arr)
+def lattice(grids: Tuple[GridSpec, ...]) -> tuple:
+    """Index of the coarse sample positions: every ``ticks_per_sample``-th tick per axis."""
+    return tuple(slice(None, None, g.ticks_per_sample) for g in grids)
 
 
 def sample(x: DenseSignal) -> CoarseSamples:
-    """Pick the dense value at every coarse position: values[n] = x[n * R]."""
-    return CoarseSamples(x.grid, x.values[:: x.grid.ticks_per_sample].copy())
-
-
-def sample_lattice(img: DenseImage) -> LatticeSamples:
-    """2-D sampling on the rectangular lattice."""
-    ry = img.grid_y.ticks_per_sample
-    rx = img.grid_x.ticks_per_sample
-    return LatticeSamples(img.grid_y, img.grid_x, img.values[::ry, ::rx].copy())
+    """Pick the dense value at every coarse position: values[n] = x[n * R] on each axis."""
+    return CoarseSamples(x.grid, x.values[lattice(x.grids)].copy())
 
 
 def _interp_axis(values: np.ndarray, grid: GridSpec, kind: InterpKind, axis: int) -> np.ndarray:
@@ -111,12 +91,12 @@ def _interp_axis(values: np.ndarray, grid: GridSpec, kind: InterpKind, axis: int
 
 
 def interpolate(s: CoarseSamples, kind: InterpKind) -> DenseSignal:
-    """Re-interpolate coarse samples onto the fine grid (S&H or linear, circular)."""
-    return DenseSignal(s.grid, _interp_axis(s.values, s.grid, kind, axis=0))
+    """Re-interpolate coarse samples onto the fine grid (S&H or linear, circular).
 
-
-def interpolate2d(s: LatticeSamples, kind: InterpKind) -> DenseImage:
-    """Separable 2-D interpolation: rows first, then columns (the order commutes)."""
-    fine = _interp_axis(s.values, s.grid_x, kind, axis=1)
-    fine = _interp_axis(fine, s.grid_y, kind, axis=0)
-    return DenseImage(s.grid_y, s.grid_x, fine)
+    Separable on several axes: one axis at a time, last axis first (the
+    order commutes up to rounding).
+    """
+    fine = s.values
+    for axis in reversed(range(fine.ndim)):
+        fine = _interp_axis(fine, s.grids[axis], kind, axis)
+    return DenseSignal(s.grid, fine)

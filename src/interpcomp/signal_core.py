@@ -4,12 +4,19 @@ Continuous time is emulated by a fine uniform grid with ``ticks_per_sample``
 ticks per sampling interval; all "analog" operators in the rest of the
 package act on this grid.  Signals are one period of a periodic waveform, so
 every filtering operation is circular.
+
+A signal has one or more axes, each with its own :class:`GridSpec`.  Every
+function that takes a grid takes a lone GridSpec for one axis or a tuple
+with one GridSpec per array axis.  The operators of the other modules are
+separable: on several axes they apply the 1-D operator along each axis in
+turn, last axis first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -18,12 +25,9 @@ __all__ = [
     "UsageError",
     "GridSpec",
     "DenseSignal",
-    "DenseImage",
     "gen_bandlimited",
-    "gen_bandlimited2d",
     "add_awgn",
     "snr_db",
-    "image_snr_db",
     "psnr_db",
 ]
 
@@ -77,12 +81,16 @@ class GridSpec:
         return 1.0 / (2.0 * self.rate_multiple * self.ticks_per_sample)
 
 
-def _check_values(values: np.ndarray, n_expected: int, what: str) -> np.ndarray:
+def per_axis(value, single: type) -> tuple:
+    """``value`` as a tuple with one entry per axis; a lone ``single`` is one axis."""
+    return (value,) if isinstance(value, single) else tuple(value)
+
+
+def _check_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """``values`` as float64, checked to have exactly ``shape`` and no NaN or inf."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.size != n_expected:
-        raise ConfigurationError(
-            f"{what}: expected {n_expected} values, got {arr.size}"
-        )
+    if arr.shape != shape:
+        raise ConfigurationError(f"{what}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ConfigurationError(f"{what}: values must all be finite")
     return arr
@@ -90,108 +98,59 @@ def _check_values(values: np.ndarray, n_expected: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DenseSignal:
-    """Real signal on the fine grid, treated as one period of a periodic waveform."""
+    """Real signal on the fine grid of every axis, one period of a periodic waveform.
 
-    grid: GridSpec
+    ``grid`` is a lone :class:`GridSpec` (1-D, ``values[tick]``) or a tuple of
+    one GridSpec per array axis (an image is ``(grid_y, grid_x)``, ``values[row, col]``).
+    """
+
+    grid: Union[GridSpec, Tuple[GridSpec, ...]]
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", _check_values(self.values, self.grid.n_fine, "DenseSignal")
-        )
+        shape = tuple(g.n_fine for g in self.grids)
+        object.__setattr__(self, "values", _check_values(self.values, shape, "DenseSignal"))
+
+    @property
+    def grids(self) -> Tuple[GridSpec, ...]:
+        return per_axis(self.grid, GridSpec)
 
     def with_values(self, values: np.ndarray) -> "DenseSignal":
         return DenseSignal(self.grid, values)
 
 
-@dataclass(frozen=True)
-class DenseImage:
-    """Real 2-D field on a fine rectangular grid (row-major: values[row, col])."""
-
-    grid_y: GridSpec
-    grid_x: GridSpec
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        shape = (self.grid_y.n_fine, self.grid_x.n_fine)
-        if arr.shape != shape:
-            raise ConfigurationError(
-                f"DenseImage: expected shape {shape}, got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError("DenseImage: values must all be finite")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    def with_values(self, values: np.ndarray) -> "DenseImage":
-        return DenseImage(self.grid_y, self.grid_x, values)
-
-
-def _bandlimit_mask_1d(n: int, cutoff: float) -> np.ndarray:
-    """Strict in-band mask for rfft bins: 1 below the cutoff, 0 at and above it.
-
-    Zeroing the bin exactly at the cutoff keeps generated signals invariant
-    under the ideal lowpass regardless of its edge-bin weight.
-    """
-    freqs = np.fft.rfftfreq(n)
-    mask = np.zeros(freqs.size)
-    mask[freqs < cutoff - 1e-12] = 1.0
-    return mask
-
-
-def gen_bandlimited(seed: int, grid: GridSpec, power_db: float) -> DenseSignal:
+def gen_bandlimited(seed: int, grid, power_db: float) -> DenseSignal:
     """Deterministic band-limited Gaussian test signal of the requested mean-square power.
 
-    White Gaussian noise is lowpass filtered through the DFT at the grid's
-    band edge and rescaled so that ``mean(x**2) == 10**(power_db/10)``
-    exactly (to rounding).  The spectrum is zero at and above the band edge.
+    White Gaussian noise is lowpass filtered through the DFT and rescaled so
+    that ``mean(x**2) == 10**(power_db/10)`` exactly (to rounding).  The
+    spectrum is confined to the ellipsoid inscribed in the per-axis band
+    edges: in 1-D it is zero at and above the band edge; on several axes it
+    is the classical radially band-limited field, with no content in the
+    corners of the rectangular passband used by the reconstruction lowpass.
     """
     if not math.isfinite(power_db):
         raise ConfigurationError(f"power_db must be finite, got {power_db}")
+    grids = per_axis(grid, GridSpec)
+    shape = tuple(g.n_fine for g in grids)
+    axes = tuple(range(len(grids)))
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal(grid.n_fine)
-    spec = np.fft.rfft(white)
-    spec *= _bandlimit_mask_1d(grid.n_fine, grid.band_edge)
-    x = np.fft.irfft(spec, n=grid.n_fine)
+    spec = np.fft.rfftn(rng.standard_normal(shape), axes=axes)
+    radius_sq = 0.0
+    for axis, g in enumerate(grids):
+        freqs = np.fft.rfftfreq(g.n_fine) if axis == axes[-1] else np.fft.fftfreq(g.n_fine)
+        f = freqs / g.band_edge
+        radius_sq = radius_sq + (f * f).reshape([-1 if a == axis else 1 for a in axes])
+    # the bin exactly on the band edge is zeroed too, which keeps generated
+    # signals invariant under the ideal lowpass whatever its edge-bin weight;
+    # the 1e-9 slack only absorbs the rounding of that bin's frequency
+    spec[radius_sq >= 1.0 - 1e-9] = 0.0
+    x = np.fft.irfftn(spec, s=shape, axes=axes)
     power = float(np.mean(x * x))
     if power <= 0.0:
         raise ConfigurationError("degenerate draw: filtered signal has zero power")
     x *= math.sqrt(10.0 ** (power_db / 10.0) / power)
     return DenseSignal(grid, x)
-
-
-def gen_bandlimited2d(
-    seed: int, grid_y: GridSpec, grid_x: GridSpec, power_db: float
-) -> DenseImage:
-    """2-D analogue of :func:`gen_bandlimited` on a rectangular fine grid.
-
-    The spectrum is confined to the elliptical (radially band-limited) region
-    inscribed in the per-axis band edges, the classical notion of a
-    band-limited 2-D field; in particular there is no content in the corners
-    of the rectangular passband used by the reconstruction lowpass.
-    """
-    if not math.isfinite(power_db):
-        raise ConfigurationError(f"power_db must be finite, got {power_db}")
-    rng = np.random.default_rng(seed)
-    white = rng.standard_normal((grid_y.n_fine, grid_x.n_fine))
-    spec = np.fft.rfft2(white)
-    fy = np.fft.fftfreq(grid_y.n_fine)[:, np.newaxis] / grid_y.band_edge
-    fx = np.fft.rfftfreq(grid_x.n_fine)[np.newaxis, :] / grid_x.band_edge
-    spec[fy * fy + fx * fx >= 1.0 - 1e-9] = 0.0
-    img = np.fft.irfft2(spec, s=(grid_y.n_fine, grid_x.n_fine))
-    power = float(np.mean(img * img))
-    if power <= 0.0:
-        raise ConfigurationError("degenerate draw: filtered image has zero power")
-    img *= math.sqrt(10.0 ** (power_db / 10.0) / power)
-    return DenseImage(grid_y, grid_x, img)
 
 
 def add_awgn(x: DenseSignal, noise_power_db: float, seed: int) -> DenseSignal:
@@ -202,56 +161,26 @@ def add_awgn(x: DenseSignal, noise_power_db: float, seed: int) -> DenseSignal:
         )
     sigma = math.sqrt(10.0 ** (noise_power_db / 10.0))
     rng = np.random.default_rng(seed)
-    return x.with_values(x.values + sigma * rng.standard_normal(x.values.size))
-
-
-def add_awgn2d(img: DenseImage, noise_power_db: float, seed: int) -> DenseImage:
-    """2-D analogue of :func:`add_awgn`."""
-    if not math.isfinite(noise_power_db):
-        raise ConfigurationError(
-            f"noise_power_db must be finite, got {noise_power_db}"
-        )
-    sigma = math.sqrt(10.0 ** (noise_power_db / 10.0))
-    rng = np.random.default_rng(seed)
-    return img.with_values(img.values + sigma * rng.standard_normal(img.values.shape))
+    return x.with_values(x.values + sigma * rng.standard_normal(x.values.shape))
 
 
 def snr_db(
     reference: DenseSignal, estimate: DenseSignal, edge_ignore_frac: float = 0.10
 ) -> float:
-    """Interior SNR in dB; a fraction of samples at each end is excluded.
+    """Interior SNR in dB; a fraction of samples at each end of every axis is excluded.
 
     Returns ``math.inf`` when the interior error is exactly zero.
     """
-    ref = reference.values
-    est = estimate.values
-    if ref.size != est.size:
-        raise UsageError(f"length mismatch: {ref.size} vs {est.size}")
-    if not 0.0 <= edge_ignore_frac < 0.5:
-        raise UsageError(f"edge_ignore_frac must be in [0, 0.5), got {edge_ignore_frac}")
-    m = math.ceil(edge_ignore_frac * ref.size)
-    r = ref[m : ref.size - m]
-    e = r - est[m : ref.size - m]
-    err = float(np.sum(e * e))
-    if err == 0.0:
-        return math.inf
-    return 10.0 * math.log10(float(np.sum(r * r)) / err)
-
-
-def image_snr_db(
-    reference: DenseImage, estimate: DenseImage, edge_ignore_frac: float = 0.10
-) -> float:
-    """Interior SNR for 2-D fields: a border frame of the given fraction is excluded."""
     ref = reference.values
     est = estimate.values
     if ref.shape != est.shape:
         raise UsageError(f"shape mismatch: {ref.shape} vs {est.shape}")
     if not 0.0 <= edge_ignore_frac < 0.5:
         raise UsageError(f"edge_ignore_frac must be in [0, 0.5), got {edge_ignore_frac}")
-    my = math.ceil(edge_ignore_frac * ref.shape[0])
-    mx = math.ceil(edge_ignore_frac * ref.shape[1])
-    r = ref[my : ref.shape[0] - my, mx : ref.shape[1] - mx]
-    e = r - est[my : ref.shape[0] - my, mx : ref.shape[1] - mx]
+    margins = [math.ceil(edge_ignore_frac * n) for n in ref.shape]
+    interior = tuple(slice(m, n - m) for m, n in zip(margins, ref.shape))
+    r = ref[interior]
+    e = r - est[interior]
     err = float(np.sum(e * e))
     if err == 0.0:
         return math.inf
@@ -261,7 +190,7 @@ def image_snr_db(
 def psnr_db(reference, estimate, max_value: float = 255.0) -> float:
     """Peak SNR ``10*log10(max_value**2 / MSE)`` over all pixels; ``inf`` on zero MSE.
 
-    Accepts :class:`DenseImage` or plain 2-D arrays of equal shape.
+    Accepts :class:`DenseSignal` or plain arrays of equal shape.
     """
     ref = np.asarray(getattr(reference, "values", reference), dtype=np.float64)
     est = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)

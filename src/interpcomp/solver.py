@@ -12,41 +12,33 @@ coarse samples of an unknown band-limited signal:
 ``g_obs`` is the one-shot modular reconstruction of the observed samples,
 which equals ``G`` applied to any dense signal consistent with them.  The
 reference signal, when supplied, is used only for SNR reporting.
+
+One operator serves any number of axes: on a lattice (an image has grids
+``(grid_y, grid_x)``) ``G`` is separable and applies each 1-D stage along
+every axis in turn, last axis first.  :func:`iterate` is the one solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .modular import _mix_axis, modular_reconstruct, modular_reconstruct2d
-from .samplers import CoarseSamples, InterpKind, LatticeSamples, _interp_axis
-from .signal_core import (
-    ConfigurationError,
-    DenseImage,
-    DenseSignal,
-    GridSpec,
-    image_snr_db,
-    snr_db,
-)
-from .spectral import LowpassSpec, lowpass_array
+from .modular import _mix_axis, modular_reconstruct
+from .samplers import CoarseSamples, InterpKind, _interp_axis, lattice
+from .signal_core import ConfigurationError, DenseSignal, GridSpec, per_axis, snr_db
+from .spectral import LowpassSpec, axis_specs, lowpass_array
 
 __all__ = [
     "SingularSystemError",
     "ReconOperator",
-    "ReconOperator2D",
     "ChebyshevAccel",
     "ReconConfig",
     "ReconReport",
     "apply_operator",
-    "apply_operator2d",
     "iterate",
-    "iterate2d",
-    "chebyshev_iterate",
-    "chebyshev_iterate2d",
     "chebyshev_lambdas",
     "fixed_point_oracle",
 ]
@@ -61,74 +53,50 @@ class SingularSystemError(ValueError):
 
 @dataclass(frozen=True)
 class ReconOperator:
-    """G = lowpass ∘ mix ∘ interpolate ∘ sample on a 1-D grid."""
+    """G = lowpass ∘ mix ∘ interpolate ∘ sample, on one axis or separably on several.
 
-    grid: GridSpec
+    ``grid`` is a lone GridSpec or one GridSpec per axis; ``lpf`` likewise
+    gives one LowpassSpec per axis (stored as a tuple) and defaults to each
+    axis's band edge.
+    """
+
+    grid: Union[GridSpec, Tuple[GridSpec, ...]]
     kind: InterpKind
     modules: int = 0
-    lpf: Optional[LowpassSpec] = None
+    lpf: Union[None, LowpassSpec, Tuple[LowpassSpec, ...]] = None
 
     def __post_init__(self):
         if self.modules < 0:
             raise ConfigurationError(f"modules must be >= 0, got {self.modules}")
-        if 2 * self.modules > self.grid.ticks_per_sample:
-            raise ConfigurationError(
-                f"{self.modules} modules need ticks_per_sample >= "
-                f"{2 * self.modules}, got {self.grid.ticks_per_sample}"
-            )
-        if self.lpf is None:
-            object.__setattr__(self, "lpf", LowpassSpec(self.grid.band_edge))
-
-    def apply_values(self, values: np.ndarray) -> np.ndarray:
-        r = self.grid.ticks_per_sample
-        dense = _interp_axis(values[::r], self.grid, self.kind, axis=0)
-        mixed = _mix_axis(dense, r, self.modules, axis=0)
-        return lowpass_array(mixed, self.lpf)
-
-    def observation(self, samples: CoarseSamples) -> np.ndarray:
-        return modular_reconstruct(samples, self.kind, self.modules, self.lpf).values
-
-
-@dataclass(frozen=True)
-class ReconOperator2D:
-    """Separable 2-D counterpart of :class:`ReconOperator` on a rectangular lattice."""
-
-    grid_y: GridSpec
-    grid_x: GridSpec
-    kind: InterpKind
-    modules: int = 0
-    lpf_y: Optional[LowpassSpec] = None
-    lpf_x: Optional[LowpassSpec] = None
-
-    def __post_init__(self):
-        if self.modules < 0:
-            raise ConfigurationError(f"modules must be >= 0, got {self.modules}")
-        min_ticks = min(self.grid_y.ticks_per_sample, self.grid_x.ticks_per_sample)
+        min_ticks = min(g.ticks_per_sample for g in self.grids)
         if 2 * self.modules > min_ticks:
             raise ConfigurationError(
                 f"{self.modules} modules need ticks_per_sample >= "
-                f"{2 * self.modules} on both axes, got {min_ticks}"
+                f"{2 * self.modules} on every axis, got {min_ticks}"
             )
-        if self.lpf_y is None:
-            object.__setattr__(self, "lpf_y", LowpassSpec(self.grid_y.band_edge))
-        if self.lpf_x is None:
-            object.__setattr__(self, "lpf_x", LowpassSpec(self.grid_x.band_edge))
+        lpf = self.lpf
+        if lpf is None:
+            lpf = tuple(LowpassSpec(g.band_edge) for g in self.grids)
+        object.__setattr__(self, "lpf", axis_specs(lpf, len(self.grids)))
+
+    @property
+    def grids(self) -> Tuple[GridSpec, ...]:
+        return per_axis(self.grid, GridSpec)
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        ry = self.grid_y.ticks_per_sample
-        rx = self.grid_x.ticks_per_sample
-        coarse = values[::ry, ::rx]
-        dense = _interp_axis(coarse, self.grid_x, self.kind, axis=1)
-        dense = _interp_axis(dense, self.grid_y, self.kind, axis=0)
-        mixed = _mix_axis(dense, rx, self.modules, axis=1)
-        mixed = _mix_axis(mixed, ry, self.modules, axis=0)
-        out = lowpass_array(mixed, self.lpf_x, axis=1)
-        return lowpass_array(out, self.lpf_y, axis=0)
+        grids = self.grids
+        axes = range(len(grids) - 1, -1, -1)
+        out = values[lattice(grids)]
+        for axis in axes:
+            out = _interp_axis(out, grids[axis], self.kind, axis)
+        for axis in axes:
+            out = _mix_axis(out, grids[axis].ticks_per_sample, self.modules, axis)
+        for axis in axes:
+            out = lowpass_array(out, self.lpf[axis], axis)
+        return out
 
-    def observation(self, samples: LatticeSamples) -> np.ndarray:
-        return modular_reconstruct2d(
-            samples, self.kind, self.modules, self.lpf_x, self.lpf_y
-        ).values
+    def observation(self, samples: CoarseSamples) -> np.ndarray:
+        return modular_reconstruct(samples, self.kind, self.modules, self.lpf).values
 
 
 @dataclass(frozen=True)
@@ -151,7 +119,7 @@ class ChebyshevAccel:
 
 @dataclass(frozen=True)
 class ReconConfig:
-    operator: Union[ReconOperator, ReconOperator2D]
+    operator: ReconOperator
     relax: float = 1.0
     iterations: int = 1
     acceleration: Optional[ChebyshevAccel] = None
@@ -173,12 +141,13 @@ class ReconReport:
 
     ``snr_trace_db[j]`` is the SNR of the estimate after iteration ``j+1``;
     ``snr_initial_db`` is the SNR of the starting estimate (the simply
-    filtered reconstruction), or None when no reference was supplied.
-    ``non_contraction`` is set when the update norm grew three iterations in
-    a row, signalling a relaxation parameter outside the convergent range.
+    filtered reconstruction), or None when no reference was supplied or the
+    run was Chebyshev-accelerated.  ``non_contraction`` is set when the
+    update norm grew three iterations in a row, signalling a relaxation
+    parameter (or frame bounds) outside the convergent range.
     """
 
-    estimate: Union[DenseSignal, DenseImage]
+    estimate: DenseSignal
     iterations_run: int
     operator_applications: int
     snr_initial_db: Optional[float] = None
@@ -191,74 +160,55 @@ def apply_operator(x: DenseSignal, op: ReconOperator) -> DenseSignal:
     return x.with_values(op.apply_values(x.values))
 
 
-def apply_operator2d(img: DenseImage, op: ReconOperator2D) -> DenseImage:
-    """Apply the 2-D G once to a dense image."""
-    return img.with_values(op.apply_values(img.values))
+SnrOf = Optional[Callable[[np.ndarray], float]]
 
 
-def _plain_loop(
-    g_obs: np.ndarray,
-    apply_g: Callable[[np.ndarray], np.ndarray],
-    relax: float,
-    iterations: int,
-    snr_of: Optional[Callable[[np.ndarray], float]],
-):
+def _plain_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf):
+    """Relaxed fixed-point loop from ``relax * g_obs``; one G pass per iteration."""
+    relax = cfg.relax
     xk = relax * g_obs
     init_snr = snr_of(xk) if snr_of else None
     trace = [] if snr_of else None
-    grow_streak = 0
-    non_contraction = False
-    prev_update = None
-    applications = 1  # the observation itself is one operator pass
-    for _ in range(iterations):
+    update_norms = []
+    for _ in range(cfg.iterations):
         step = relax * (g_obs - apply_g(xk))
-        applications += 1
         xk = xk + step
-        update = float(np.linalg.norm(step))
-        if prev_update is not None and update > prev_update:
-            grow_streak += 1
-            if grow_streak >= 3:
-                non_contraction = True
-        else:
-            grow_streak = 0
-        prev_update = update
+        update_norms.append(float(np.linalg.norm(step)))
         if snr_of:
             trace.append(snr_of(xk))
-    return xk, init_snr, trace, non_contraction, applications
+    return xk, init_snr, trace, update_norms
 
 
-def _chebyshev_loop(
-    g_obs: np.ndarray,
-    apply_g: Callable[[np.ndarray], np.ndarray],
-    accel: ChebyshevAccel,
-    iterations: int,
-    snr_of: Optional[Callable[[np.ndarray], float]],
-):
+def _chebyshev_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf):
+    """Three-term recursion seeded as the frame algorithm.
+
+    The reference state is zero and the first iterate is ``2/(A+B)`` times
+    the observed reconstruction; the trace starts at that first iterate, so
+    ``iterations`` counts it and G is applied ``iterations - 1`` times.
+    """
+    accel = cfg.acceleration
     scale = 2.0 / (accel.a + accel.b)
-    lambdas = chebyshev_lambdas(accel.a, accel.b, iterations)
     x_prev = np.zeros_like(g_obs)  # algebraic seed of the three-term recursion
     x_cur = scale * g_obs
-    applications = 1
     trace = [snr_of(x_cur)] if snr_of else None
-    grow_streak = 0
-    non_contraction = False
-    prev_update = None
-    for n in range(2, iterations + 1):
-        lam = lambdas[n - 1]
+    update_norms = []
+    for lam in chebyshev_lambdas(accel.a, accel.b, cfg.iterations)[1:]:
         x_next = lam * (x_cur - x_prev + scale * (g_obs - apply_g(x_cur))) + x_prev
-        applications += 1
-        update = float(np.linalg.norm(x_next - x_cur))
-        if prev_update is not None and update > prev_update:
-            grow_streak += 1
-            if grow_streak >= 3:
-                non_contraction = True
-        else:
-            grow_streak = 0
-        prev_update = update
+        update_norms.append(float(np.linalg.norm(x_next - x_cur)))
         x_prev, x_cur = x_cur, x_next
         if snr_of:
             trace.append(snr_of(x_cur))
-    return x_cur, trace, non_contraction, applications
+    return x_cur, None, trace, update_norms
+
+
+def _non_contraction(update_norms: List[float]) -> bool:
+    """True when the update norm grew in three consecutive iterations."""
+    streak = 0
+    for prev, cur in zip(update_norms, update_norms[1:]):
+        streak = streak + 1 if cur > prev else 0
+        if streak >= 3:
+            return True
+    return False
 
 
 @lru_cache(maxsize=32)
@@ -281,121 +231,26 @@ def iterate(
     cfg: ReconConfig,
     reference: Optional[DenseSignal] = None,
 ) -> ReconReport:
-    """Reconstruct from 1-D coarse samples; dispatches on ``cfg.acceleration``."""
-    op = cfg.operator
-    if not isinstance(op, ReconOperator):
-        raise ConfigurationError("iterate needs a 1-D ReconOperator")
-    if cfg.acceleration is not None:
-        return chebyshev_iterate(observed, cfg, reference)
-    g_obs = op.observation(observed)
-    snr_of = None
-    if reference is not None:
-        snr_of = lambda v: snr_db(reference, DenseSignal(op.grid, v))
-    xk, init_snr, trace, flag, apps = _plain_loop(
-        g_obs, op.apply_values, cfg.relax, cfg.iterations, snr_of
-    )
-    return ReconReport(
-        estimate=DenseSignal(op.grid, xk),
-        iterations_run=cfg.iterations,
-        operator_applications=apps,
-        snr_initial_db=init_snr,
-        snr_trace_db=trace,
-        non_contraction=flag,
-    )
+    """Reconstruct a dense signal from its coarse samples, on any number of axes.
 
-
-def chebyshev_iterate(
-    observed: CoarseSamples,
-    cfg: ReconConfig,
-    reference: Optional[DenseSignal] = None,
-) -> ReconReport:
-    """Chebyshev-accelerated reconstruction from 1-D coarse samples.
-
-    Seeds follow the frame algorithm: the reference state is zero and the
-    first iterate is ``2/(A+B)`` times the observed reconstruction, after
-    which the three-term recursion with the cached lambda sequence runs.
+    Runs the plain relaxed loop, or the Chebyshev recursion when
+    ``cfg.acceleration`` is set.  With a reference, every iterate's SNR
+    against it is traced.
     """
     op = cfg.operator
-    if not isinstance(op, ReconOperator):
-        raise ConfigurationError("chebyshev_iterate needs a 1-D ReconOperator")
-    accel = cfg.acceleration
-    if accel is None:
-        raise ConfigurationError("chebyshev_iterate requires cfg.acceleration")
     g_obs = op.observation(observed)
     snr_of = None
     if reference is not None:
         snr_of = lambda v: snr_db(reference, DenseSignal(op.grid, v))
-    xk, trace, flag, apps = _chebyshev_loop(
-        g_obs, op.apply_values, accel, cfg.iterations, snr_of
-    )
+    loop = _plain_loop if cfg.acceleration is None else _chebyshev_loop
+    xk, init_snr, trace, update_norms = loop(g_obs, op.apply_values, cfg, snr_of)
     return ReconReport(
         estimate=DenseSignal(op.grid, xk),
         iterations_run=cfg.iterations,
-        operator_applications=apps,
-        snr_initial_db=None,
-        snr_trace_db=trace,
-        non_contraction=flag,
-    )
-
-
-def iterate2d(
-    observed: LatticeSamples,
-    cfg: ReconConfig,
-    reference: Optional[DenseImage] = None,
-) -> ReconReport:
-    """Reconstruct from rectangular-lattice samples with the 2-D operators."""
-    op = cfg.operator
-    if not isinstance(op, ReconOperator2D):
-        raise ConfigurationError("iterate2d needs a ReconOperator2D")
-    if cfg.acceleration is not None:
-        return chebyshev_iterate2d(observed, cfg, reference)
-    g_obs = op.observation(observed)
-    snr_of = None
-    if reference is not None:
-        snr_of = lambda v: image_snr_db(
-            reference, DenseImage(op.grid_y, op.grid_x, v)
-        )
-    xk, init_snr, trace, flag, apps = _plain_loop(
-        g_obs, op.apply_values, cfg.relax, cfg.iterations, snr_of
-    )
-    return ReconReport(
-        estimate=DenseImage(op.grid_y, op.grid_x, xk),
-        iterations_run=cfg.iterations,
-        operator_applications=apps,
+        operator_applications=1 + len(update_norms),  # the observation is one pass
         snr_initial_db=init_snr,
         snr_trace_db=trace,
-        non_contraction=flag,
-    )
-
-
-def chebyshev_iterate2d(
-    observed: LatticeSamples,
-    cfg: ReconConfig,
-    reference: Optional[DenseImage] = None,
-) -> ReconReport:
-    """2-D counterpart of :func:`chebyshev_iterate`."""
-    op = cfg.operator
-    if not isinstance(op, ReconOperator2D):
-        raise ConfigurationError("chebyshev_iterate2d needs a ReconOperator2D")
-    accel = cfg.acceleration
-    if accel is None:
-        raise ConfigurationError("chebyshev_iterate2d requires cfg.acceleration")
-    g_obs = op.observation(observed)
-    snr_of = None
-    if reference is not None:
-        snr_of = lambda v: image_snr_db(
-            reference, DenseImage(op.grid_y, op.grid_x, v)
-        )
-    xk, trace, flag, apps = _chebyshev_loop(
-        g_obs, op.apply_values, accel, cfg.iterations, snr_of
-    )
-    return ReconReport(
-        estimate=DenseImage(op.grid_y, op.grid_x, xk),
-        iterations_run=cfg.iterations,
-        operator_applications=apps,
-        snr_initial_db=None,
-        snr_trace_db=trace,
-        non_contraction=flag,
+        non_contraction=_non_contraction(update_norms),
     )
 
 
@@ -416,9 +271,11 @@ def fixed_point_oracle(observed: CoarseSamples, op: ReconOperator) -> DenseSigna
 
     Builds the dense matrix of G column by column, restricts it to the
     orthonormal basis of the open passband, and solves.  Verification-only:
-    instances are limited to ``n_fine <= 512``.
+    instances are limited to 1-D operators with ``n_fine <= 512``.
     """
-    grid = op.grid
+    if len(op.grids) != 1:
+        raise ConfigurationError("the oracle handles 1-D operators only")
+    (grid,) = op.grids
     n = grid.n_fine
     if n > ORACLE_MAX_FINE:
         raise ConfigurationError(
@@ -428,7 +285,7 @@ def fixed_point_oracle(observed: CoarseSamples, op: ReconOperator) -> DenseSigna
     eye = np.eye(n)
     for j in range(n):
         gmat[:, j] = op.apply_values(eye[:, j])
-    basis = _band_basis(n, op.lpf.cutoff)
+    basis = _band_basis(n, op.lpf[0].cutoff)
     reduced = basis.T @ gmat @ basis
     rhs = basis.T @ op.observation(observed)
     cond = np.linalg.cond(reduced)
@@ -437,4 +294,4 @@ def fixed_point_oracle(observed: CoarseSamples, op: ReconOperator) -> DenseSigna
             f"operator is not invertible on the passband (condition number {cond:.3g})"
         )
     coeffs = np.linalg.solve(reduced, rhs)
-    return DenseSignal(grid, basis @ coeffs)
+    return DenseSignal(op.grid, basis @ coeffs)

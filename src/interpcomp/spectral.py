@@ -1,4 +1,4 @@
-"""Ideal lowpass filtering through the DFT, 1-D and separable 2-D.
+"""Ideal lowpass filtering through the DFT, on one axis or separably on several.
 
 The band-limiting operator keeps DFT bins strictly below the cutoff, zeroes
 bins strictly above it, and scales a bin landing exactly on the cutoff by
@@ -14,9 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_core import ConfigurationError, DenseImage, DenseSignal
+from .signal_core import ConfigurationError, DenseSignal, per_axis
 
-__all__ = ["LowpassSpec", "lowpass", "lowpass2d", "lowpass_array", "lowpass2d_array"]
+__all__ = ["LowpassSpec", "lowpass", "lowpass_array"]
 
 
 @dataclass(frozen=True)
@@ -55,19 +55,23 @@ def lowpass_array(values: np.ndarray, spec: LowpassSpec, axis: int = -1) -> np.n
     return np.fft.irfft(spec_vals, n=n, axis=axis)
 
 
-def lowpass(x: DenseSignal, spec: LowpassSpec) -> DenseSignal:
-    """Ideal lowpass of a dense signal (circular, zero phase)."""
-    return x.with_values(lowpass_array(x.values, spec))
+def axis_specs(spec, ndim: int) -> tuple:
+    """``spec`` as one LowpassSpec per axis of an ``ndim``-axis signal."""
+    specs = per_axis(spec, LowpassSpec)
+    if len(specs) != ndim:
+        raise ConfigurationError(f"{len(specs)} lowpass specs for {ndim} signal axes")
+    return specs
 
 
-def lowpass2d_array(
-    values: np.ndarray, spec_x: LowpassSpec, spec_y: LowpassSpec
-) -> np.ndarray:
-    """Separable rectangular-passband lowpass: rows (x), then columns (y)."""
-    out = lowpass_array(values, spec_x, axis=1)
-    return lowpass_array(out, spec_y, axis=0)
+def lowpass(x: DenseSignal, spec) -> DenseSignal:
+    """Ideal lowpass of a dense signal (circular, zero phase).
 
-
-def lowpass2d(img: DenseImage, spec_x: LowpassSpec, spec_y: LowpassSpec) -> DenseImage:
-    """Ideal separable 2-D lowpass of a dense image."""
-    return img.with_values(lowpass2d_array(img.values, spec_x, spec_y))
+    ``spec`` is one LowpassSpec per axis (a lone one for a 1-D signal).  On
+    several axes the filter is separable, with the rectangular passband of
+    the per-axis cutoffs, applied last axis first.
+    """
+    specs = axis_specs(spec, x.values.ndim)
+    out = x.values
+    for axis in reversed(range(out.ndim)):
+        out = lowpass_array(out, specs[axis], axis)
+    return x.with_values(out)

@@ -198,3 +198,10 @@ class TestImage:
         code = run(["image", tmp_path / "nope.pgm"])
         assert code == 2
         assert "nope.pgm" in capsys.readouterr().err
+
+    def test_bad_method_token_exit_code(self, tmp_path, capsys):
+        src = tmp_path / "scene.pgm"
+        write_pgm(synthetic_scene(16, 16, seed=1), src)
+        code = run(["image", src, "--methods", "iterative:abc", "--out-dir", tmp_path / "o"])
+        assert code == 2
+        assert "iterative:abc" in capsys.readouterr().err

@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from interpcomp import (
+    CoarseSamples,
     ConfigurationError,
-    DenseImage,
+    DenseSignal,
     EnlargeConfig,
     GrayImage,
     GridSpec,
     InterpKind,
-    LatticeSamples,
     ReconConfig,
-    ReconOperator2D,
+    ReconOperator,
     UsageError,
     decimate,
     enlarge,
     enlarge_dense,
-    iterate2d,
+    iterate,
     psnr_benchmark,
     psnr_db,
     read_pgm,
@@ -68,6 +68,29 @@ class TestPgmIO:
         with pytest.raises(PgmError) as err:
             read_pgm(path)
         assert "truncated" in str(err.value)
+
+    def test_nonpositive_size_p2(self, tmp_path):
+        path = tmp_path / "neg.pgm"
+        path.write_bytes(b"P2\n-4 4\n255\n" + b"0 " * 16)
+        with pytest.raises(PgmError) as err:
+            read_pgm(path)
+        assert "-4x4" in str(err.value)
+
+    def test_nonpositive_size_p5(self, tmp_path):
+        # 16 raster bytes used to pass as a 4x3 image
+        path = tmp_path / "neg.pgm"
+        path.write_bytes(b"P5\n-4 4\n255\n" + bytes(16))
+        with pytest.raises(PgmError) as err:
+            read_pgm(path)
+        assert "-4x4" in str(err.value)
+
+    def test_huge_size_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.pgm"
+        path.write_bytes(b"P2\n4000000 4000000\n255\n0 1 2 3\n")
+        with pytest.raises(PgmError) as err:
+            read_pgm(path)
+        assert "truncated" in str(err.value)
+        assert err.value.offset == path.stat().st_size
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
@@ -147,12 +170,12 @@ class TestEnlarge:
         spec[(np.abs(fx) >= 0.125 - 1e-12) | (np.abs(fy) >= 0.125 - 1e-12)] = 0.0
         field = np.real(np.fft.ifft2(spec))
         field = 128.0 + 100.0 * field / np.max(np.abs(field))
-        img = DenseImage(gy, gx, field)
-        samples = LatticeSamples(gy, gx, field[::4, ::4])
+        img = DenseSignal((gy, gx), field)
+        samples = CoarseSamples((gy, gx), field[::4, ::4])
         prev = -math.inf
         for iters in range(1, 11):
-            op = ReconOperator2D(gy, gx, InterpKind.SAMPLE_AND_HOLD, 1)
-            rep = iterate2d(samples, ReconConfig(op, iterations=iters))
+            op = ReconOperator((gy, gx), InterpKind.SAMPLE_AND_HOLD, 1)
+            rep = iterate(samples, ReconConfig(op, iterations=iters))
             p = psnr_db(img.values, rep.estimate.values)
             assert p >= prev - 1e-9
             prev = p
@@ -198,7 +221,7 @@ class TestBenchmark:
             EnlargeConfig(2, "hybrid", iterations=2, modules=1),
         ]
         rows = psnr_benchmark(scene256, methods)
-        assert [cfg.label for cfg, _ in rows] == [m.label for m in methods]
+        assert [cfg.label for cfg, _, _ in rows] == [m.label for m in methods]
 
     def test_hybrid_error_image_smaller_than_bilinear(self, scene256):
         low = decimate(scene256, 2)

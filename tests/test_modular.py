@@ -6,14 +6,11 @@ from hypothesis import strategies as st
 from interpcomp import (
     CoarseSamples,
     ConfigurationError,
-    DenseImage,
     DenseSignal,
     GridSpec,
     InterpKind,
-    LatticeSamples,
     LowpassSpec,
     cosine_mix,
-    cosine_mix2d,
     gen_bandlimited,
     modular_reconstruct,
     sample,
@@ -68,13 +65,13 @@ class TestCosineMix2d:
 
     def test_zero_modules_identity(self, rng):
         gy, gx = self.grids()
-        img = DenseImage(gy, gx, rng.standard_normal((gy.n_fine, gx.n_fine)))
-        assert cosine_mix2d(img, 0) is img
+        img = DenseSignal((gy, gx), rng.standard_normal((gy.n_fine, gx.n_fine)))
+        assert cosine_mix(img, 0) is img
 
     def test_lattice_gain_nine(self):
         gy, gx = self.grids()
-        img = DenseImage(gy, gx, np.ones((gy.n_fine, gx.n_fine)))
-        out = cosine_mix2d(img, 1)
+        img = DenseSignal((gy, gx), np.ones((gy.n_fine, gx.n_fine)))
+        out = cosine_mix(img, 1)
         lattice = out.values[:: gy.ticks_per_sample, :: gx.ticks_per_sample]
         assert np.allclose(lattice, 9.0, atol=1e-12)
 
@@ -82,7 +79,7 @@ class TestCosineMix2d:
         gy, gx = self.grids()
         u = rng.standard_normal(gy.n_fine)
         v = rng.standard_normal(gx.n_fine)
-        out2d = cosine_mix2d(DenseImage(gy, gx, np.outer(u, v)), 2)
+        out2d = cosine_mix(DenseSignal((gy, gx), np.outer(u, v)), 2)
         u_mix = cosine_mix(DenseSignal(gy, u), 2).values
         v_mix = cosine_mix(DenseSignal(gx, v), 2).values
         assert np.max(np.abs(out2d.values - np.outer(u_mix, v_mix))) < 1e-12

@@ -3,18 +3,14 @@ import pytest
 
 from interpcomp import (
     CoarseSamples,
-    DenseImage,
     DenseSignal,
     GridSpec,
     InterpKind,
-    LatticeSamples,
     LowpassSpec,
     gen_bandlimited,
     interpolate,
-    interpolate2d,
     lowpass,
     sample,
-    sample_lattice,
 )
 from interpcomp.samplers import _interp_axis
 
@@ -109,9 +105,9 @@ class TestInterpolate2d:
 
     def test_constant(self):
         gy, gx = self.grids()
-        s = LatticeSamples(gy, gx, np.full((gy.n_coarse, gx.n_coarse), 3.0))
+        s = CoarseSamples((gy, gx), np.full((gy.n_coarse, gx.n_coarse), 3.0))
         for kind in (SH, LI):
-            out = interpolate2d(s, kind)
+            out = interpolate(s, kind)
             assert np.max(np.abs(out.values - 3.0)) < 1e-15
 
     @pytest.mark.parametrize("kind", [SH, LI])
@@ -119,7 +115,7 @@ class TestInterpolate2d:
         gy, gx = self.grids()
         u = rng.standard_normal(gy.n_coarse)
         v = rng.standard_normal(gx.n_coarse)
-        out2d = interpolate2d(LatticeSamples(gy, gx, np.outer(u, v)), kind)
+        out2d = interpolate(CoarseSamples((gy, gx), np.outer(u, v)), kind)
         u_fine = interpolate(CoarseSamples(gy, u), kind).values
         v_fine = interpolate(CoarseSamples(gx, v), kind).values
         assert np.max(np.abs(out2d.values - np.outer(u_fine, v_fine))) < 1e-12
@@ -139,8 +135,8 @@ class TestInterpolate2d:
     def test_sample_lattice(self, rng):
         gy, gx = self.grids()
         vals = rng.standard_normal((gy.n_fine, gx.n_fine))
-        img = DenseImage(gy, gx, vals)
-        s = sample_lattice(img)
+        img = DenseSignal((gy, gx), vals)
+        s = sample(img)
         assert np.array_equal(
             s.values, vals[:: gy.ticks_per_sample, :: gx.ticks_per_sample]
         )

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from interpcomp import (
     ConfigurationError,
-    DenseImage,
     DenseSignal,
     GridSpec,
     LowpassSpec,
     UsageError,
     add_awgn,
     gen_bandlimited,
-    gen_bandlimited2d,
     lowpass,
     psnr_db,
     snr_db,
@@ -76,7 +74,7 @@ class TestGenBandlimited:
 
     def test_2d_power_and_band(self):
         gy, gx = GridSpec(16, 8), GridSpec(32, 8)
-        img = gen_bandlimited2d(2, gy, gx, 10.0)
+        img = gen_bandlimited(2, (gy, gx), 10.0)
         assert abs(np.mean(img.values**2) - 10.0) / 10.0 < 1e-9
         spec = np.abs(np.fft.fft2(img.values))
         fy = np.fft.fftfreq(gy.n_fine)[:, None] / gy.band_edge
@@ -184,6 +182,6 @@ class TestPsnr:
 
     def test_on_dense_images(self):
         gy, gx = GridSpec(4, 2), GridSpec(4, 2)
-        a = DenseImage(gy, gx, np.zeros((8, 8)))
-        b = DenseImage(gy, gx, np.full((8, 8), 2.0))
+        a = DenseSignal((gy, gx), np.zeros((8, 8)))
+        b = DenseSignal((gy, gx), np.full((8, 8), 2.0))
         assert psnr_db(a, b) == pytest.approx(10 * math.log10(255**2 / 4.0))

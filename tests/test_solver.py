@@ -6,26 +6,19 @@ import pytest
 from interpcomp import (
     ChebyshevAccel,
     ConfigurationError,
-    DenseImage,
     DenseSignal,
     GridSpec,
     InterpKind,
     LowpassSpec,
     ReconConfig,
     ReconOperator,
-    ReconOperator2D,
     SingularSystemError,
     apply_operator,
-    chebyshev_iterate,
     chebyshev_lambdas,
     fixed_point_oracle,
     gen_bandlimited,
-    gen_bandlimited2d,
-    image_snr_db,
     iterate,
-    iterate2d,
     sample,
-    sample_lattice,
 )
 from interpcomp.samplers import CoarseSamples, interpolate
 from interpcomp.spectral import lowpass_array
@@ -179,7 +172,7 @@ class TestChebyshev:
         x = gen_bandlimited(9, grid, 34.0)
         s = sample(x)
         op = ReconOperator(grid, SH, 1)
-        rep = chebyshev_iterate(
+        rep = iterate(
             s,
             ReconConfig(op, iterations=6, acceleration=ChebyshevAccel(1.3, 1.3)),
         )
@@ -201,7 +194,7 @@ class TestChebyshev:
         s = sample(x)
         op = ReconOperator(grid, SH, 1)
         accel = ChebyshevAccel(1.0, 2.0)
-        cheb = chebyshev_iterate(
+        cheb = iterate(
             s, ReconConfig(op, iterations=10, acceleration=accel), reference=x
         )
         base = iterate(
@@ -215,12 +208,16 @@ class TestIterate2d:
     def grids(self):
         return GridSpec(24, 8), GridSpec(24, 8)
 
+    def grid_pairs(self):
+        # an unequal pair as well, so that an axis mix-up cannot cancel out
+        return [self.grids(), (GridSpec(24, 8), GridSpec(16, 4))]
+
     def test_constant_exact(self):
         gy, gx = self.grids()
-        img = DenseImage(gy, gx, np.full((gy.n_fine, gx.n_fine), 7.0))
-        rep = iterate2d(
-            sample_lattice(img),
-            ReconConfig(ReconOperator2D(gy, gx, SH, 1), iterations=1),
+        img = DenseSignal((gy, gx), np.full((gy.n_fine, gx.n_fine), 7.0))
+        rep = iterate(
+            sample(img),
+            ReconConfig(ReconOperator((gy, gx), SH, 1), iterations=1),
             reference=img,
         )
         assert math.isinf(rep.snr_trace_db[0])
@@ -229,13 +226,13 @@ class TestIterate2d:
         gy, gx = self.grids()
         gaps = []
         for seed in range(5):
-            img = gen_bandlimited2d(60 + seed, gy, gx, 34.0)
-            ls = sample_lattice(img)
+            img = gen_bandlimited(60 + seed, (gy, gx), 34.0)
+            ls = sample(img)
             snr = {}
             for modules in (0, 4):
-                rep = iterate2d(
+                rep = iterate(
                     ls,
-                    ReconConfig(ReconOperator2D(gy, gx, SH, modules), iterations=2),
+                    ReconConfig(ReconOperator((gy, gx), SH, modules), iterations=2),
                     reference=img,
                 )
                 snr[modules] = rep.snr_trace_db[-1]
@@ -243,48 +240,48 @@ class TestIterate2d:
         assert np.mean(gaps) >= 5.0
 
     def test_operator_separability_exact(self, rng):
-        gy, gx = self.grids()
-        op2 = ReconOperator2D(gy, gx, SH, 1)
-        op_y = ReconOperator(gy, SH, 1)
-        op_x = ReconOperator(gx, SH, 1)
-        u = gen_bandlimited(1, gy, 0.0).values
-        v = gen_bandlimited(2, gx, 0.0).values
-        lhs = op2.apply_values(np.outer(u, v))
-        rhs = np.outer(op_y.apply_values(u), op_x.apply_values(v))
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+        for gy, gx in self.grid_pairs():
+            op2 = ReconOperator((gy, gx), SH, 1)
+            op_y = ReconOperator(gy, SH, 1)
+            op_x = ReconOperator(gx, SH, 1)
+            u = gen_bandlimited(1, gy, 0.0).values
+            v = gen_bandlimited(2, gx, 0.0).values
+            lhs = op2.apply_values(np.outer(u, v))
+            rhs = np.outer(op_y.apply_values(u), op_x.apply_values(v))
+            assert np.max(np.abs(lhs - rhs)) < 1e-12, (gy, gx)
 
     def test_rank_one_matches_outer_product_at_convergence(self):
         # both the 2-D recursion and the per-axis 1-D recursions converge to
         # the same rank-1 band-limited signal
-        gy, gx = self.grids()
-        u = gen_bandlimited(5, gy, 0.0)
-        v = gen_bandlimited(6, gx, 0.0)
-        img = DenseImage(gy, gx, np.outer(u.values, v.values))
-        rep2 = iterate2d(
-            sample_lattice(img),
-            ReconConfig(ReconOperator2D(gy, gx, SH, 1), iterations=40),
-        )
-        rep_u = iterate(
-            sample(u), ReconConfig(ReconOperator(gy, SH, 1), iterations=40)
-        )
-        rep_v = iterate(
-            sample(v), ReconConfig(ReconOperator(gx, SH, 1), iterations=40)
-        )
-        outer = np.outer(rep_u.estimate.values, rep_v.estimate.values)
-        rms = np.sqrt(np.mean((rep2.estimate.values - outer) ** 2))
-        assert rms < 1e-9
+        for gy, gx in self.grid_pairs():
+            u = gen_bandlimited(5, gy, 0.0)
+            v = gen_bandlimited(6, gx, 0.0)
+            img = DenseSignal((gy, gx), np.outer(u.values, v.values))
+            rep2 = iterate(
+                sample(img),
+                ReconConfig(ReconOperator((gy, gx), SH, 1), iterations=40),
+            )
+            rep_u = iterate(
+                sample(u), ReconConfig(ReconOperator(gy, SH, 1), iterations=40)
+            )
+            rep_v = iterate(
+                sample(v), ReconConfig(ReconOperator(gx, SH, 1), iterations=40)
+            )
+            outer = np.outer(rep_u.estimate.values, rep_v.estimate.values)
+            rms = np.sqrt(np.mean((rep2.estimate.values - outer) ** 2))
+            assert rms < 1e-9, (gy, gx)
 
     def test_chebyshev_2d_beats_base(self):
         gy, gx = self.grids()
-        img = gen_bandlimited2d(5, gy, gx, 34.0)
-        ls = sample_lattice(img)
-        op = ReconOperator2D(gy, gx, SH, 4)
-        cheb = iterate2d(
+        img = gen_bandlimited(5, (gy, gx), 34.0)
+        ls = sample(img)
+        op = ReconOperator((gy, gx), SH, 4)
+        cheb = iterate(
             ls,
             ReconConfig(op, iterations=8, acceleration=ChebyshevAccel(1.0, 2.0)),
             reference=img,
         )
-        base = iterate2d(
+        base = iterate(
             ls, ReconConfig(op, relax=2.0 / 3.0, iterations=8), reference=img
         )
         for i in range(2, 8):
@@ -324,6 +321,12 @@ class TestFixedPointOracle:
         op = ReconOperator(grid, SH, 0, LowpassSpec(0.2))
         with pytest.raises(SingularSystemError):
             fixed_point_oracle(sample(x), op)
+
+    def test_multi_axis_rejected(self):
+        grid = GridSpec(8, 4)
+        img = DenseSignal((grid, grid), np.ones((32, 32)))
+        with pytest.raises(ConfigurationError):
+            fixed_point_oracle(sample(img), ReconOperator((grid, grid), SH, 0))
 
     def test_instance_size_capped(self):
         grid = GridSpec(64, 16)  # 1024 fine points

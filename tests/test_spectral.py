@@ -3,13 +3,11 @@ import pytest
 
 from interpcomp import (
     ConfigurationError,
-    DenseImage,
     DenseSignal,
     GridSpec,
     LowpassSpec,
     gen_bandlimited,
     lowpass,
-    lowpass2d,
 )
 
 
@@ -109,26 +107,25 @@ class TestLowpass2d:
 
     def test_constant_unchanged(self):
         gy, gx = self.grids()
-        img = DenseImage(gy, gx, np.full((gy.n_fine, gx.n_fine), 4.0))
-        out = lowpass2d(img, LowpassSpec(gx.band_edge), LowpassSpec(gy.band_edge))
+        img = DenseSignal((gy, gx), np.full((gy.n_fine, gx.n_fine), 4.0))
+        out = lowpass(img, (LowpassSpec(gy.band_edge), LowpassSpec(gx.band_edge)))
         assert np.max(np.abs(out.values - 4.0)) < 1e-12
 
     def test_rectangular_passband(self):
         # f_x above cutoff, f_y below: the separable mask kills the whole tone
         gy, gx = self.grids()
         yy, xx = np.mgrid[0 : gy.n_fine, 0 : gx.n_fine]
-        img = DenseImage(
-            gy,
-            gx,
+        img = DenseSignal(
+            (gy, gx),
             np.cos(2 * np.pi * 20 * xx / gx.n_fine) * np.cos(2 * np.pi * xx * 0 + 2 * np.pi * yy / gy.n_fine),
         )
-        out = lowpass2d(img, LowpassSpec(gx.band_edge), LowpassSpec(gy.band_edge))
+        out = lowpass(img, (LowpassSpec(gy.band_edge), LowpassSpec(gx.band_edge)))
         assert np.max(np.abs(out.values)) < 1e-12
 
     def test_idempotent(self, rng):
         gy, gx = self.grids()
-        img = DenseImage(gy, gx, rng.standard_normal((gy.n_fine, gx.n_fine)))
+        img = DenseSignal((gy, gx), rng.standard_normal((gy.n_fine, gx.n_fine)))
         sx, sy = LowpassSpec(0.1234), LowpassSpec(0.2345)
-        once = lowpass2d(img, sx, sy)
-        twice = lowpass2d(once, sx, sy)
+        once = lowpass(img, (sy, sx))
+        twice = lowpass(once, (sy, sx))
         assert np.max(np.abs(twice.values - once.values)) < 1e-12
