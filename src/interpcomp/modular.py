@@ -63,7 +63,7 @@ def cosine_mix(s: DenseSignal, modules: int) -> DenseSignal:
         return s
     out = s.values
     for axis in reversed(range(out.ndim)):
-        out = _mix_axis(out, s.grids[axis].ticks_per_sample, modules, axis)
+        out = _mix_axis(out, s.grid[axis].ticks_per_sample, modules, axis)
     return s.with_values(out)
 
 

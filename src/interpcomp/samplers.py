@@ -46,20 +46,17 @@ class CoarseSamples:
     """One value per sampling interval on every axis.
 
     ``values[n]`` sits at fine tick ``n * ticks_per_sample`` of its axis;
-    ``grid`` is a lone GridSpec or one GridSpec per array axis, as for
-    :class:`DenseSignal`.
+    ``grid`` is a lone GridSpec or one GridSpec per array axis, stored as a
+    tuple, as for :class:`DenseSignal`.
     """
 
     grid: Union[GridSpec, Tuple[GridSpec, ...]]
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        shape = tuple(g.n_coarse for g in self.grids)
+        object.__setattr__(self, "grid", per_axis(self.grid, GridSpec))
+        shape = tuple(g.n_coarse for g in self.grid)
         object.__setattr__(self, "values", _check_values(self.values, shape, "CoarseSamples"))
-
-    @property
-    def grids(self) -> Tuple[GridSpec, ...]:
-        return per_axis(self.grid, GridSpec)
 
 
 def lattice(grids: Tuple[GridSpec, ...]) -> tuple:
@@ -69,7 +66,7 @@ def lattice(grids: Tuple[GridSpec, ...]) -> tuple:
 
 def sample(x: DenseSignal) -> CoarseSamples:
     """Pick the dense value at every coarse position: values[n] = x[n * R] on each axis."""
-    return CoarseSamples(x.grid, x.values[lattice(x.grids)].copy())
+    return CoarseSamples(x.grid, x.values[lattice(x.grid)].copy())
 
 
 def _interp_axis(values: np.ndarray, grid: GridSpec, kind: InterpKind, axis: int) -> np.ndarray:
@@ -98,5 +95,5 @@ def interpolate(s: CoarseSamples, kind: InterpKind) -> DenseSignal:
     """
     fine = s.values
     for axis in reversed(range(fine.ndim)):
-        fine = _interp_axis(fine, s.grids[axis], kind, axis)
+        fine = _interp_axis(fine, s.grid[axis], kind, axis)
     return DenseSignal(s.grid, fine)

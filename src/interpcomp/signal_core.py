@@ -100,20 +100,18 @@ def _check_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
 class DenseSignal:
     """Real signal on the fine grid of every axis, one period of a periodic waveform.
 
-    ``grid`` is a lone :class:`GridSpec` (1-D, ``values[tick]``) or a tuple of
-    one GridSpec per array axis (an image is ``(grid_y, grid_x)``, ``values[row, col]``).
+    ``grid`` is a lone :class:`GridSpec` (1-D, ``values[tick]``) or one
+    GridSpec per array axis (an image is ``(grid_y, grid_x)``,
+    ``values[row, col]``); it is stored as a tuple either way.
     """
 
     grid: Union[GridSpec, Tuple[GridSpec, ...]]
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        shape = tuple(g.n_fine for g in self.grids)
+        object.__setattr__(self, "grid", per_axis(self.grid, GridSpec))
+        shape = tuple(g.n_fine for g in self.grid)
         object.__setattr__(self, "values", _check_values(self.values, shape, "DenseSignal"))
-
-    @property
-    def grids(self) -> Tuple[GridSpec, ...]:
-        return per_axis(self.grid, GridSpec)
 
     def with_values(self, values: np.ndarray) -> "DenseSignal":
         return DenseSignal(self.grid, values)

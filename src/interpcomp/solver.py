@@ -56,8 +56,8 @@ class ReconOperator:
     """G = lowpass ∘ mix ∘ interpolate ∘ sample, on one axis or separably on several.
 
     ``grid`` is a lone GridSpec or one GridSpec per axis; ``lpf`` likewise
-    gives one LowpassSpec per axis (stored as a tuple) and defaults to each
-    axis's band edge.
+    gives one LowpassSpec per axis and defaults to each axis's band edge.
+    Both are stored as tuples.
     """
 
     grid: Union[GridSpec, Tuple[GridSpec, ...]]
@@ -66,9 +66,10 @@ class ReconOperator:
     lpf: Union[None, LowpassSpec, Tuple[LowpassSpec, ...]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "grid", per_axis(self.grid, GridSpec))
         if self.modules < 0:
             raise ConfigurationError(f"modules must be >= 0, got {self.modules}")
-        min_ticks = min(g.ticks_per_sample for g in self.grids)
+        min_ticks = min(g.ticks_per_sample for g in self.grid)
         if 2 * self.modules > min_ticks:
             raise ConfigurationError(
                 f"{self.modules} modules need ticks_per_sample >= "
@@ -76,21 +77,16 @@ class ReconOperator:
             )
         lpf = self.lpf
         if lpf is None:
-            lpf = tuple(LowpassSpec(g.band_edge) for g in self.grids)
-        object.__setattr__(self, "lpf", axis_specs(lpf, len(self.grids)))
-
-    @property
-    def grids(self) -> Tuple[GridSpec, ...]:
-        return per_axis(self.grid, GridSpec)
+            lpf = tuple(LowpassSpec(g.band_edge) for g in self.grid)
+        object.__setattr__(self, "lpf", axis_specs(lpf, len(self.grid)))
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        grids = self.grids
-        axes = range(len(grids) - 1, -1, -1)
-        out = values[lattice(grids)]
+        axes = range(len(self.grid) - 1, -1, -1)
+        out = values[lattice(self.grid)]
         for axis in axes:
-            out = _interp_axis(out, grids[axis], self.kind, axis)
+            out = _interp_axis(out, self.grid[axis], self.kind, axis)
         for axis in axes:
-            out = _mix_axis(out, grids[axis].ticks_per_sample, self.modules, axis)
+            out = _mix_axis(out, self.grid[axis].ticks_per_sample, self.modules, axis)
         for axis in axes:
             out = lowpass_array(out, self.lpf[axis], axis)
         return out
@@ -273,10 +269,9 @@ def fixed_point_oracle(observed: CoarseSamples, op: ReconOperator) -> DenseSigna
     orthonormal basis of the open passband, and solves.  Verification-only:
     instances are limited to 1-D operators with ``n_fine <= 512``.
     """
-    if len(op.grids) != 1:
+    if len(op.grid) != 1:
         raise ConfigurationError("the oracle handles 1-D operators only")
-    (grid,) = op.grids
-    n = grid.n_fine
+    n = op.grid[0].n_fine
     if n > ORACLE_MAX_FINE:
         raise ConfigurationError(
             f"oracle instances are limited to n_fine <= {ORACLE_MAX_FINE}, got {n}"
