@@ -55,13 +55,13 @@ class CoarseSamples:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", per_axis(self.grid, GridSpec))
-        shape = tuple(g.n_coarse for g in self.grid)
+        shape = tuple([g.n_coarse for g in self.grid])
         object.__setattr__(self, "values", _check_values(self.values, shape, "CoarseSamples"))
 
 
 def lattice(grids: Tuple[GridSpec, ...]) -> tuple:
     """Index of the coarse sample positions: every ``ticks_per_sample``-th tick per axis."""
-    return tuple(slice(None, None, g.ticks_per_sample) for g in grids)
+    return tuple([slice(None, None, g.ticks_per_sample) for g in grids])
 
 
 def sample(x: DenseSignal) -> CoarseSamples:

@@ -110,7 +110,7 @@ class DenseSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", per_axis(self.grid, GridSpec))
-        shape = tuple(g.n_fine for g in self.grid)
+        shape = tuple([g.n_fine for g in self.grid])
         object.__setattr__(self, "values", _check_values(self.values, shape, "DenseSignal"))
 
     def with_values(self, values: np.ndarray) -> "DenseSignal":
@@ -176,7 +176,7 @@ def snr_db(
     if not 0.0 <= edge_ignore_frac < 0.5:
         raise UsageError(f"edge_ignore_frac must be in [0, 0.5), got {edge_ignore_frac}")
     margins = [math.ceil(edge_ignore_frac * n) for n in ref.shape]
-    interior = tuple(slice(m, n - m) for m, n in zip(margins, ref.shape))
+    interior = tuple([slice(m, n - m) for m, n in zip(margins, ref.shape)])
     r = ref[interior]
     e = r - est[interior]
     err = float(np.sum(e * e))
