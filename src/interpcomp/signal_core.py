@@ -162,15 +162,14 @@ def add_awgn(x: DenseSignal, noise_power_db: float, seed: int) -> DenseSignal:
     return x.with_values(x.values + sigma * rng.standard_normal(x.values.shape))
 
 
-def snr_db(
-    reference: DenseSignal, estimate: DenseSignal, edge_ignore_frac: float = 0.10
-) -> float:
+def snr_db(reference, estimate, edge_ignore_frac: float = 0.10) -> float:
     """Interior SNR in dB; a fraction of samples at each end of every axis is excluded.
 
-    Returns ``math.inf`` when the interior error is exactly zero.
+    Accepts :class:`DenseSignal` or plain arrays of equal shape.  Returns
+    ``math.inf`` when the interior error is exactly zero.
     """
-    ref = reference.values
-    est = estimate.values
+    ref = np.asarray(getattr(reference, "values", reference), dtype=np.float64)
+    est = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)
     if ref.shape != est.shape:
         raise UsageError(f"shape mismatch: {ref.shape} vs {est.shape}")
     if not 0.0 <= edge_ignore_frac < 0.5:

@@ -237,7 +237,7 @@ def iterate(
     g_obs = op.observation(observed)
     snr_of = None
     if reference is not None:
-        snr_of = lambda v: snr_db(reference, DenseSignal(op.grid, v))
+        snr_of = lambda v: snr_db(reference, v)
     loop = _plain_loop if cfg.acceleration is None else _chebyshev_loop
     xk, init_snr, trace, update_norms = loop(g_obs, op.apply_values, cfg, snr_of)
     return ReconReport(
