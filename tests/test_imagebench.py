@@ -222,6 +222,8 @@ class TestBenchmark:
         ]
         rows = psnr_benchmark(scene256, methods)
         assert [cfg.label for cfg, _, _ in rows] == [m.label for m in methods]
+        # each row carries the image it scored
+        assert all(psnr == psnr_db(scene256.pixels, img.pixels) for _, psnr, img in rows)
 
     def test_hybrid_error_image_smaller_than_bilinear(self, scene256):
         low = decimate(scene256, 2)

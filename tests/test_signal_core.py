@@ -137,6 +137,7 @@ class TestSnr:
         interior = ref.values[m : n - m]
         expected = 10 * math.log10(np.sum(interior**2) / (1e-4 * interior.size))
         assert snr_db(ref, est) == pytest.approx(expected, abs=1e-9)
+        assert snr_db(ref.values, est.values) == snr_db(ref, est)
 
     def test_length_mismatch(self, grid):
         x = DenseSignal(grid, np.zeros(grid.n_fine))
