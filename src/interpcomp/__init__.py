@@ -7,7 +7,9 @@ and noise analysis, and a grayscale image enlargement benchmark.
 
 Signals, samples and operators take one :class:`GridSpec` per axis: a lone
 GridSpec for 1-D, or a tuple such as ``(grid_y, grid_x)`` for an image.  The
-multi-axis operators are the 1-D ones applied along each axis in turn.
+multi-axis operators are the 1-D ones applied along each axis in turn.  The
+lowpass always cuts at each axis's band edge, so the reconstruction operator
+is fixed by the grids, the interpolator and the module count.
 """
 
 from .signal_core import (
@@ -21,7 +23,7 @@ from .signal_core import (
     snr_db,
 )
 from .samplers import CoarseSamples, InterpKind, interpolate, sample
-from .spectral import LowpassSpec, lowpass
+from .spectral import lowpass
 from .modular import cosine_mix, modular_reconstruct
 from .solver import (
     ChebyshevAccel,

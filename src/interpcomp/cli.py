@@ -80,6 +80,8 @@ def _float_list(text: str) -> List[float]:
 
 def _mean_traces(args, kind, modules, relax, k_rate, noise_db=None):
     """Mean initial SNR and mean per-iteration SNR trace over the trial set."""
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     if args.dims == 1:
         grid = GridSpec(args.n_coarse, args.ticks, k_rate)
     else:
@@ -93,24 +95,31 @@ def _mean_traces(args, kind, modules, relax, k_rate, noise_db=None):
         rep = iterate(sample(observed), cfg, reference=x)
         inits.append(rep.snr_initial_db)
         traces.append(rep.snr_trace_db)
-    mean_init = None if inits[0] is None else float(np.mean(inits))
-    return mean_init, np.mean(np.asarray(traces), axis=0)
+    return float(np.mean(inits)), np.mean(np.asarray(traces), axis=0)
 
 
 def cmd_convergence(args) -> int:
+    """Mean SNR per iteration for each module count.
+
+    Serves ``noise`` too: when ``args.noise_power_db`` is set, AWGN of that
+    power is added to every input signal and reported in a last column.
+    """
     kind = _kind(args.kind)
+    noise_db = args.noise_power_db
+    header = ["method", "modules", "lambda", "k_rate", "iteration", "mean_snr_db", "trials", "seed"]
+    extra = ()
+    if noise_db is not None:
+        header.append("noise_power_db")
+        extra = (noise_db,)
     rows = []
     for modules in args.modules:
-        _, trace = _mean_traces(args, kind, modules, args.relax, args.k_rate)
+        _, trace = _mean_traces(args, kind, modules, args.relax, args.k_rate, noise_db)
         for it, snr in enumerate(trace, start=1):
             rows.append(
-                (kind.value, modules, args.relax, args.k_rate, it, float(snr), args.trials, args.seed)
+                (kind.value, modules, args.relax, args.k_rate, it, float(snr), args.trials,
+                 args.seed, *extra)
             )
-    path = _write_csv(
-        args.out,
-        ["method", "modules", "lambda", "k_rate", "iteration", "mean_snr_db", "trials", "seed"],
-        rows,
-    )
+    path = _write_csv(args.out, header, rows)
     print(path)
     return 0
 
@@ -124,32 +133,6 @@ def cmd_lambda_sweep(args) -> int:
         init, trace = _mean_traces(args, kind, args.modules_single, lam, args.k_rate)
         rows.append((lam, (float(trace[-1]) - init) / args.iterations))
     path = _write_csv(args.out, ["lambda", "avg_db_per_iteration"], rows)
-    print(path)
-    return 0
-
-
-def cmd_noise(args) -> int:
-    kind = _kind(args.kind)
-    rows = []
-    for modules in args.modules:
-        _, trace = _mean_traces(
-            args, kind, modules, args.relax, args.k_rate, noise_db=args.noise_power_db
-        )
-        for it, snr in enumerate(trace, start=1):
-            rows.append(
-                (
-                    kind.value, modules, args.relax, args.k_rate, it,
-                    float(snr), args.trials, args.seed, args.noise_power_db,
-                )
-            )
-    path = _write_csv(
-        args.out,
-        [
-            "method", "modules", "lambda", "k_rate", "iteration",
-            "mean_snr_db", "trials", "seed", "noise_power_db",
-        ],
-        rows,
-    )
     print(path)
     return 0
 
@@ -208,37 +191,31 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_method(token: str) -> EnlargeConfig:
-    """bilinear | iterative:ITERS | hybrid:ITERS:MODULES"""
+def _parse_method(token: str, factor: int, relax: float, acceleration) -> EnlargeConfig:
+    """bilinear | iterative:ITERS | hybrid:ITERS:MODULES, at the given factor and relaxation."""
     name, *fields = token.split(":")
     try:
         counts = [int(f) for f in fields]
     except ValueError:
         raise UsageError(f"method {token!r}: ITERS and MODULES must be integers") from None
+    common = dict(factor=factor, relax=relax, acceleration=acceleration)
     if name == "bilinear":
-        return EnlargeConfig(method="bilinear")
+        return EnlargeConfig(method="bilinear", **common)
     if name == "iterative":
         iters = counts[0] if counts else 2
-        return EnlargeConfig(method="iterative", iterations=iters)
+        return EnlargeConfig(method="iterative", iterations=iters, **common)
     if name == "hybrid":
         iters = counts[0] if counts else 2
         modules = counts[1] if len(counts) > 1 else 1
-        return EnlargeConfig(method="hybrid", iterations=iters, modules=modules)
+        return EnlargeConfig(method="hybrid", iterations=iters, modules=modules, **common)
     raise UsageError(f"unknown method {token!r}; use bilinear, iterative:N, hybrid:N:M")
 
 
 def cmd_image(args) -> int:
     original = read_pgm(args.image)
+    accel = ChebyshevAccel(args.frame_a, args.frame_b) if args.accelerate else None
     methods = [
-        EnlargeConfig(
-            factor=args.factor,
-            method=cfg.method,
-            iterations=cfg.iterations,
-            modules=cfg.modules,
-            relax=args.relax,
-            acceleration=ChebyshevAccel(args.frame_a, args.frame_b) if args.accelerate else None,
-        )
-        for cfg in (_parse_method(tok) for tok in args.methods.split(","))
+        _parse_method(tok, args.factor, args.relax, accel) for tok in args.methods.split(",")
     ]
     out_dir = _resolve_out(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -268,12 +245,14 @@ def cmd_image(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, *, trials=True):
+    """The configuration flags; ``trials`` adds those of the trial-running subcommands."""
     p.add_argument("--kind", default="sh", choices=["sh", "li"], help="interpolator")
     p.add_argument("--lambda", dest="relax", type=float, default=1.0, help="relaxation parameter")
     p.add_argument("--k-rate", type=int, default=1, help="sampling rate multiple of Nyquist")
     p.add_argument("--iterations", type=int, default=10)
-    if trials:
-        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    if not trials:
+        return
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", type=int, default=1, choices=[1, 2], help="1-D signals or 2-D fields")
     p.add_argument("--n-coarse", type=int, default=128, help="coarse samples (1-D)")
@@ -293,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--modules", type=_int_list, default=[0, 1, 2], help="comma list, e.g. 0,1,2")
     p.add_argument("--out", default="convergence.csv")
-    p.set_defaults(func=cmd_convergence)
+    p.set_defaults(func=cmd_convergence, noise_power_db=None)
 
     p = sub.add_parser("lambda-sweep", help="average dB/iteration over a relaxation grid")
     _add_common(p)
@@ -313,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modules", type=_int_list, default=[0, 1, 2, 4])
     p.add_argument("--noise-power-db", type=float, default=-20.0)
     p.add_argument("--out", default="noise.csv")
-    p.set_defaults(func=cmd_noise)
+    p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("rate", help="traces at several sampling-rate multiples")
     _add_common(p)

@@ -138,9 +138,15 @@ def read_pgm(path) -> GrayImage:
     if magic == b"P5":
         pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=rd.pos)
     else:
-        values = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            values[i] = rd.int_token(f"pixel {i}")
+        # pgm(5) allows comments only up to the maxval, so the raster is bare tokens
+        tokens = data[rd.pos :].split()
+        if len(tokens) < count:
+            rd.pos = len(data)
+            rd.fail(f"truncated raster: {count} pixels, got {len(tokens)} values")
+        try:
+            values = np.array(list(map(int, tokens[:count])), dtype=np.int64)
+        except (ValueError, OverflowError):
+            rd.fail("pixel values must be integers")
         if np.any(values < 0) or np.any(values > 255):
             rd.fail("pixel value out of 0..255")
         pixels = values.astype(np.uint8)

@@ -2,9 +2,9 @@
 
 Multiplying an interpolated signal by ``1 + 2*sum_{m=1..N} cos(2*pi*m*t/T)``
 shifts the spectral replicas created by sampling back into the baseband; an
-ideal lowpass then turns the per-bin distortion into the partial sinc sum
-``H_N(f) = sum_{|m|<=N} sinc^p(f*T - m)``.  The mixer is phase-anchored so
-that fine tick 0 is a coarse sample position.  On a lattice of several axes
+ideal lowpass at the band edge then turns the per-bin distortion into the
+partial sinc sum ``H_N(f) = sum_{|m|<=N} sinc^p(f*T - m)``.  The mixer is
+phase-anchored so that fine tick 0 is a coarse sample position.  On a lattice of several axes
 the mixer is the product of the per-axis mixers, so the distortion gain is
 the product of the per-axis sinc sums.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from .samplers import CoarseSamples, InterpKind, interpolate
 from .signal_core import ConfigurationError, DenseSignal
-from .spectral import axis_specs, lowpass_array
+from .spectral import lowpass_array
 
 __all__ = ["mixer_period", "cosine_mix", "modular_reconstruct"]
 
@@ -67,16 +67,10 @@ def cosine_mix(s: DenseSignal, modules: int) -> DenseSignal:
     return s.with_values(out)
 
 
-def modular_reconstruct(
-    samples: CoarseSamples, kind: InterpKind, modules: int, lpf
-) -> DenseSignal:
-    """One-shot modular reconstruction: interpolate, mix, lowpass.
-
-    ``lpf`` is one LowpassSpec per axis (a lone one for 1-D samples).
-    """
+def modular_reconstruct(samples: CoarseSamples, kind: InterpKind, modules: int) -> DenseSignal:
+    """One-shot modular reconstruction: interpolate, mix, lowpass at the band edge."""
     mixed = cosine_mix(interpolate(samples, kind), modules)
     out = mixed.values
-    specs = axis_specs(lpf, out.ndim)
     for axis in reversed(range(out.ndim)):
-        out = lowpass_array(out, specs[axis], axis)
+        out = lowpass_array(out, samples.grid[axis], axis)
     return mixed.with_values(out)

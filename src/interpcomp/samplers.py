@@ -54,7 +54,7 @@ class CoarseSamples:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", per_axis(self.grid, GridSpec))
+        object.__setattr__(self, "grid", per_axis(self.grid))
         shape = tuple([g.n_coarse for g in self.grid])
         object.__setattr__(self, "values", _check_values(self.values, shape, "CoarseSamples"))
 

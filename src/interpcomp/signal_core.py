@@ -31,6 +31,11 @@ __all__ = [
     "psnr_db",
 ]
 
+# snr_db leaves out this fraction of the samples at each end of every axis
+EDGE_IGNORE_FRAC = 0.10
+# full scale of an 8-bit pixel, the peak in psnr_db
+PEAK = 255.0
+
 
 class ConfigurationError(ValueError):
     """Raised when a grid / operator configuration is invalid."""
@@ -81,9 +86,9 @@ class GridSpec:
         return 1.0 / (2.0 * self.rate_multiple * self.ticks_per_sample)
 
 
-def per_axis(value, single: type) -> tuple:
-    """``value`` as a tuple with one entry per axis; a lone ``single`` is one axis."""
-    return (value,) if isinstance(value, single) else tuple(value)
+def per_axis(grid) -> tuple:
+    """``grid`` as a tuple with one GridSpec per axis; a lone GridSpec is one axis."""
+    return (grid,) if isinstance(grid, GridSpec) else tuple(grid)
 
 
 def _check_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -109,7 +114,7 @@ class DenseSignal:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", per_axis(self.grid, GridSpec))
+        object.__setattr__(self, "grid", per_axis(self.grid))
         shape = tuple([g.n_fine for g in self.grid])
         object.__setattr__(self, "values", _check_values(self.values, shape, "DenseSignal"))
 
@@ -129,7 +134,7 @@ def gen_bandlimited(seed: int, grid, power_db: float) -> DenseSignal:
     """
     if not math.isfinite(power_db):
         raise ConfigurationError(f"power_db must be finite, got {power_db}")
-    grids = per_axis(grid, GridSpec)
+    grids = per_axis(grid)
     shape = tuple(g.n_fine for g in grids)
     axes = tuple(range(len(grids)))
     rng = np.random.default_rng(seed)
@@ -162,8 +167,8 @@ def add_awgn(x: DenseSignal, noise_power_db: float, seed: int) -> DenseSignal:
     return x.with_values(x.values + sigma * rng.standard_normal(x.values.shape))
 
 
-def snr_db(reference, estimate, edge_ignore_frac: float = 0.10) -> float:
-    """Interior SNR in dB; a fraction of samples at each end of every axis is excluded.
+def snr_db(reference, estimate) -> float:
+    """Interior SNR in dB; ``EDGE_IGNORE_FRAC`` of each axis is excluded at both ends.
 
     Accepts :class:`DenseSignal` or plain arrays of equal shape.  Returns
     ``math.inf`` when the interior error is exactly zero.
@@ -172,9 +177,7 @@ def snr_db(reference, estimate, edge_ignore_frac: float = 0.10) -> float:
     est = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)
     if ref.shape != est.shape:
         raise UsageError(f"shape mismatch: {ref.shape} vs {est.shape}")
-    if not 0.0 <= edge_ignore_frac < 0.5:
-        raise UsageError(f"edge_ignore_frac must be in [0, 0.5), got {edge_ignore_frac}")
-    margins = [math.ceil(edge_ignore_frac * n) for n in ref.shape]
+    margins = [math.ceil(EDGE_IGNORE_FRAC * n) for n in ref.shape]
     interior = tuple([slice(m, n - m) for m, n in zip(margins, ref.shape)])
     r = ref[interior]
     e = r - est[interior]
@@ -184,8 +187,8 @@ def snr_db(reference, estimate, edge_ignore_frac: float = 0.10) -> float:
     return 10.0 * math.log10(float(np.sum(r * r)) / err)
 
 
-def psnr_db(reference, estimate, max_value: float = 255.0) -> float:
-    """Peak SNR ``10*log10(max_value**2 / MSE)`` over all pixels; ``inf`` on zero MSE.
+def psnr_db(reference, estimate) -> float:
+    """Peak SNR ``10*log10(PEAK**2 / MSE)`` over all pixels, PEAK = 255; ``inf`` on zero MSE.
 
     Accepts :class:`DenseSignal` or plain arrays of equal shape.
     """
@@ -193,9 +196,7 @@ def psnr_db(reference, estimate, max_value: float = 255.0) -> float:
     est = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)
     if ref.shape != est.shape:
         raise UsageError(f"shape mismatch: {ref.shape} vs {est.shape}")
-    if max_value <= 0:
-        raise UsageError(f"max_value must be positive, got {max_value}")
     mse = float(np.mean((ref - est) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(max_value * max_value / mse)
+    return 10.0 * math.log10(PEAK * PEAK / mse)

@@ -15,7 +15,9 @@ reference signal, when supplied, is used only for SNR reporting.
 
 One operator serves any number of axes: on a lattice (an image has grids
 ``(grid_y, grid_x)``) ``G`` is separable and applies each 1-D stage along
-every axis in turn, last axis first.  :func:`iterate` is the one solve.
+every axis in turn, last axis first.  ``G`` depends only on the grids, the
+interpolator and the module count; its lowpass cuts at each axis's band
+edge.  :func:`iterate` is the one solve.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .modular import _mix_axis, modular_reconstruct
 from .samplers import CoarseSamples, InterpKind, _interp_axis, lattice
 from .signal_core import ConfigurationError, DenseSignal, GridSpec, per_axis, snr_db
-from .spectral import LowpassSpec, axis_specs, lowpass_array
+from .spectral import lowpass_array
 
 __all__ = [
     "SingularSystemError",
@@ -55,18 +57,16 @@ class SingularSystemError(ValueError):
 class ReconOperator:
     """G = lowpass ∘ mix ∘ interpolate ∘ sample, on one axis or separably on several.
 
-    ``grid`` is a lone GridSpec or one GridSpec per axis; ``lpf`` likewise
-    gives one LowpassSpec per axis and defaults to each axis's band edge.
-    Both are stored as tuples.
+    ``grid`` is a lone GridSpec or one GridSpec per axis, stored as a tuple;
+    the lowpass cuts at each axis's band edge.
     """
 
     grid: Union[GridSpec, Tuple[GridSpec, ...]]
     kind: InterpKind
     modules: int = 0
-    lpf: Union[None, LowpassSpec, Tuple[LowpassSpec, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", per_axis(self.grid, GridSpec))
+        object.__setattr__(self, "grid", per_axis(self.grid))
         if self.modules < 0:
             raise ConfigurationError(f"modules must be >= 0, got {self.modules}")
         min_ticks = min(g.ticks_per_sample for g in self.grid)
@@ -75,10 +75,6 @@ class ReconOperator:
                 f"{self.modules} modules need ticks_per_sample >= "
                 f"{2 * self.modules} on every axis, got {min_ticks}"
             )
-        lpf = self.lpf
-        if lpf is None:
-            lpf = tuple(LowpassSpec(g.band_edge) for g in self.grid)
-        object.__setattr__(self, "lpf", axis_specs(lpf, len(self.grid)))
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         axes = range(len(self.grid) - 1, -1, -1)
@@ -88,11 +84,14 @@ class ReconOperator:
         for axis in axes:
             out = _mix_axis(out, self.grid[axis].ticks_per_sample, self.modules, axis)
         for axis in axes:
-            out = lowpass_array(out, self.lpf[axis], axis)
+            out = lowpass_array(out, self.grid[axis], axis)
         return out
 
     def observation(self, samples: CoarseSamples) -> np.ndarray:
-        return modular_reconstruct(samples, self.kind, self.modules, self.lpf).values
+        # the one-shot reconstruction cuts at the samples' band edges
+        if samples.grid != self.grid:
+            raise ConfigurationError("samples and operator must have the same grids")
+        return modular_reconstruct(samples, self.kind, self.modules).values
 
 
 @dataclass(frozen=True)
@@ -280,7 +279,7 @@ def fixed_point_oracle(observed: CoarseSamples, op: ReconOperator) -> DenseSigna
     eye = np.eye(n)
     for j in range(n):
         gmat[:, j] = op.apply_values(eye[:, j])
-    basis = _band_basis(n, op.lpf[0].cutoff)
+    basis = _band_basis(n, op.grid[0].band_edge)
     reduced = basis.T @ gmat @ basis
     rhs = basis.T @ op.observation(observed)
     cond = np.linalg.cond(reduced)

@@ -63,6 +63,13 @@ class TestConvergence:
         err = capsys.readouterr().err
         assert "relaxation" in err
 
+    @pytest.mark.parametrize("command", ["convergence", "lambda-sweep", "noise", "rate"])
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_nonpositive_trials_exit_code(self, tmp_path, capsys, command, trials):
+        code = run([command, "--trials", trials, "--out", tmp_path / "x.csv"])
+        assert code == 2
+        assert "--trials" in capsys.readouterr().err
+
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INTERPCOMP_OUT_DIR", str(tmp_path / "outputs"))
         assert run(
@@ -156,6 +163,16 @@ class TestAnalyze:
         assert float(table["contraction_factor"]) == pytest.approx(0.06, abs=5e-3)
 
 
+    @pytest.mark.parametrize(
+        "flag", ["--seed", "--dims", "--n-coarse", "--ticks", "--n-coarse-2d", "--ticks-2d"]
+    )
+    def test_trial_flags_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestImage:
     def test_end_to_end(self, tmp_path, capsys):
         src = tmp_path / "scene.pgm"
@@ -198,6 +215,18 @@ class TestImage:
         code = run(["image", tmp_path / "nope.pgm"])
         assert code == 2
         assert "nope.pgm" in capsys.readouterr().err
+
+    def test_factor_applies_to_module_check(self, tmp_path):
+        # two modules need factor >= 4; the check must see --factor, not the default 2
+        src = tmp_path / "scene.pgm"
+        write_pgm(synthetic_scene(64, 64, seed=2), src)
+        out_dir = tmp_path / "bench"
+        assert run(
+            ["image", src, "--factor", 4, "--methods", "hybrid:2:2", "--out-dir", out_dir]
+        ) == 0
+        (row,) = read_rows(out_dir / "psnr.csv")
+        assert (row["method"], row["factor"], row["modules"]) == ("hybrid(2,2)", "4", "2")
+        assert math.isfinite(float(row["psnr_db"]))
 
     def test_bad_method_token_exit_code(self, tmp_path, capsys):
         src = tmp_path / "scene.pgm"

@@ -69,6 +69,30 @@ class TestPgmIO:
             read_pgm(path)
         assert "truncated" in str(err.value)
 
+    def test_too_few_p2_values(self, tmp_path):
+        # 32 bytes pass the 2*count-1 byte check, but hold only 8 of 16 values
+        path = tmp_path / "short.pgm"
+        path.write_bytes(b"P2\n4 4\n255\n" + b"100 " * 8)
+        with pytest.raises(PgmError) as err:
+            read_pgm(path)
+        assert "truncated" in str(err.value)
+
+    @pytest.mark.parametrize("token", [b"ab", b"1.5", b"#"])
+    def test_non_integer_p2_value(self, tmp_path, token):
+        # pgm(5) allows comments only in the header, so "#" in the raster is an error
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P2\n2 2\n255\n0 1 " + token + b" 3\n")
+        with pytest.raises(PgmError) as err:
+            read_pgm(path)
+        assert "integers" in str(err.value)
+
+    def test_p2_value_out_of_range(self, tmp_path):
+        path = tmp_path / "big.pgm"
+        path.write_bytes(b"P2\n2 2\n255\n0 1 256 3\n")
+        with pytest.raises(PgmError) as err:
+            read_pgm(path)
+        assert "0..255" in str(err.value)
+
     def test_nonpositive_size_p2(self, tmp_path):
         path = tmp_path / "neg.pgm"
         path.write_bytes(b"P2\n-4 4\n255\n" + b"0 " * 16)

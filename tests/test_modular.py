@@ -9,7 +9,6 @@ from interpcomp import (
     DenseSignal,
     GridSpec,
     InterpKind,
-    LowpassSpec,
     cosine_mix,
     gen_bandlimited,
     modular_reconstruct,
@@ -89,7 +88,7 @@ class TestModularReconstruct:
     def test_constant_exact(self, grid):
         s = CoarseSamples(grid, np.full(grid.n_coarse, 5.0))
         for modules in (0, 1, 4):
-            out = modular_reconstruct(s, SH, modules, LowpassSpec(grid.band_edge))
+            out = modular_reconstruct(s, SH, modules)
             assert np.max(np.abs(out.values - 5.0)) < 1e-12
 
     def test_band_edge_gain_one_module(self):
@@ -97,7 +96,7 @@ class TestModularReconstruct:
         grid = GridSpec(64, 16)
         t = np.arange(grid.n_fine)
         x = DenseSignal(grid, np.cos(np.pi * t / grid.ticks_per_sample))
-        out = modular_reconstruct(sample(x), SH, 1, LowpassSpec(grid.band_edge))
+        out = modular_reconstruct(sample(x), SH, 1)
         m = int(0.1 * grid.n_fine)
         basis = np.stack([x.values[m:-m], np.sin(np.pi * t / grid.ticks_per_sample)[m:-m]], axis=1)
         coeffs = np.linalg.lstsq(basis, out.values[m:-m], rcond=None)[0]
@@ -111,8 +110,8 @@ class TestModularReconstruct:
         for seed in range(8):
             x = gen_bandlimited(40 + seed, grid, 34.0)
             s = sample(x)
-            snr0 = snr_db(x, modular_reconstruct(s, SH, 0, LowpassSpec(grid.band_edge)))
-            snr4 = snr_db(x, modular_reconstruct(s, SH, 4, LowpassSpec(grid.band_edge)))
+            snr0 = snr_db(x, modular_reconstruct(s, SH, 0))
+            snr4 = snr_db(x, modular_reconstruct(s, SH, 4))
             gains.append(snr4 - snr0)
         assert np.mean(gains) >= 10.0
 
@@ -126,12 +125,9 @@ class TestModularReconstruct:
     def test_linear_in_samples(self, grid, rng):
         a = rng.standard_normal(grid.n_coarse)
         b = rng.standard_normal(grid.n_coarse)
-        lpf = LowpassSpec(grid.band_edge)
-        lhs = modular_reconstruct(
-            CoarseSamples(grid, 2.0 * a - 3.0 * b), LI, 2, lpf
-        ).values
+        lhs = modular_reconstruct(CoarseSamples(grid, 2.0 * a - 3.0 * b), LI, 2).values
         rhs = (
-            2.0 * modular_reconstruct(CoarseSamples(grid, a), LI, 2, lpf).values
-            - 3.0 * modular_reconstruct(CoarseSamples(grid, b), LI, 2, lpf).values
+            2.0 * modular_reconstruct(CoarseSamples(grid, a), LI, 2).values
+            - 3.0 * modular_reconstruct(CoarseSamples(grid, b), LI, 2).values
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-10

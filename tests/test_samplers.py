@@ -6,7 +6,6 @@ from interpcomp import (
     DenseSignal,
     GridSpec,
     InterpKind,
-    LowpassSpec,
     gen_bandlimited,
     interpolate,
     lowpass,
@@ -36,7 +35,7 @@ class TestSample:
         s = sample(x)
         comb = np.zeros(grid.n_fine)
         comb[:: grid.ticks_per_sample] = s.values * grid.ticks_per_sample
-        ideal = lowpass(DenseSignal(grid, comb), LowpassSpec(grid.band_edge))
+        ideal = lowpass(DenseSignal(grid, comb))
         assert np.max(np.abs(sample(ideal).values - s.values)) < 1e-10
 
 
@@ -72,7 +71,7 @@ class TestInterpolate:
         grid = GridSpec(64, 16)
         t = np.arange(grid.n_fine)
         x = DenseSignal(grid, np.cos(np.pi * t / grid.ticks_per_sample))
-        y = lowpass(interpolate(sample(x), SH), LowpassSpec(grid.band_edge))
+        y = lowpass(interpolate(sample(x), SH))
         m = int(0.1 * grid.n_fine)
         basis = np.stack(
             [
@@ -89,7 +88,7 @@ class TestInterpolate:
     def test_per_bin_gain_is_sinc_power(self, kind, p):
         grid = GridSpec(64, 16)
         x = gen_bandlimited(7, grid, 34.0)
-        y = lowpass(interpolate(sample(x), kind), LowpassSpec(grid.band_edge))
+        y = lowpass(interpolate(sample(x), kind))
         spec_x = np.fft.rfft(x.values)
         spec_y = np.fft.rfft(y.values)
         ft = np.fft.rfftfreq(grid.n_fine) * grid.ticks_per_sample

@@ -9,7 +9,6 @@ from interpcomp import (
     DenseSignal,
     GridSpec,
     InterpKind,
-    LowpassSpec,
     ReconConfig,
     ReconOperator,
     SingularSystemError,
@@ -81,12 +80,11 @@ class TestIterate:
         rep = iterate(
             s, ReconConfig(ReconOperator(grid, SH, 0), relax=relax, iterations=iters)
         )
-        lpf = LowpassSpec(grid.band_edge)
-        g_obs = lowpass_array(interpolate(s, SH).values, lpf)
+        g_obs = lowpass_array(interpolate(s, SH).values, grid)
 
         def g_of(v):
             coarse = CoarseSamples(grid, v[:: grid.ticks_per_sample])
-            return lowpass_array(interpolate(coarse, SH).values, lpf)
+            return lowpass_array(interpolate(coarse, SH).values, grid)
 
         xk = relax * g_obs
         for _ in range(iters):
@@ -154,6 +152,12 @@ class TestIterate:
             ReconConfig(op, relax=2.0)
         with pytest.raises(ConfigurationError):
             ReconConfig(op, iterations=0)
+
+    def test_samples_on_another_grid_rejected(self, grid):
+        # same shape, other band edge: the observation would cut elsewhere than G
+        x = gen_bandlimited(2, GridSpec(grid.n_coarse, grid.ticks_per_sample, 2), 0.0)
+        with pytest.raises(ConfigurationError):
+            iterate(sample(x), ReconConfig(ReconOperator(grid, SH, 0)))
 
 
 class TestChebyshev:
@@ -314,11 +318,16 @@ class TestFixedPointOracle:
         assert rms < 1e-9
 
     def test_singular_system_reported(self):
-        # cutoff above the coarse Nyquist: distinct passband bins alias to the
-        # same samples, so the restricted operator cannot be inverted
+        # every real operator is invertible on its passband, so G is faked:
+        # removing the mean of its output sends the constant to zero
+        class MeanFreeOperator(ReconOperator):
+            def apply_values(self, values):
+                out = super().apply_values(values)
+                return out - out.mean()
+
         grid = GridSpec(16, 4)
         x = gen_bandlimited(3, grid, 0.0)
-        op = ReconOperator(grid, SH, 0, LowpassSpec(0.2))
+        op = MeanFreeOperator(grid, SH, 0)
         with pytest.raises(SingularSystemError):
             fixed_point_oracle(sample(x), op)
 

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from interpcomp import (
-    ConfigurationError,
-    DenseSignal,
-    GridSpec,
-    LowpassSpec,
-    gen_bandlimited,
-    lowpass,
-)
+from interpcomp import DenseSignal, GridSpec, lowpass
 
 
 def tone(grid, cycles, phase=0.0):
@@ -18,29 +11,28 @@ def tone(grid, cycles, phase=0.0):
 
 class TestLowpass:
     def test_bandlimited_unchanged(self, grid, bl_signal):
-        y = lowpass(bl_signal, LowpassSpec(grid.band_edge))
+        y = lowpass(bl_signal)
         assert np.max(np.abs(y.values - bl_signal.values)) < 1e-12 * np.max(
             np.abs(bl_signal.values)
         )
 
     def test_tone_above_cutoff_zeroed(self, grid):
         x = tone(grid, cycles=grid.n_coarse)  # one cycle per sample: way above edge
-        y = lowpass(x, LowpassSpec(grid.band_edge))
+        y = lowpass(x)
         assert np.max(np.abs(y.values)) < 1e-12
 
     def test_edge_bin_weight(self, grid):
         edge_cycles = int(round(grid.band_edge * grid.n_fine))
         x = tone(grid, edge_cycles)
-        y = lowpass(x, LowpassSpec(grid.band_edge, edge_weight=0.5))
+        y = lowpass(x)
         assert np.allclose(y.values, 0.5 * x.values, atol=1e-12)
 
     def test_parseval_power_fraction(self):
         # white noise keeps (fraction of passband bins) of its power on average
         grid = GridSpec(64, 16)
-        spec = LowpassSpec(grid.band_edge)
         freqs = np.fft.fftfreq(grid.n_fine)
-        kept = np.sum(np.abs(freqs) < spec.cutoff - 1e-12) + 0.5 * np.sum(
-            np.isclose(np.abs(freqs), spec.cutoff, rtol=0, atol=1e-12)
+        kept = np.sum(np.abs(freqs) < grid.band_edge - 1e-12) + 0.5 * np.sum(
+            np.isclose(np.abs(freqs), grid.band_edge, rtol=0, atol=1e-12)
         )
         expected = kept / grid.n_fine
         ratios = []
@@ -48,57 +40,40 @@ class TestLowpass:
             x = DenseSignal(
                 grid, np.random.default_rng(seed).standard_normal(grid.n_fine)
             )
-            y = lowpass(x, spec)
+            y = lowpass(x)
             ratios.append(np.mean(y.values**2) / np.mean(x.values**2))
         assert np.mean(ratios) == pytest.approx(expected, rel=0.08)
 
-    def test_idempotent_generic_cutoff(self, rng):
-        # no DFT bin sits exactly on this cutoff, so P^2 = P exactly
-        grid = GridSpec(64, 16)
-        spec = LowpassSpec(0.2345)
-        x = DenseSignal(grid, rng.standard_normal(grid.n_fine))
-        once = lowpass(x, spec)
-        twice = lowpass(once, spec)
-        assert np.max(np.abs(twice.values - once.values)) < 1e-12
-
     def test_idempotent_on_bandlimited(self, grid, bl_signal):
         # cutoff-aligned bin carries no content for generated signals
-        spec = LowpassSpec(grid.band_edge)
-        once = lowpass(bl_signal, spec)
-        twice = lowpass(once, spec)
+        once = lowpass(bl_signal)
+        twice = lowpass(once)
         assert np.max(np.abs(twice.values - once.values)) < 1e-10
 
     def test_self_adjoint_and_nonexpansive(self, rng):
         grid = GridSpec(16, 8)
-        spec = LowpassSpec(grid.band_edge)
         x = rng.standard_normal(grid.n_fine)
         y = rng.standard_normal(grid.n_fine)
-        px = lowpass(DenseSignal(grid, x), spec).values
-        py = lowpass(DenseSignal(grid, y), spec).values
+        px = lowpass(DenseSignal(grid, x)).values
+        py = lowpass(DenseSignal(grid, y)).values
         assert np.dot(px, y) == pytest.approx(np.dot(x, py), rel=1e-12)
         assert np.linalg.norm(px) <= np.linalg.norm(x) + 1e-12
 
     def test_linear(self, grid, rng):
-        spec = LowpassSpec(grid.band_edge)
         x = rng.standard_normal(grid.n_fine)
         y = rng.standard_normal(grid.n_fine)
-        lhs = lowpass(DenseSignal(grid, 2.5 * x - 1.25 * y), spec).values
+        lhs = lowpass(DenseSignal(grid, 2.5 * x - 1.25 * y)).values
         rhs = (
-            2.5 * lowpass(DenseSignal(grid, x), spec).values
-            - 1.25 * lowpass(DenseSignal(grid, y), spec).values
+            2.5 * lowpass(DenseSignal(grid, x)).values
+            - 1.25 * lowpass(DenseSignal(grid, y)).values
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
     def test_real_output(self, rng):
         grid = GridSpec(16, 8)
-        x = lowpass(DenseSignal(grid, rng.standard_normal(grid.n_fine)), LowpassSpec(0.3))
+        x = lowpass(DenseSignal(grid, rng.standard_normal(grid.n_fine)))
         assert x.values.dtype == np.float64
 
-    def test_invalid_cutoff(self):
-        with pytest.raises(ConfigurationError):
-            LowpassSpec(0.0)
-        with pytest.raises(ConfigurationError):
-            LowpassSpec(0.6)
 
 
 class TestLowpass2d:
@@ -108,7 +83,7 @@ class TestLowpass2d:
     def test_constant_unchanged(self):
         gy, gx = self.grids()
         img = DenseSignal((gy, gx), np.full((gy.n_fine, gx.n_fine), 4.0))
-        out = lowpass(img, (LowpassSpec(gy.band_edge), LowpassSpec(gx.band_edge)))
+        out = lowpass(img)
         assert np.max(np.abs(out.values - 4.0)) < 1e-12
 
     def test_rectangular_passband(self):
@@ -119,13 +94,5 @@ class TestLowpass2d:
             (gy, gx),
             np.cos(2 * np.pi * 20 * xx / gx.n_fine) * np.cos(2 * np.pi * xx * 0 + 2 * np.pi * yy / gy.n_fine),
         )
-        out = lowpass(img, (LowpassSpec(gy.band_edge), LowpassSpec(gx.band_edge)))
+        out = lowpass(img)
         assert np.max(np.abs(out.values)) < 1e-12
-
-    def test_idempotent(self, rng):
-        gy, gx = self.grids()
-        img = DenseSignal((gy, gx), rng.standard_normal((gy.n_fine, gx.n_fine)))
-        sx, sy = LowpassSpec(0.1234), LowpassSpec(0.2345)
-        once = lowpass(img, (sy, sx))
-        twice = lowpass(once, (sy, sx))
-        assert np.max(np.abs(twice.values - once.values)) < 1e-12
