@@ -9,7 +9,10 @@ Signals, samples and operators take one :class:`GridSpec` per axis: a lone
 GridSpec for 1-D, or a tuple such as ``(grid_y, grid_x)`` for an image.  The
 multi-axis operators are the 1-D ones applied along each axis in turn.  The
 lowpass always cuts at each axis's band edge, so the reconstruction operator
-is fixed by the grids, the interpolator and the module count.
+is fixed by the grids, the interpolator and the module count.  ``iterate``
+runs the reconstruction loop on the fine grid and traces SNR;
+``spectral_iterate`` returns the same iterate from the operator's per-bin
+gain, with one pass over the fine grid.
 """
 
 from .signal_core import (
@@ -35,6 +38,7 @@ from .solver import (
     chebyshev_lambdas,
     fixed_point_oracle,
     iterate,
+    spectral_iterate,
 )
 from .analysis import (
     AnalysisResult,

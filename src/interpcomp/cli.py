@@ -78,6 +78,13 @@ def _float_list(text: str) -> List[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
+def _nonempty(values: list, flag: str) -> list:
+    """``values``, or a UsageError naming ``flag`` when the comma list held none."""
+    if not values:
+        raise UsageError(f"{flag} needs at least one value")
+    return values
+
+
 def _mean_traces(args, kind, modules, relax, k_rate, noise_db=None):
     """Mean initial SNR and mean per-iteration SNR trace over the trial set."""
     if args.trials < 1:
@@ -112,7 +119,7 @@ def cmd_convergence(args) -> int:
         header.append("noise_power_db")
         extra = (noise_db,)
     rows = []
-    for modules in args.modules:
+    for modules in _nonempty(args.modules, "--modules"):
         _, trace = _mean_traces(args, kind, modules, args.relax, args.k_rate, noise_db)
         for it, snr in enumerate(trace, start=1):
             rows.append(
@@ -127,7 +134,7 @@ def cmd_convergence(args) -> int:
 def cmd_lambda_sweep(args) -> int:
     kind = _kind(args.kind)
     rows = []
-    for lam in args.lambda_grid:
+    for lam in _nonempty(args.lambda_grid, "--lambda-grid"):
         if not 0.0 < lam < 2.0:
             raise UsageError(f"lambda grid values must lie in (0, 2), got {lam}")
         init, trace = _mean_traces(args, kind, args.modules_single, lam, args.k_rate)
@@ -140,7 +147,7 @@ def cmd_lambda_sweep(args) -> int:
 def cmd_rate(args) -> int:
     kind = _kind(args.kind)
     per_rate = []
-    for k in args.k_rates:
+    for k in _nonempty(args.k_rates, "--k-rates"):
         init, trace = _mean_traces(args, kind, args.modules_single, args.relax, k)
         per_rate.append((k, init, trace, (float(trace[-1]) - init) / args.iterations))
     base_gain = per_rate[0][3]

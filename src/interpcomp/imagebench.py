@@ -6,6 +6,13 @@ pixels), so the enlargement fine grid coincides with the output resolution.
 Images are mirror-extended before the periodic reconstruction and cropped
 afterwards, which suppresses wrap-around ringing at the borders; pixel math
 stays in floating point throughout and is clamped/rounded only on output.
+
+The iterative and hybrid methods solve with
+:func:`~interpcomp.solver.spectral_iterate`: it returns the iterate that
+:func:`~interpcomp.solver.iterate` would, but since G is diagonal in the DFT
+on the band, it runs the loop on the band's DFT coefficients and passes the
+fine grid once instead of once per iteration.  Enlargement needs no SNR
+trace, which only the fine-grid loop gives.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from .samplers import CoarseSamples, InterpKind, interpolate
 from .signal_core import ConfigurationError, GridSpec, UsageError, psnr_db
-from .solver import ChebyshevAccel, ReconConfig, ReconOperator, iterate
+from .solver import ChebyshevAccel, ReconConfig, ReconOperator, spectral_iterate
 
 __all__ = [
     "PgmError",
@@ -239,7 +246,7 @@ def enlarge_dense(low: GrayImage, cfg: EnlargeConfig) -> np.ndarray:
             iterations=cfg.iterations,
             acceleration=cfg.acceleration,
         )
-        dense = iterate(samples, run).estimate.values
+        dense = spectral_iterate(samples, run).estimate.values
     return dense[: low.height * cfg.factor, : low.width * cfg.factor]
 
 

@@ -17,13 +17,33 @@ One operator serves any number of axes: on a lattice (an image has grids
 ``(grid_y, grid_x)``) ``G`` is separable and applies each 1-D stage along
 every axis in turn, last axis first.  ``G`` depends only on the grids, the
 interpolator and the module count; its lowpass cuts at each axis's band
-edge.  :func:`iterate` is the one solve.
+edge.
+
+Two solves return the same iterate for the same :class:`ReconConfig`:
+
+* :func:`iterate` runs the loop on the fine grid, one pass of ``G`` per
+  iteration.  It traces the SNR of every iterate against a reference, so the
+  CLI experiments use it, and it is the reference for the other solve.
+* :func:`spectral_iterate` runs the same loop on DFT coefficients and
+  passes the fine grid once.  On band-limited input ``G`` is diagonal in the
+  DFT: sampling, interpolation and mixing are periodic with period
+  ``ticks_per_sample``, so each only moves a bin onto bins ``n_coarse``
+  apart from it, and the lowpass keeps the band, which holds one bin of
+  each such set.  (A band-edge bin at the coarse Nyquist frequency shares
+  its set with its mirror bin.  G only outputs the part of the pair that is
+  even about the edge, every iterate stays in that part, and there the
+  gain is exact.)  So
+  ``G`` scales each band bin by a real gain, the product of the per-axis
+  gains, and the K-th plain or Chebyshev iterate is a fixed polynomial in
+  that gain (for Chebyshev, the polynomial of Gröchenig, "Acceleration of
+  the frame algorithm", IEEE Trans. Signal Process., 1993).  Image
+  enlargement uses this solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -31,7 +51,7 @@ import numpy as np
 from .modular import _mix_axis, modular_reconstruct
 from .samplers import CoarseSamples, InterpKind, _interp_axis, lattice
 from .signal_core import ConfigurationError, DenseSignal, GridSpec, per_axis, snr_db
-from .spectral import lowpass_array
+from .spectral import _gain_mask, lowpass_array
 
 __all__ = [
     "SingularSystemError",
@@ -41,12 +61,16 @@ __all__ = [
     "ReconReport",
     "apply_operator",
     "iterate",
+    "spectral_iterate",
     "chebyshev_lambdas",
     "fixed_point_oracle",
 ]
 
 # fixed_point_oracle builds a dense matrix; keep instances small
 ORACLE_MAX_FINE = 512
+# a measured per-bin gain is taken as real when its imaginary part is below
+# this fraction of its largest value (rounding leaves about 1e-15)
+GAIN_IMAG_TOL = 1e-9
 
 
 class SingularSystemError(ValueError):
@@ -77,14 +101,19 @@ class ReconOperator:
             )
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
+        out = self._interp_mix(values[lattice(self.grid)])
+        for axis in range(len(self.grid) - 1, -1, -1):
+            out = lowpass_array(out, self.grid[axis], axis)
+        return out
+
+    def _interp_mix(self, coarse: np.ndarray) -> np.ndarray:
+        """G before its lowpass: interpolate coarse values, then mix, on the fine grid."""
         axes = range(len(self.grid) - 1, -1, -1)
-        out = values[lattice(self.grid)]
+        out = coarse
         for axis in axes:
             out = _interp_axis(out, self.grid[axis], self.kind, axis)
         for axis in axes:
             out = _mix_axis(out, self.grid[axis].ticks_per_sample, self.modules, axis)
-        for axis in axes:
-            out = lowpass_array(out, self.grid[axis], axis)
         return out
 
     def observation(self, samples: CoarseSamples) -> np.ndarray:
@@ -140,6 +169,10 @@ class ReconReport:
     run was Chebyshev-accelerated.  ``non_contraction`` is set when the
     update norm grew three iterations in a row, signalling a relaxation
     parameter (or frame bounds) outside the convergent range.
+    ``operator_applications`` counts the fine-grid passes of G made by the
+    call, the observation included: ``iterations + 1`` for :func:`iterate`'s
+    plain loop, ``iterations`` for its Chebyshev loop, and 1 for
+    :func:`spectral_iterate`.
     """
 
     estimate: DenseSignal
@@ -156,10 +189,14 @@ def apply_operator(x: DenseSignal, op: ReconOperator) -> DenseSignal:
 
 
 SnrOf = Optional[Callable[[np.ndarray], float]]
+NormOf = Callable[[np.ndarray], float]
 
 
-def _plain_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf):
-    """Relaxed fixed-point loop from ``relax * g_obs``; one G pass per iteration."""
+def _plain_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf, norm: NormOf):
+    """Relaxed fixed-point loop from ``relax * g_obs``; one G pass per iteration.
+
+    ``norm`` measures each update as the fine-grid 2-norm of the step.
+    """
     relax = cfg.relax
     xk = relax * g_obs
     init_snr = snr_of(xk) if snr_of else None
@@ -168,13 +205,13 @@ def _plain_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf):
     for _ in range(cfg.iterations):
         step = relax * (g_obs - apply_g(xk))
         xk = xk + step
-        update_norms.append(float(np.linalg.norm(step)))
+        update_norms.append(float(norm(step)))
         if snr_of:
             trace.append(snr_of(xk))
     return xk, init_snr, trace, update_norms
 
 
-def _chebyshev_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf):
+def _chebyshev_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf, norm: NormOf):
     """Three-term recursion seeded as the frame algorithm.
 
     The reference state is zero and the first iterate is ``2/(A+B)`` times
@@ -189,7 +226,7 @@ def _chebyshev_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf)
     update_norms = []
     for lam in chebyshev_lambdas(accel.a, accel.b, cfg.iterations)[1:]:
         x_next = lam * (x_cur - x_prev + scale * (g_obs - apply_g(x_cur))) + x_prev
-        update_norms.append(float(np.linalg.norm(x_next - x_cur)))
+        update_norms.append(float(norm(x_next - x_cur)))
         x_prev, x_cur = x_cur, x_next
         if snr_of:
             trace.append(snr_of(x_cur))
@@ -238,13 +275,106 @@ def iterate(
     if reference is not None:
         snr_of = lambda v: snr_db(reference, v)
     loop = _plain_loop if cfg.acceleration is None else _chebyshev_loop
-    xk, init_snr, trace, update_norms = loop(g_obs, op.apply_values, cfg, snr_of)
+    xk, init_snr, trace, update_norms = loop(
+        g_obs, op.apply_values, cfg, snr_of, np.linalg.norm
+    )
     return ReconReport(
         estimate=DenseSignal(op.grid, xk),
         iterations_run=cfg.iterations,
         operator_applications=1 + len(update_norms),  # the observation is one pass
         snr_initial_db=init_snr,
         snr_trace_db=trace,
+        non_contraction=_non_contraction(update_norms),
+    )
+
+
+@lru_cache(maxsize=32)
+def _band_gain(op: ReconOperator) -> np.ndarray:
+    """Per-bin gain of a 1-D operator on the rfft bins its lowpass passes.
+
+    Measured once per operator, that is per (grid, kind, modules), by
+    running G on the band-limited impulse (the lowpass mask as a spectrum)
+    and dividing spectra.  The closed form needs a zero-phase G, so a gain
+    that is not real raises ``ConfigurationError``.
+    """
+    n = op.grid[0].n_fine
+    mask = _gain_mask(n, op.grid[0].band_edge)
+    band = mask > 0
+    response = np.fft.rfft(op.apply_values(np.fft.irfft(mask, n)))
+    gain = response[band] / mask[band]
+    if np.max(np.abs(gain.imag)) > GAIN_IMAG_TOL * np.max(np.abs(gain.real)):
+        raise ConfigurationError(
+            "the operator's per-bin gain is not real (it shifts phase), "
+            "so it has no per-bin closed form"
+        )
+    gain = gain.real
+    gain.setflags(write=False)
+    return gain
+
+
+def _axis_band(op: ReconOperator, last: bool):
+    """Band bins of one axis of ``rfftn``'s output, with their mask and gain.
+
+    The last axis holds rfft bins 0..B; any other axis holds full-FFT bins,
+    so its band is 0..B and n-B..n-1, folded onto rfft bin |k|.
+    """
+    gain = _band_gain(op)
+    n = op.grid[0].n_fine
+    fold = np.arange(gain.size)
+    index = fold
+    if not last:
+        mirror = np.arange(gain.size - 1, 0, -1)
+        fold = np.concatenate([fold, mirror])
+        index = np.concatenate([index, n - mirror])
+    mask = _gain_mask(n, op.grid[0].band_edge)
+    return index, mask[fold], gain[fold]
+
+
+def _outer(vectors) -> np.ndarray:
+    """The outer product of per-axis vectors, one array axis each."""
+    return reduce(np.multiply, np.ix_(*vectors))
+
+
+def spectral_iterate(observed: CoarseSamples, cfg: ReconConfig) -> ReconReport:
+    """The iterate :func:`iterate` returns, computed per DFT bin; no SNR trace.
+
+    Interpolates and mixes the samples once on the fine grid, keeps the
+    band coefficients of one ``rfftn`` times the lowpass mask (the
+    observation), and runs the plain or Chebyshev loop on them with G as
+    the measured per-bin gain.  One ``irfftn`` returns the estimate.
+    """
+    op = cfg.operator
+    if observed.grid != op.grid:
+        raise ConfigurationError("samples and operator must have the same grids")
+    ndim = len(op.grid)
+    axes = tuple(range(ndim))
+    shape = tuple([g.n_fine for g in op.grid])
+    index, mask, gain = zip(
+        *[_axis_band(replace(op, grid=g), axis == ndim - 1) for axis, g in enumerate(op.grid)]
+    )
+    band = np.ix_(*index)
+    # the fine-grid array is dropped once transformed: the solve's peak
+    # memory is the spectrum and irfftn's work space
+    spectrum = np.fft.rfftn(op._interp_mix(observed.values), axes=axes)
+    g_obs = spectrum[band] * _outer(mask)
+    gain = _outer(gain)
+
+    def norm(coeffs):
+        # Parseval on rfftn's half spectrum: each last-axis bin but 0 stands
+        # for its mirror too (the band never reaches Nyquist: band_edge <= 1/4)
+        total = 2.0 * np.vdot(coeffs, coeffs).real
+        total -= np.vdot(coeffs[..., 0], coeffs[..., 0]).real
+        return np.sqrt(total / np.prod(shape))
+
+    loop = _plain_loop if cfg.acceleration is None else _chebyshev_loop
+    coeffs, _, _, update_norms = loop(g_obs, lambda v: gain * v, cfg, None, norm)
+    spectrum.fill(0.0)
+    spectrum[band] = coeffs
+    values = np.fft.irfftn(spectrum, s=shape, axes=axes)
+    return ReconReport(
+        estimate=DenseSignal(op.grid, values),
+        iterations_run=cfg.iterations,
+        operator_applications=1,
         non_contraction=_non_contraction(update_norms),
     )
 

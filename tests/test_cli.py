@@ -70,6 +70,18 @@ class TestConvergence:
         assert code == 2
         assert "--trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("convergence", "--modules"), ("noise", "--modules"),
+         ("lambda-sweep", "--lambda-grid"), ("rate", "--k-rates")],
+    )
+    def test_empty_list_exit_code(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "x.csv"
+        code = run([command, flag, ",", "--trials", 1, "--out", out])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INTERPCOMP_OUT_DIR", str(tmp_path / "outputs"))
         assert run(

@@ -18,6 +18,7 @@ from interpcomp import (
     gen_bandlimited,
     iterate,
     sample,
+    spectral_iterate,
 )
 from interpcomp.samplers import CoarseSamples, interpolate
 from interpcomp.spectral import lowpass_array
@@ -290,6 +291,62 @@ class TestIterate2d:
         )
         for i in range(2, 8):
             assert cheb.snr_trace_db[i] >= base.snr_trace_db[i]
+
+
+class TestSpectralIterate:
+    """The per-bin solve against the fine-grid loop it replaces."""
+
+    LOOPS = [
+        dict(relax=1.0),
+        dict(relax=0.7),
+        dict(acceleration=ChebyshevAccel()),
+        dict(acceleration=ChebyshevAccel(0.9, 1.1)),
+    ]
+
+    @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec(64, 16), GridSpec(25, 8), GridSpec(32, 8, 2), (GridSpec(24, 8), GridSpec(16, 4))],
+        ids=["64x16", "25x8-odd", "32x8-rate2", "24x8-by-16x4"],
+    )
+    def test_matches_iterate(self, grid, kind):
+        s = sample(gen_bandlimited(8, grid, 34.0))
+        for modules in (0, 1, 2):
+            for loop in self.LOOPS:
+                cfg = ReconConfig(ReconOperator(grid, kind, modules), iterations=10, **loop)
+                ref = iterate(s, cfg).estimate.values
+                rep = spectral_iterate(s, cfg)
+                err = np.max(np.abs(rep.estimate.values - ref))
+                assert err <= 1e-12 * np.max(np.abs(ref)), (modules, loop)
+                assert rep.operator_applications == 1
+                assert rep.snr_trace_db is None and rep.snr_initial_db is None
+
+    def test_divergence_flagged(self, grid):
+        # as TestIterate: relax=1.95 pushes |1-relax*H| past 1 for modules=1
+        s = sample(gen_bandlimited(5, grid, 34.0))
+        op = ReconOperator(grid, SH, 1)
+        rep = spectral_iterate(s, ReconConfig(op, relax=1.95, iterations=80))
+        assert rep.non_contraction
+        # a contracting run, still above the rounding floor, is not flagged
+        plain = ReconOperator(grid, SH, 0)
+        rep = spectral_iterate(s, ReconConfig(plain, relax=1.0, iterations=12))
+        assert not rep.non_contraction
+
+    def test_samples_on_another_grid_rejected(self, grid):
+        x = gen_bandlimited(2, GridSpec(grid.n_coarse, grid.ticks_per_sample, 2), 0.0)
+        with pytest.raises(ConfigurationError):
+            spectral_iterate(sample(x), ReconConfig(ReconOperator(grid, SH, 0)))
+
+    def test_phase_shifted_operator_rejected(self, grid):
+        # a G delayed by one tick is still diagonal in the DFT, but its gain
+        # is complex, which the real per-bin closed form does not cover
+        class RolledOperator(ReconOperator):
+            def apply_values(self, values):
+                return np.roll(super().apply_values(values), 1)
+
+        s = sample(gen_bandlimited(3, grid, 0.0))
+        with pytest.raises(ConfigurationError, match="not real"):
+            spectral_iterate(s, ReconConfig(RolledOperator(grid, SH, 0)))
 
 
 class TestFixedPointOracle:
