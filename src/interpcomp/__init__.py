@@ -12,7 +12,8 @@ lowpass always cuts at each axis's band edge, so the reconstruction operator
 is fixed by the grids, the interpolator and the module count.  ``iterate``
 runs the reconstruction loop on the fine grid and traces SNR;
 ``spectral_iterate`` returns the same iterate from the operator's per-bin
-gain, with one pass over the fine grid.
+gain, starting from the coarse samples' spectrum; its only fine-grid work is
+one inverse FFT.
 """
 
 from .signal_core import (

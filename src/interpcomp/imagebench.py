@@ -10,9 +10,11 @@ stays in floating point throughout and is clamped/rounded only on output.
 The iterative and hybrid methods solve with
 :func:`~interpcomp.solver.spectral_iterate`: it returns the iterate that
 :func:`~interpcomp.solver.iterate` would, but since G is diagonal in the DFT
-on the band, it runs the loop on the band's DFT coefficients and passes the
-fine grid once instead of once per iteration.  Enlargement needs no SNR
-trace, which only the fine-grid loop gives.
+on the band, it runs the loop on the band's DFT coefficients.  It starts
+from the spectrum of the low-resolution pixels and never interpolates on
+the fine grid; its only fine-grid work is the inverse FFT that returns the
+enlarged image.  Enlargement needs no SNR trace, which only the fine-grid
+loop gives.
 """
 
 from __future__ import annotations

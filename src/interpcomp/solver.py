@@ -25,19 +25,24 @@ Two solves return the same iterate for the same :class:`ReconConfig`:
   iteration.  It traces the SNR of every iterate against a reference, so the
   CLI experiments use it, and it is the reference for the other solve.
 * :func:`spectral_iterate` runs the same loop on DFT coefficients and
-  passes the fine grid once.  On band-limited input ``G`` is diagonal in the
-  DFT: sampling, interpolation and mixing are periodic with period
-  ``ticks_per_sample``, so each only moves a bin onto bins ``n_coarse``
-  apart from it, and the lowpass keeps the band, which holds one bin of
-  each such set.  (A band-edge bin at the coarse Nyquist frequency shares
-  its set with its mirror bin.  G only outputs the part of the pair that is
-  even about the edge, every iterate stays in that part, and there the
-  gain is exact.)  So
-  ``G`` scales each band bin by a real gain, the product of the per-axis
-  gains, and the K-th plain or Chebyshev iterate is a fixed polynomial in
-  that gain (for Chebyshev, the polynomial of Gröchenig, "Acceleration of
-  the frame algorithm", IEEE Trans. Signal Process., 1993).  Image
-  enlargement uses this solve.
+  never passes the fine grid with ``G``.  On band-limited input ``G`` is
+  diagonal in the DFT: sampling, interpolation and mixing are periodic with
+  period ``ticks_per_sample``, so each only moves a bin onto bins
+  ``n_coarse`` apart from it, and the lowpass keeps the band, which holds
+  one bin of each such set.  (A band-edge bin at the coarse Nyquist
+  frequency shares its set with its mirror bin.  G only outputs the part of
+  the pair that is even about the edge, every iterate stays in that part,
+  and there the gain is exact.)  So ``G`` scales each band bin by a real
+  gain, the product of the per-axis gains, and the K-th plain or Chebyshev
+  iterate is a fixed polynomial in that gain (for Chebyshev, the polynomial
+  of Gröchenig, "Acceleration of the frame algorithm", IEEE Trans. Signal
+  Process., 1993).  The observation's band comes from the coarse samples'
+  spectrum: interpolating and mixing commute with a shift of one sample, so
+  their output at fine bin k is the response to one coarse impulse at k
+  times the coarse spectrum at k mod ``n_coarse`` (the frequency-domain view
+  of interpolation in Unser, "Sampling—50 years after Shannon", Proc. IEEE,
+  2000).  The solve's only fine-grid work is the final inverse transform.
+  Image enlargement uses this solve.
 """
 
 from __future__ import annotations
@@ -171,8 +176,8 @@ class ReconReport:
     parameter (or frame bounds) outside the convergent range.
     ``operator_applications`` counts the fine-grid passes of G made by the
     call, the observation included: ``iterations + 1`` for :func:`iterate`'s
-    plain loop, ``iterations`` for its Chebyshev loop, and 1 for
-    :func:`spectral_iterate`.
+    plain loop, ``iterations`` for its Chebyshev loop, and 0 for
+    :func:`spectral_iterate`, which works on DFT coefficients throughout.
     """
 
     estimate: DenseSignal
@@ -312,11 +317,28 @@ def _band_gain(op: ReconOperator) -> np.ndarray:
     return gain
 
 
+@lru_cache(maxsize=32)
+def _impulse_response(op: ReconOperator) -> np.ndarray:
+    """DFT of a 1-D operator's interpolate-and-mix stage for one coarse unit impulse.
+
+    Measured once per operator, as :func:`_band_gain` is.  It is the full
+    DFT, so a fine bin above n/2 reads its own value.
+    """
+    impulse = np.zeros(op.grid[0].n_coarse)
+    impulse[0] = 1.0
+    response = np.fft.fft(op._interp_mix(impulse))
+    response.setflags(write=False)
+    return response
+
+
 def _axis_band(op: ReconOperator, last: bool):
-    """Band bins of one axis of ``rfftn``'s output, with their mask and gain.
+    """Band bins of one axis of ``rfftn``'s output, with the observation's weight and G's gain.
 
     The last axis holds rfft bins 0..B; any other axis holds full-FFT bins,
-    so its band is 0..B and n-B..n-1, folded onto rfft bin |k|.
+    so its band is 0..B and n-B..n-1, folded onto rfft bin |k| for the mask
+    and gain.  The weight is the mask times the impulse response: the
+    observation's coefficient at fine bin k is the weight times the coarse
+    spectrum at bin k mod ``n_coarse``.
     """
     gain = _band_gain(op)
     n = op.grid[0].n_fine
@@ -327,7 +349,7 @@ def _axis_band(op: ReconOperator, last: bool):
         fold = np.concatenate([fold, mirror])
         index = np.concatenate([index, n - mirror])
     mask = _gain_mask(n, op.grid[0].band_edge)
-    return index, mask[fold], gain[fold]
+    return index, mask[fold] * _impulse_response(op)[index], gain[fold]
 
 
 def _outer(vectors) -> np.ndarray:
@@ -335,29 +357,37 @@ def _outer(vectors) -> np.ndarray:
     return reduce(np.multiply, np.ix_(*vectors))
 
 
+def _band_observation(op: ReconOperator, values: np.ndarray):
+    """The band of ``rfftn(op.observation(samples))`` from the samples' values alone.
+
+    Returns the band's index into the fine grid's ``rfftn`` output, the
+    observation's coefficients there and G's per-bin gain there.  One
+    ``rfftn`` of the coarse values is the only transform; a fine bin k reads
+    coarse bin k mod ``n_coarse`` on each axis (on a non-last axis, fine bin
+    n-j reads coarse bin ``n_coarse``-j).
+    """
+    ndim = len(op.grid)
+    index, weight, gain = zip(
+        *[_axis_band(replace(op, grid=g), axis == ndim - 1) for axis, g in enumerate(op.grid)]
+    )
+    coarse = np.fft.rfftn(values, axes=tuple(range(ndim)))
+    g_obs = coarse[np.ix_(*[k % g.n_coarse for k, g in zip(index, op.grid)])]
+    return np.ix_(*index), g_obs * _outer(weight), _outer(gain)
+
+
 def spectral_iterate(observed: CoarseSamples, cfg: ReconConfig) -> ReconReport:
     """The iterate :func:`iterate` returns, computed per DFT bin; no SNR trace.
 
-    Interpolates and mixes the samples once on the fine grid, keeps the
-    band coefficients of one ``rfftn`` times the lowpass mask (the
-    observation), and runs the plain or Chebyshev loop on them with G as
-    the measured per-bin gain.  One ``irfftn`` returns the estimate.
+    Takes the observation's band coefficients from one ``rfftn`` of the
+    coarse samples and runs the plain or Chebyshev loop on them with G as
+    the measured per-bin gain.  The only fine-grid transform is the one
+    ``irfftn`` that returns the estimate.
     """
     op = cfg.operator
     if observed.grid != op.grid:
         raise ConfigurationError("samples and operator must have the same grids")
-    ndim = len(op.grid)
-    axes = tuple(range(ndim))
     shape = tuple([g.n_fine for g in op.grid])
-    index, mask, gain = zip(
-        *[_axis_band(replace(op, grid=g), axis == ndim - 1) for axis, g in enumerate(op.grid)]
-    )
-    band = np.ix_(*index)
-    # the fine-grid array is dropped once transformed: the solve's peak
-    # memory is the spectrum and irfftn's work space
-    spectrum = np.fft.rfftn(op._interp_mix(observed.values), axes=axes)
-    g_obs = spectrum[band] * _outer(mask)
-    gain = _outer(gain)
+    band, g_obs, gain = _band_observation(op, observed.values)
 
     def norm(coeffs):
         # Parseval on rfftn's half spectrum: each last-axis bin but 0 stands
@@ -368,13 +398,14 @@ def spectral_iterate(observed: CoarseSamples, cfg: ReconConfig) -> ReconReport:
 
     loop = _plain_loop if cfg.acceleration is None else _chebyshev_loop
     coeffs, _, _, update_norms = loop(g_obs, lambda v: gain * v, cfg, None, norm)
-    spectrum.fill(0.0)
+    # allocated only now, so the loop's peak memory is the band alone
+    spectrum = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
     spectrum[band] = coeffs
-    values = np.fft.irfftn(spectrum, s=shape, axes=axes)
+    values = np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape))))
     return ReconReport(
         estimate=DenseSignal(op.grid, values),
         iterations_run=cfg.iterations,
-        operator_applications=1,
+        operator_applications=0,
         non_contraction=_non_contraction(update_norms),
     )
 

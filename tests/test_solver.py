@@ -20,6 +20,7 @@ from interpcomp import (
     sample,
     spectral_iterate,
 )
+from interpcomp import solver
 from interpcomp.samplers import CoarseSamples, interpolate
 from interpcomp.spectral import lowpass_array
 
@@ -306,20 +307,90 @@ class TestSpectralIterate:
     @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
     @pytest.mark.parametrize(
         "grid",
-        [GridSpec(64, 16), GridSpec(25, 8), GridSpec(32, 8, 2), (GridSpec(24, 8), GridSpec(16, 4))],
-        ids=["64x16", "25x8-odd", "32x8-rate2", "24x8-by-16x4"],
+        [
+            GridSpec(64, 16),
+            GridSpec(25, 8),
+            GridSpec(32, 8, 2),
+            (GridSpec(24, 8), GridSpec(16, 4)),
+            (GridSpec(16, 2), GridSpec(12, 2)),
+            (GridSpec(25, 8, 2), GridSpec(16, 4)),
+        ],
+        ids=[
+            "64x16", "25x8-odd", "32x8-rate2", "24x8-by-16x4", "16x2-by-12x2", "25x8-rate2-by-16x4",
+        ],
     )
     def test_matches_iterate(self, grid, kind):
         s = sample(gen_bandlimited(8, grid, 34.0))
-        for modules in (0, 1, 2):
+        min_ticks = min(g.ticks_per_sample for g in s.grid)
+        for modules in range(min(2, min_ticks // 2) + 1):
             for loop in self.LOOPS:
                 cfg = ReconConfig(ReconOperator(grid, kind, modules), iterations=10, **loop)
                 ref = iterate(s, cfg).estimate.values
                 rep = spectral_iterate(s, cfg)
                 err = np.max(np.abs(rep.estimate.values - ref))
                 assert err <= 1e-12 * np.max(np.abs(ref)), (modules, loop)
-                assert rep.operator_applications == 1
+                assert rep.operator_applications == 0
                 assert rep.snr_trace_db is None and rep.snr_initial_db is None
+
+    @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec(64, 16), GridSpec(25, 8), GridSpec(32, 8, 2), (GridSpec(24, 8), GridSpec(16, 4)),
+         (GridSpec(25, 8, 2), GridSpec(16, 4))],
+        ids=["64x16", "25x8-odd", "32x8-rate2", "24x8-by-16x4", "25x8-rate2-by-16x4"],
+    )
+    def test_observation_from_coarse_spectrum(self, grid, kind):
+        # interpolating and mixing commute with a one-sample shift, so the
+        # observation's band follows from the coarse spectrum; at rate 2 the
+        # band edge is not the coarse Nyquist bin, so no mask weight folds
+        s = sample(gen_bandlimited(6, grid, 0.0))
+        for modules in (0, 1, 2):
+            op = ReconOperator(grid, kind, modules)
+            band, g_obs, _ = solver._band_observation(op, s.values)
+            ref = np.fft.rfftn(op.observation(s))[band]
+            assert np.max(np.abs(g_obs - ref)) <= 1e-12 * np.max(np.abs(ref)), modules
+
+    def test_no_fine_grid_pass(self, monkeypatch):
+        # a guard against a fine-grid pass of G coming back: once the
+        # per-axis gains and responses are cached, the solve interpolates,
+        # mixes and lowpasses nothing and transforms the coarse values and
+        # the final fine-grid spectrum only
+        grid = (GridSpec(24, 8), GridSpec(16, 4))
+        s = sample(gen_bandlimited(4, grid, 0.0))
+        cfg = ReconConfig(ReconOperator(grid, SH, 1), iterations=10)
+        warm = spectral_iterate(s, cfg).estimate.values
+        stages, transforms = [], []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                stages.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def recorded(name, fn):
+            def wrapper(a, *args, **kwargs):
+                out = fn(a, *args, **kwargs)
+                transforms.append((name, np.shape(a), out.shape))
+                return out
+
+            return wrapper
+
+        for name in ("_interp_axis", "_mix_axis", "lowpass_array"):
+            monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+        monkeypatch.setattr(
+            ReconOperator, "apply_values", counted("apply_values", ReconOperator.apply_values)
+        )
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                     "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
+            monkeypatch.setattr(np.fft, name, recorded(name, getattr(np.fft, name)))
+        rep = spectral_iterate(s, cfg)
+        assert stages == []
+        assert [t[0] for t in transforms] == ["rfftn", "irfftn"]
+        assert transforms[0][1] == (24, 16)
+        assert transforms[1][2] == (192, 64)
+        assert rep.operator_applications == 0
+        np.testing.assert_array_equal(rep.estimate.values, warm)
 
     def test_divergence_flagged(self, grid):
         # as TestIterate: relax=1.95 pushes |1-relax*H| past 1 for modules=1
