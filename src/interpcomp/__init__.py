@@ -12,8 +12,8 @@ lowpass always cuts at each axis's band edge, so the reconstruction operator
 is fixed by the grids, the interpolator and the module count.  ``iterate``
 runs the reconstruction loop on the fine grid and traces SNR;
 ``spectral_iterate`` returns the same iterate from the operator's per-bin
-gain, starting from the coarse samples' spectrum; its only fine-grid work is
-one inverse FFT.
+gain alone, times the band of the samples' trigonometric interpolant; its
+only fine-grid work is one inverse FFT.
 """
 
 from .signal_core import (

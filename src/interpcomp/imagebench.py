@@ -208,11 +208,13 @@ class EnlargeConfig:
             )
         if self.method not in ("bilinear", "iterative", "hybrid"):
             raise ConfigurationError(f"unknown method {self.method!r}")
+        if self.method != "hybrid":
+            object.__setattr__(self, "modules", 0)  # only the hybrid mixes
         if self.iterations < 1:
             raise ConfigurationError(
                 f"iterations must be >= 1, got {self.iterations}"
             )
-        if self.method == "hybrid" and 2 * self.modules > self.factor:
+        if 2 * self.modules > self.factor:
             raise ConfigurationError(
                 f"{self.modules} modules need an enlargement factor >= "
                 f"{2 * self.modules}; the fine grid is the output grid"
@@ -240,8 +242,7 @@ def enlarge_dense(low: GrayImage, cfg: EnlargeConfig) -> np.ndarray:
     if cfg.method == "bilinear":
         dense = interpolate(samples, InterpKind.LINEAR).values
     else:
-        modules = cfg.modules if cfg.method == "hybrid" else 0
-        op = ReconOperator(grids, InterpKind.SAMPLE_AND_HOLD, modules)
+        op = ReconOperator(grids, InterpKind.SAMPLE_AND_HOLD, cfg.modules)
         run = ReconConfig(
             op,
             relax=cfg.relax,

@@ -36,13 +36,13 @@ Two solves return the same iterate for the same :class:`ReconConfig`:
   gain, the product of the per-axis gains, and the K-th plain or Chebyshev
   iterate is a fixed polynomial in that gain (for Chebyshev, the polynomial
   of Gröchenig, "Acceleration of the frame algorithm", IEEE Trans. Signal
-  Process., 1993).  The observation's band comes from the coarse samples'
-  spectrum: interpolating and mixing commute with a shift of one sample, so
-  their output at fine bin k is the response to one coarse impulse at k
-  times the coarse spectrum at k mod ``n_coarse`` (the frequency-domain view
-  of interpolation in Unser, "Sampling—50 years after Shannon", Proc. IEEE,
-  2000).  The solve's only fine-grid work is the final inverse transform.
-  Image enlargement uses this solve.
+  Process., 1993).  G sees a signal only through its samples, so the
+  observation is G applied to the samples' trigonometric interpolant, whose
+  coefficient at band bin k is ``ticks_per_sample`` times the coarse
+  spectrum at k mod ``n_coarse`` (halved at the coarse Nyquist bin): the
+  observation's band is that times the gain.  So the gain is the solve's
+  only measurement of G, and the final inverse transform its only fine-grid
+  work.  Image enlargement uses this solve.
 """
 
 from __future__ import annotations
@@ -106,19 +106,14 @@ class ReconOperator:
             )
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        out = self._interp_mix(values[lattice(self.grid)])
-        for axis in range(len(self.grid) - 1, -1, -1):
-            out = lowpass_array(out, self.grid[axis], axis)
-        return out
-
-    def _interp_mix(self, coarse: np.ndarray) -> np.ndarray:
-        """G before its lowpass: interpolate coarse values, then mix, on the fine grid."""
         axes = range(len(self.grid) - 1, -1, -1)
-        out = coarse
+        out = values[lattice(self.grid)]
         for axis in axes:
             out = _interp_axis(out, self.grid[axis], self.kind, axis)
         for axis in axes:
             out = _mix_axis(out, self.grid[axis].ticks_per_sample, self.modules, axis)
+        for axis in axes:
+            out = lowpass_array(out, self.grid[axis], axis)
         return out
 
     def observation(self, samples: CoarseSamples) -> np.ndarray:
@@ -317,39 +312,27 @@ def _band_gain(op: ReconOperator) -> np.ndarray:
     return gain
 
 
-@lru_cache(maxsize=32)
-def _impulse_response(op: ReconOperator) -> np.ndarray:
-    """DFT of a 1-D operator's interpolate-and-mix stage for one coarse unit impulse.
-
-    Measured once per operator, as :func:`_band_gain` is.  It is the full
-    DFT, so a fine bin above n/2 reads its own value.
-    """
-    impulse = np.zeros(op.grid[0].n_coarse)
-    impulse[0] = 1.0
-    response = np.fft.fft(op._interp_mix(impulse))
-    response.setflags(write=False)
-    return response
-
-
 def _axis_band(op: ReconOperator, last: bool):
     """Band bins of one axis of ``rfftn``'s output, with the observation's weight and G's gain.
 
     The last axis holds rfft bins 0..B; any other axis holds full-FFT bins,
-    so its band is 0..B and n-B..n-1, folded onto rfft bin |k| for the mask
-    and gain.  The weight is the mask times the impulse response: the
-    observation's coefficient at fine bin k is the weight times the coarse
-    spectrum at bin k mod ``n_coarse``.
+    so its band is 0..B and n-B..n-1, folded onto rfft bin |k| for the gain.
+    The weight is ``ticks_per_sample`` times the gain, halved at the coarse
+    Nyquist bin ``2|k| == n_coarse`` (only at ``rate_multiple`` 1 with even
+    ``n_coarse``): the observation's coefficient at fine bin k is the weight
+    times the coarse spectrum at bin k mod ``n_coarse``.
     """
     gain = _band_gain(op)
-    n = op.grid[0].n_fine
+    grid = op.grid[0]
     fold = np.arange(gain.size)
     index = fold
     if not last:
         mirror = np.arange(gain.size - 1, 0, -1)
         fold = np.concatenate([fold, mirror])
-        index = np.concatenate([index, n - mirror])
-    mask = _gain_mask(n, op.grid[0].band_edge)
-    return index, mask[fold] * _impulse_response(op)[index], gain[fold]
+        index = np.concatenate([index, grid.n_fine - mirror])
+    weight = grid.ticks_per_sample * gain[fold]
+    weight[2 * fold == grid.n_coarse] *= 0.5
+    return index, weight, gain[fold]
 
 
 def _outer(vectors) -> np.ndarray:
@@ -361,10 +344,11 @@ def _band_observation(op: ReconOperator, values: np.ndarray):
     """The band of ``rfftn(op.observation(samples))`` from the samples' values alone.
 
     Returns the band's index into the fine grid's ``rfftn`` output, the
-    observation's coefficients there and G's per-bin gain there.  One
-    ``rfftn`` of the coarse values is the only transform; a fine bin k reads
-    coarse bin k mod ``n_coarse`` on each axis (on a non-last axis, fine bin
-    n-j reads coarse bin ``n_coarse``-j).
+    observation's coefficients there and G's per-bin gain there.  The
+    coefficients are the gain times the band of the samples' trigonometric
+    interpolant, read from one ``rfftn`` of the coarse values: a fine bin k
+    reads coarse bin k mod ``n_coarse`` on each axis (on a non-last axis,
+    fine bin n-j reads coarse bin ``n_coarse``-j).
     """
     ndim = len(op.grid)
     index, weight, gain = zip(
@@ -378,10 +362,10 @@ def _band_observation(op: ReconOperator, values: np.ndarray):
 def spectral_iterate(observed: CoarseSamples, cfg: ReconConfig) -> ReconReport:
     """The iterate :func:`iterate` returns, computed per DFT bin; no SNR trace.
 
-    Takes the observation's band coefficients from one ``rfftn`` of the
-    coarse samples and runs the plain or Chebyshev loop on them with G as
-    the measured per-bin gain.  The only fine-grid transform is the one
-    ``irfftn`` that returns the estimate.
+    Runs the plain or Chebyshev loop on the observation's band coefficients
+    (:func:`_band_observation`) with G as the per-bin gain, measured once
+    per axis and cached.  The only fine-grid transform is the one ``irfftn``
+    that returns the estimate.
     """
     op = cfg.operator
     if observed.grid != op.grid:

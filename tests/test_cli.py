@@ -240,6 +240,19 @@ class TestImage:
         assert (row["method"], row["factor"], row["modules"]) == ("hybrid(2,2)", "4", "2")
         assert math.isfinite(float(row["psnr_db"]))
 
+    def test_modules_zero_without_hybrid(self, tmp_path):
+        # only the hybrid mixes, so only its row reports modules
+        src = tmp_path / "scene.pgm"
+        write_pgm(synthetic_scene(32, 32, seed=4), src)
+        out_dir = tmp_path / "bench"
+        assert run(
+            ["image", src, "--methods", "bilinear,iterative:2,hybrid:2:1", "--out-dir", out_dir]
+        ) == 0
+        rows = read_rows(out_dir / "psnr.csv")
+        assert [(r["method"], r["modules"]) for r in rows] == [
+            ("bilinear", "0"), ("iterative(2)", "0"), ("hybrid(2,1)", "1"),
+        ]
+
     def test_bad_method_token_exit_code(self, tmp_path, capsys):
         src = tmp_path / "scene.pgm"
         write_pgm(synthetic_scene(16, 16, seed=1), src)

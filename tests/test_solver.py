@@ -303,6 +303,8 @@ class TestSpectralIterate:
         dict(acceleration=ChebyshevAccel()),
         dict(acceleration=ChebyshevAccel(0.9, 1.1)),
     ]
+    FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                 "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft")
 
     @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
     @pytest.mark.parametrize(
@@ -314,9 +316,11 @@ class TestSpectralIterate:
             (GridSpec(24, 8), GridSpec(16, 4)),
             (GridSpec(16, 2), GridSpec(12, 2)),
             (GridSpec(25, 8, 2), GridSpec(16, 4)),
+            (GridSpec(25, 2), GridSpec(13, 2)),
         ],
         ids=[
             "64x16", "25x8-odd", "32x8-rate2", "24x8-by-16x4", "16x2-by-12x2", "25x8-rate2-by-16x4",
+            "25x2-by-13x2-odd",
         ],
     )
     def test_matches_iterate(self, grid, kind):
@@ -352,9 +356,9 @@ class TestSpectralIterate:
 
     def test_no_fine_grid_pass(self, monkeypatch):
         # a guard against a fine-grid pass of G coming back: once the
-        # per-axis gains and responses are cached, the solve interpolates,
-        # mixes and lowpasses nothing and transforms the coarse values and
-        # the final fine-grid spectrum only
+        # per-axis gains are cached, the solve interpolates, mixes and
+        # lowpasses nothing and transforms the coarse values and the final
+        # fine-grid spectrum only
         grid = (GridSpec(24, 8), GridSpec(16, 4))
         s = sample(gen_bandlimited(4, grid, 0.0))
         cfg = ReconConfig(ReconOperator(grid, SH, 1), iterations=10)
@@ -381,8 +385,7 @@ class TestSpectralIterate:
         monkeypatch.setattr(
             ReconOperator, "apply_values", counted("apply_values", ReconOperator.apply_values)
         )
-        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
-                     "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
+        for name in self.FFT_NAMES:
             monkeypatch.setattr(np.fft, name, recorded(name, getattr(np.fft, name)))
         rep = spectral_iterate(s, cfg)
         assert stages == []
@@ -391,6 +394,45 @@ class TestSpectralIterate:
         assert transforms[1][2] == (192, 64)
         assert rep.operator_applications == 0
         np.testing.assert_array_equal(rep.estimate.values, warm)
+
+    def test_gain_is_the_only_measurement(self, monkeypatch):
+        # G sees a signal only through its samples, so the observation's band
+        # is the measured gain times the band of the samples' trigonometric
+        # interpolant: a cold solve runs G once per axis, on that axis's
+        # band-limited impulse, and measures nothing else
+        solver._band_gain.cache_clear()
+        grid = (GridSpec(20, 6), GridSpec(14, 4))
+        s = sample(gen_bandlimited(4, grid, 0.0))
+        applied, interp_inside, transforms = [], [], []
+        in_apply = [False]
+        apply_values, interp_axis = ReconOperator.apply_values, solver._interp_axis
+
+        def counted_apply(op, values):
+            applied.append(np.shape(values))
+            in_apply[0] = True
+            out = apply_values(op, values)
+            in_apply[0] = False
+            return out
+
+        def counted_interp(*args, **kwargs):
+            interp_inside.append(in_apply[0])
+            return interp_axis(*args, **kwargs)
+
+        def named(name, fn):
+            def wrapper(*args, **kwargs):
+                transforms.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(ReconOperator, "apply_values", counted_apply)
+        monkeypatch.setattr(solver, "_interp_axis", counted_interp)
+        for name in self.FFT_NAMES:
+            monkeypatch.setattr(np.fft, name, named(name, getattr(np.fft, name)))
+        spectral_iterate(s, ReconConfig(ReconOperator(grid, SH, 1), iterations=10))
+        assert sorted(applied) == sorted((g.n_fine,) for g in grid)
+        assert interp_inside == [True, True]
+        assert "fft" not in transforms
 
     def test_divergence_flagged(self, grid):
         # as TestIterate: relax=1.95 pushes |1-relax*H| past 1 for modules=1
