@@ -2,7 +2,7 @@
 
 Subpackages cover the sampling/interpolation operators, ideal lowpass
 filtering, the cosine-module compensator, the iterative and hybrid
-reconstruction engines with Chebyshev acceleration, closed-form convergence
+reconstruction solve with Chebyshev acceleration, closed-form convergence
 and noise analysis, and a grayscale image enlargement benchmark.
 
 Signals, samples and operators take one :class:`GridSpec` per axis: a lone
@@ -10,10 +10,10 @@ GridSpec for 1-D, or a tuple such as ``(grid_y, grid_x)`` for an image.  The
 multi-axis operators are the 1-D ones applied along each axis in turn.  The
 lowpass always cuts at each axis's band edge, so the reconstruction operator
 is fixed by the grids, the interpolator and the module count.  ``iterate``
-runs the reconstruction loop on the fine grid and traces SNR;
-``spectral_iterate`` returns the same iterate from the operator's per-bin
-gain alone, times the band of the samples' trigonometric interpolant; its
-only fine-grid work is one inverse FFT.
+is the one reconstruction solve: it runs the loop per DFT bin, from the
+operator's per-bin gain and the band of the samples' trigonometric
+interpolant, and its only fine-grid work is an inverse FFT for the estimate
+and for each traced SNR.
 """
 
 from .signal_core import (
@@ -28,18 +28,16 @@ from .signal_core import (
 )
 from .samplers import CoarseSamples, InterpKind, interpolate, sample
 from .spectral import lowpass
-from .modular import cosine_mix, modular_reconstruct
+from .modular import cosine_mix
 from .solver import (
     ChebyshevAccel,
     ReconConfig,
     ReconOperator,
     ReconReport,
     SingularSystemError,
-    apply_operator,
     chebyshev_lambdas,
     fixed_point_oracle,
     iterate,
-    spectral_iterate,
 )
 from .analysis import (
     AnalysisResult,

@@ -85,19 +85,30 @@ def _nonempty(values: list, flag: str) -> list:
     return values
 
 
-def _mean_traces(args, kind, modules, relax, k_rate, noise_db=None):
-    """Mean initial SNR and mean per-iteration SNR trace over the trial set."""
+def _configs(args, kind, series) -> List[ReconConfig]:
+    """One solve per (modules, relax, k_rate) of ``series``, on the 1-D or 2-D trial grid.
+
+    All are built, and so checked, before the first trial runs.
+    """
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    if args.dims == 1:
-        grid = GridSpec(args.n_coarse, args.ticks, k_rate)
-    else:
-        grid = (GridSpec(args.n_coarse_2d, args.ticks_2d, k_rate),) * 2
-    cfg = ReconConfig(ReconOperator(grid, kind, modules), relax=relax, iterations=args.iterations)
+    configs = []
+    for modules, relax, k_rate in series:
+        if args.dims == 1:
+            grid = GridSpec(args.n_coarse, args.ticks, k_rate)
+        else:
+            grid = (GridSpec(args.n_coarse_2d, args.ticks_2d, k_rate),) * 2
+        op = ReconOperator(grid, kind, modules)
+        configs.append(ReconConfig(op, relax=relax, iterations=args.iterations))
+    return configs
+
+
+def _mean_traces(args, cfg, noise_db=None):
+    """Mean initial SNR and mean per-iteration SNR trace over the trial set."""
     inits, traces = [], []
     for t in range(args.trials):
         seed = args.seed + t
-        x = gen_bandlimited(seed, grid, DEFAULT_POWER_DB)
+        x = gen_bandlimited(seed, cfg.operator.grid, DEFAULT_POWER_DB)
         observed = add_awgn(x, noise_db, seed + 10_000_019) if noise_db is not None else x
         rep = iterate(sample(observed), cfg, reference=x)
         inits.append(rep.snr_initial_db)
@@ -118,13 +129,14 @@ def cmd_convergence(args) -> int:
     if noise_db is not None:
         header.append("noise_power_db")
         extra = (noise_db,)
+    series = [(m, args.relax, args.k_rate) for m in _nonempty(args.modules, "--modules")]
     rows = []
-    for modules in _nonempty(args.modules, "--modules"):
-        _, trace = _mean_traces(args, kind, modules, args.relax, args.k_rate, noise_db)
+    for cfg in _configs(args, kind, series):
+        _, trace = _mean_traces(args, cfg, noise_db)
         for it, snr in enumerate(trace, start=1):
             rows.append(
-                (kind.value, modules, args.relax, args.k_rate, it, float(snr), args.trials,
-                 args.seed, *extra)
+                (kind.value, cfg.operator.modules, args.relax, args.k_rate, it, float(snr),
+                 args.trials, args.seed, *extra)
             )
     path = _write_csv(args.out, header, rows)
     print(path)
@@ -133,12 +145,14 @@ def cmd_convergence(args) -> int:
 
 def cmd_lambda_sweep(args) -> int:
     kind = _kind(args.kind)
-    rows = []
-    for lam in _nonempty(args.lambda_grid, "--lambda-grid"):
+    lams = _nonempty(args.lambda_grid, "--lambda-grid")
+    for lam in lams:
         if not 0.0 < lam < 2.0:
             raise UsageError(f"lambda grid values must lie in (0, 2), got {lam}")
-        init, trace = _mean_traces(args, kind, args.modules_single, lam, args.k_rate)
-        rows.append((lam, (float(trace[-1]) - init) / args.iterations))
+    rows = []
+    for cfg in _configs(args, kind, [(args.modules_single, lam, args.k_rate) for lam in lams]):
+        init, trace = _mean_traces(args, cfg)
+        rows.append((cfg.relax, (float(trace[-1]) - init) / args.iterations))
     path = _write_csv(args.out, ["lambda", "avg_db_per_iteration"], rows)
     print(path)
     return 0
@@ -146,9 +160,10 @@ def cmd_lambda_sweep(args) -> int:
 
 def cmd_rate(args) -> int:
     kind = _kind(args.kind)
+    ks = _nonempty(args.k_rates, "--k-rates")
     per_rate = []
-    for k in _nonempty(args.k_rates, "--k-rates"):
-        init, trace = _mean_traces(args, kind, args.modules_single, args.relax, k)
+    for k, cfg in zip(ks, _configs(args, kind, [(args.modules_single, args.relax, k) for k in ks])):
+        init, trace = _mean_traces(args, cfg)
         per_rate.append((k, init, trace, (float(trace[-1]) - init) / args.iterations))
     base_gain = per_rate[0][3]
     rows = []
@@ -241,7 +256,8 @@ def cmd_image(args) -> int:
             GrayImage(np.rint(scaled).astype(np.uint8)),
             os.path.join(out_dir, f"err_{tag}.pgm"),
         )
-        rows.append((cfg.label, cfg.factor, cfg.iterations, cfg.modules, cfg.relax, psnr))
+        relax = cfg.relax if cfg.iterations else ""  # no lambda where nothing iterated
+        rows.append((cfg.label, cfg.factor, cfg.iterations, cfg.modules, relax, psnr))
     path = _write_csv(
         os.path.join(out_dir, "psnr.csv"),
         ["method", "factor", "iters", "modules", "lambda", "psnr_db"],

@@ -8,13 +8,11 @@ afterwards, which suppresses wrap-around ringing at the borders; pixel math
 stays in floating point throughout and is clamped/rounded only on output.
 
 The iterative and hybrid methods solve with
-:func:`~interpcomp.solver.spectral_iterate`: it returns the iterate that
-:func:`~interpcomp.solver.iterate` would, but since G is diagonal in the DFT
-on the band, it runs the loop on the band's DFT coefficients.  It starts
-from the spectrum of the low-resolution pixels and never interpolates on
-the fine grid; its only fine-grid work is the inverse FFT that returns the
-enlarged image.  Enlargement needs no SNR trace, which only the fine-grid
-loop gives.
+:func:`~interpcomp.solver.iterate`, which runs the loop on the band's DFT
+coefficients, since G is diagonal in the DFT on the band.  It starts from
+the spectrum of the low-resolution pixels and never interpolates on the
+fine grid; with no reference to trace, its only fine-grid work is the
+inverse FFT that returns the enlarged image.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import numpy as np
 
 from .samplers import CoarseSamples, InterpKind, interpolate
 from .signal_core import ConfigurationError, GridSpec, UsageError, psnr_db
-from .solver import ChebyshevAccel, ReconConfig, ReconOperator, spectral_iterate
+from .solver import ChebyshevAccel, ReconConfig, ReconOperator, iterate
 
 __all__ = [
     "PgmError",
@@ -210,7 +208,9 @@ class EnlargeConfig:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.method != "hybrid":
             object.__setattr__(self, "modules", 0)  # only the hybrid mixes
-        if self.iterations < 1:
+        if self.method == "bilinear":
+            object.__setattr__(self, "iterations", 0)  # and bilinear does not iterate
+        elif self.iterations < 1:
             raise ConfigurationError(
                 f"iterations must be >= 1, got {self.iterations}"
             )
@@ -249,7 +249,7 @@ def enlarge_dense(low: GrayImage, cfg: EnlargeConfig) -> np.ndarray:
             iterations=cfg.iterations,
             acceleration=cfg.acceleration,
         )
-        dense = spectral_iterate(samples, run).estimate.values
+        dense = iterate(samples, run).estimate.values
     return dense[: low.height * cfg.factor, : low.width * cfg.factor]
 
 

@@ -15,11 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .samplers import CoarseSamples, InterpKind, interpolate
 from .signal_core import ConfigurationError, DenseSignal
-from .spectral import lowpass_array
 
-__all__ = ["mixer_period", "cosine_mix", "modular_reconstruct"]
+__all__ = ["mixer_period", "cosine_mix"]
 
 
 @lru_cache(maxsize=128)
@@ -66,11 +64,3 @@ def cosine_mix(s: DenseSignal, modules: int) -> DenseSignal:
         out = _mix_axis(out, s.grid[axis].ticks_per_sample, modules, axis)
     return s.with_values(out)
 
-
-def modular_reconstruct(samples: CoarseSamples, kind: InterpKind, modules: int) -> DenseSignal:
-    """One-shot modular reconstruction: interpolate, mix, lowpass at the band edge."""
-    mixed = cosine_mix(interpolate(samples, kind), modules)
-    out = mixed.values
-    for axis in reversed(range(out.ndim)):
-        out = lowpass_array(out, samples.grid[axis], axis)
-    return mixed.with_values(out)

@@ -1,4 +1,4 @@
-"""Iterative reconstruction engines.
+"""The reconstruction solve.
 
 Three ways to invert the sampling/interpolation distortion given only the
 coarse samples of an unknown band-limited signal:
@@ -9,9 +9,9 @@ coarse samples of an unknown band-limited signal:
   (the hybrid scheme; ``modules=0`` recovers the plain method exactly),
 * a Chebyshev-accelerated variant driven by frame bounds ``(A, B)``.
 
-``g_obs`` is the one-shot modular reconstruction of the observed samples,
-which equals ``G`` applied to any dense signal consistent with them.  The
-reference signal, when supplied, is used only for SNR reporting.
+``g_obs`` is ``G`` applied to the observed samples, which equals ``G``
+applied to any dense signal consistent with them.  The reference signal,
+when supplied, is used only for SNR reporting.
 
 One operator serves any number of axes: on a lattice (an image has grids
 ``(grid_y, grid_x)``) ``G`` is separable and applies each 1-D stage along
@@ -19,30 +19,24 @@ every axis in turn, last axis first.  ``G`` depends only on the grids, the
 interpolator and the module count; its lowpass cuts at each axis's band
 edge.
 
-Two solves return the same iterate for the same :class:`ReconConfig`:
-
-* :func:`iterate` runs the loop on the fine grid, one pass of ``G`` per
-  iteration.  It traces the SNR of every iterate against a reference, so the
-  CLI experiments use it, and it is the reference for the other solve.
-* :func:`spectral_iterate` runs the same loop on DFT coefficients and
-  never passes the fine grid with ``G``.  On band-limited input ``G`` is
-  diagonal in the DFT: sampling, interpolation and mixing are periodic with
-  period ``ticks_per_sample``, so each only moves a bin onto bins
-  ``n_coarse`` apart from it, and the lowpass keeps the band, which holds
-  one bin of each such set.  (A band-edge bin at the coarse Nyquist
-  frequency shares its set with its mirror bin.  G only outputs the part of
-  the pair that is even about the edge, every iterate stays in that part,
-  and there the gain is exact.)  So ``G`` scales each band bin by a real
-  gain, the product of the per-axis gains, and the K-th plain or Chebyshev
-  iterate is a fixed polynomial in that gain (for Chebyshev, the polynomial
-  of Gröchenig, "Acceleration of the frame algorithm", IEEE Trans. Signal
-  Process., 1993).  G sees a signal only through its samples, so the
-  observation is G applied to the samples' trigonometric interpolant, whose
-  coefficient at band bin k is ``ticks_per_sample`` times the coarse
-  spectrum at k mod ``n_coarse`` (halved at the coarse Nyquist bin): the
-  observation's band is that times the gain.  So the gain is the solve's
-  only measurement of G, and the final inverse transform its only fine-grid
-  work.  Image enlargement uses this solve.
+:func:`iterate` runs the loop on DFT coefficients.  On band-limited input
+``G`` is diagonal in the DFT: sampling, interpolation and mixing are
+periodic with period ``ticks_per_sample``, so each only moves a bin onto
+bins ``n_coarse`` apart from it, and the lowpass keeps the band, which holds
+one bin of each such set.  (A band-edge bin at the coarse Nyquist frequency
+shares its set with its mirror bin.  G only outputs the part of the pair
+that is even about the edge, every iterate stays in that part, and there the
+gain is exact.)  So ``G`` scales each band bin by a real gain, the product
+of the per-axis gains, and the K-th plain or Chebyshev iterate is a fixed
+polynomial in that gain (for Chebyshev, the polynomial of Gröchenig,
+"Acceleration of the frame algorithm", IEEE Trans. Signal Process., 1993).
+G sees a signal only through its samples, so the observation is G applied
+to the samples' trigonometric interpolant, whose coefficient at band bin k
+is ``ticks_per_sample`` times the coarse spectrum at k mod ``n_coarse``
+(halved at the coarse Nyquist bin): the observation's band is that times
+the gain.  So the gain is the solve's only measurement of G, and inverse
+transforms of the band, for the estimate and for each traced SNR, its only
+fine-grid work.
 """
 
 from __future__ import annotations
@@ -53,7 +47,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .modular import _mix_axis, modular_reconstruct
+from .modular import _mix_axis
 from .samplers import CoarseSamples, InterpKind, _interp_axis, lattice
 from .signal_core import ConfigurationError, DenseSignal, GridSpec, per_axis, snr_db
 from .spectral import _gain_mask, lowpass_array
@@ -64,9 +58,7 @@ __all__ = [
     "ChebyshevAccel",
     "ReconConfig",
     "ReconReport",
-    "apply_operator",
     "iterate",
-    "spectral_iterate",
     "chebyshev_lambdas",
     "fixed_point_oracle",
 ]
@@ -117,10 +109,13 @@ class ReconOperator:
         return out
 
     def observation(self, samples: CoarseSamples) -> np.ndarray:
-        # the one-shot reconstruction cuts at the samples' band edges
+        """G applied to the samples placed on the lattice of a zero fine array."""
+        # samples of another grid, even of the same shape, belong to another band
         if samples.grid != self.grid:
             raise ConfigurationError("samples and operator must have the same grids")
-        return modular_reconstruct(samples, self.kind, self.modules).values
+        placed = np.zeros(tuple([g.n_fine for g in self.grid]))
+        placed[lattice(self.grid)] = samples.values
+        return self.apply_values(placed)
 
 
 @dataclass(frozen=True)
@@ -170,9 +165,8 @@ class ReconReport:
     update norm grew three iterations in a row, signalling a relaxation
     parameter (or frame bounds) outside the convergent range.
     ``operator_applications`` counts the fine-grid passes of G made by the
-    call, the observation included: ``iterations + 1`` for :func:`iterate`'s
-    plain loop, ``iterations`` for its Chebyshev loop, and 0 for
-    :func:`spectral_iterate`, which works on DFT coefficients throughout.
+    call; it is 0 for every call, since :func:`iterate` works on DFT
+    coefficients throughout, and is kept for the benchmark's tracer.
     """
 
     estimate: DenseSignal
@@ -181,11 +175,6 @@ class ReconReport:
     snr_initial_db: Optional[float] = None
     snr_trace_db: Optional[list] = None
     non_contraction: bool = False
-
-
-def apply_operator(x: DenseSignal, op: ReconOperator) -> DenseSignal:
-    """Apply G once to a dense signal."""
-    return x.with_values(op.apply_values(x.values))
 
 
 SnrOf = Optional[Callable[[np.ndarray], float]]
@@ -256,36 +245,6 @@ def chebyshev_lambdas(a: float, b: float, count: int) -> tuple:
     for _ in range(1, max(count, 1)):
         lams.append(1.0 / (1.0 - rho_sq * lams[-1] / 4.0))
     return tuple(lams)
-
-
-def iterate(
-    observed: CoarseSamples,
-    cfg: ReconConfig,
-    reference: Optional[DenseSignal] = None,
-) -> ReconReport:
-    """Reconstruct a dense signal from its coarse samples, on any number of axes.
-
-    Runs the plain relaxed loop, or the Chebyshev recursion when
-    ``cfg.acceleration`` is set.  With a reference, every iterate's SNR
-    against it is traced.
-    """
-    op = cfg.operator
-    g_obs = op.observation(observed)
-    snr_of = None
-    if reference is not None:
-        snr_of = lambda v: snr_db(reference, v)
-    loop = _plain_loop if cfg.acceleration is None else _chebyshev_loop
-    xk, init_snr, trace, update_norms = loop(
-        g_obs, op.apply_values, cfg, snr_of, np.linalg.norm
-    )
-    return ReconReport(
-        estimate=DenseSignal(op.grid, xk),
-        iterations_run=cfg.iterations,
-        operator_applications=1 + len(update_norms),  # the observation is one pass
-        snr_initial_db=init_snr,
-        snr_trace_db=trace,
-        non_contraction=_non_contraction(update_norms),
-    )
 
 
 @lru_cache(maxsize=32)
@@ -359,19 +318,31 @@ def _band_observation(op: ReconOperator, values: np.ndarray):
     return np.ix_(*index), g_obs * _outer(weight), _outer(gain)
 
 
-def spectral_iterate(observed: CoarseSamples, cfg: ReconConfig) -> ReconReport:
-    """The iterate :func:`iterate` returns, computed per DFT bin; no SNR trace.
+def iterate(
+    observed: CoarseSamples,
+    cfg: ReconConfig,
+    reference: Optional[DenseSignal] = None,
+) -> ReconReport:
+    """Reconstruct a dense signal from its coarse samples, on any number of axes.
 
-    Runs the plain or Chebyshev loop on the observation's band coefficients
+    Runs the plain relaxed loop, or the Chebyshev recursion when
+    ``cfg.acceleration`` is set, on the observation's band coefficients
     (:func:`_band_observation`) with G as the per-bin gain, measured once
-    per axis and cached.  The only fine-grid transform is the one ``irfftn``
-    that returns the estimate.
+    per axis and cached.  With a reference, every iterate's SNR against it
+    is traced, at one ``irfftn`` per traced iterate; the only other
+    fine-grid transform is the ``irfftn`` that returns the estimate.
     """
     op = cfg.operator
     if observed.grid != op.grid:
         raise ConfigurationError("samples and operator must have the same grids")
     shape = tuple([g.n_fine for g in op.grid])
     band, g_obs, gain = _band_observation(op, observed.values)
+
+    def values_of(coeffs):
+        # allocated per call, so an untraced loop's peak memory is the band alone
+        spectrum = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
+        spectrum[band] = coeffs
+        return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape))))
 
     def norm(coeffs):
         # Parseval on rfftn's half spectrum: each last-axis bin but 0 stands
@@ -380,16 +351,17 @@ def spectral_iterate(observed: CoarseSamples, cfg: ReconConfig) -> ReconReport:
         total -= np.vdot(coeffs[..., 0], coeffs[..., 0]).real
         return np.sqrt(total / np.prod(shape))
 
+    snr_of = None
+    if reference is not None:
+        snr_of = lambda c: snr_db(reference, values_of(c))
     loop = _plain_loop if cfg.acceleration is None else _chebyshev_loop
-    coeffs, _, _, update_norms = loop(g_obs, lambda v: gain * v, cfg, None, norm)
-    # allocated only now, so the loop's peak memory is the band alone
-    spectrum = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
-    spectrum[band] = coeffs
-    values = np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape))))
+    coeffs, init_snr, trace, update_norms = loop(g_obs, lambda v: gain * v, cfg, snr_of, norm)
     return ReconReport(
-        estimate=DenseSignal(op.grid, values),
+        estimate=DenseSignal(op.grid, values_of(coeffs)),
         iterations_run=cfg.iterations,
         operator_applications=0,
+        snr_initial_db=init_snr,
+        snr_trace_db=trace,
         non_contraction=_non_contraction(update_norms),
     )
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from interpcomp import cli
 from interpcomp.cli import main
 from interpcomp.imagebench import GrayImage, read_pgm, synthetic_scene, write_pgm
 
@@ -80,6 +81,32 @@ class TestConvergence:
         code = run([command, flag, ",", "--trials", 1, "--out", out])
         assert code == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lambda-sweep", "--lambda-grid", "0.5,1.0,2.5"],
+            ["convergence", "--modules", "0,1,9"],
+            ["noise", "--modules", "0,1,9"],
+            ["rate", "--k-rates", "1,2,0"],
+        ],
+        ids=["lambda-sweep", "convergence", "noise", "rate"],
+    )
+    def test_bad_list_value_runs_no_trial(self, tmp_path, monkeypatch, argv):
+        # the last value is bad; it must stop the run before the first trial,
+        # not after the trials of the values before it
+        calls = []
+        solve = cli.iterate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "iterate", counted)
+        out = tmp_path / "x.csv"
+        assert run([*argv, "--trials", 1, "--n-coarse", 32, "--out", out]) == 2
+        assert len(calls) == 0
         assert not out.exists()
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
@@ -241,7 +268,8 @@ class TestImage:
         assert math.isfinite(float(row["psnr_db"]))
 
     def test_modules_zero_without_hybrid(self, tmp_path):
-        # only the hybrid mixes, so only its row reports modules
+        # only the hybrid mixes, so only its row reports modules; bilinear
+        # does not iterate, so its row reports no iterations and no lambda
         src = tmp_path / "scene.pgm"
         write_pgm(synthetic_scene(32, 32, seed=4), src)
         out_dir = tmp_path / "bench"
@@ -249,8 +277,9 @@ class TestImage:
             ["image", src, "--methods", "bilinear,iterative:2,hybrid:2:1", "--out-dir", out_dir]
         ) == 0
         rows = read_rows(out_dir / "psnr.csv")
-        assert [(r["method"], r["modules"]) for r in rows] == [
-            ("bilinear", "0"), ("iterative(2)", "0"), ("hybrid(2,1)", "1"),
+        assert [(r["method"], r["iters"], r["modules"], r["lambda"]) for r in rows] == [
+            ("bilinear", "0", "0", ""), ("iterative(2)", "2", "0", "1.0"),
+            ("hybrid(2,1)", "2", "1", "1.0"),
         ]
 
     def test_bad_method_token_exit_code(self, tmp_path, capsys):

@@ -7,18 +7,28 @@ output on purpose regenerates the copies with
     PYTHONPATH=src python tests/golden/regenerate.py
 
 and the diff shows which numbers moved.
+
+The trial experiments' SNR cells are also checked against the same runs on
+the fine-grid reference solve, under the benchmark's output rule: a cell
+agrees to ``SNR_TOL_DB``, or both values sit at or above ``FLOOR_DB``, on
+the float64 floor, where rounding alone moves a cell by whole dB.
 """
 
 import contextlib
+import csv
 import io
 from pathlib import Path
 
 import pytest
 
+from fine_reference import fine_iterate
+from interpcomp import cli
 from interpcomp.cli import main
 from interpcomp.imagebench import synthetic_scene, write_pgm
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SNR_TOL_DB = 1e-3
+FLOOR_DB = 240.0
 
 SMALL_1D = ["--trials", "3", "--iterations", "4", "--n-coarse", "32", "--seed", "5"]
 SMALL_2D = [
@@ -76,3 +86,25 @@ def test_output_bytes_match_golden(case, tmp_path):
     assert sorted(got) == sorted(golden)
     changed = [name for name in golden if got[name] != golden[name]]
     assert changed == [], f"{case}: output differs from tests/golden/{case}/ in {changed}"
+
+
+def read_table(data: bytes) -> list:
+    return list(csv.DictReader(io.StringIO(data.decode())))
+
+
+@pytest.mark.parametrize("case", ["convergence_1d", "convergence_2d", "noise_1d", "noise_2d"])
+def test_snr_cells_match_fine_reference(case, tmp_path, monkeypatch):
+    (tmp_path / "band").mkdir()
+    (tmp_path / "fine").mkdir()
+    got = produce(case, tmp_path / "band")
+    monkeypatch.setattr(cli, "iterate", fine_iterate)
+    want = produce(case, tmp_path / "fine")
+    assert sorted(got) == sorted(want)
+    for name in want:
+        got_rows, want_rows = read_table(got[name]), read_table(want[name])
+        assert len(got_rows) == len(want_rows) > 0
+        for g, w in zip(got_rows, want_rows):
+            a, b = float(g.pop("mean_snr_db")), float(w.pop("mean_snr_db"))
+            assert g == w
+            on_floor = a >= FLOOR_DB and b >= FLOOR_DB
+            assert on_floor or abs(a - b) <= SNR_TOL_DB, (name, w, a, b)
