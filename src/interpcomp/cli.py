@@ -103,17 +103,27 @@ def _configs(args, kind, series) -> List[ReconConfig]:
     return configs
 
 
-def _mean_traces(args, cfg, noise_db=None):
-    """Mean initial SNR and mean per-iteration SNR trace over the trial set."""
-    inits, traces = [], []
+def _mean_traces(args, configs, noise_db=None) -> list:
+    """Mean initial SNR and mean per-iteration SNR trace of each configuration over the trials.
+
+    A trial's signal and samples are made once per grid and shared by every
+    configuration on that grid.
+    """
+    inits, traces = [[] for _ in configs], [[] for _ in configs]
     for t in range(args.trials):
         seed = args.seed + t
-        x = gen_bandlimited(seed, cfg.operator.grid, DEFAULT_POWER_DB)
-        observed = add_awgn(x, noise_db, seed + 10_000_019) if noise_db is not None else x
-        rep = iterate(sample(observed), cfg, reference=x)
-        inits.append(rep.snr_initial_db)
-        traces.append(rep.snr_trace_db)
-    return float(np.mean(inits)), np.mean(np.asarray(traces), axis=0)
+        trials = {}
+        for i, cfg in enumerate(configs):
+            grid = cfg.operator.grid
+            if grid not in trials:
+                x = gen_bandlimited(seed, grid, DEFAULT_POWER_DB)
+                observed = add_awgn(x, noise_db, seed + 10_000_019) if noise_db is not None else x
+                trials[grid] = x, sample(observed)
+            x, samples = trials[grid]
+            rep = iterate(samples, cfg, reference=x)
+            inits[i].append(rep.snr_initial_db)
+            traces[i].append(rep.snr_trace_db)
+    return [(float(np.mean(a)), np.mean(np.asarray(b), axis=0)) for a, b in zip(inits, traces)]
 
 
 def cmd_convergence(args) -> int:
@@ -131,8 +141,8 @@ def cmd_convergence(args) -> int:
         extra = (noise_db,)
     series = [(m, args.relax, args.k_rate) for m in _nonempty(args.modules, "--modules")]
     rows = []
-    for cfg in _configs(args, kind, series):
-        _, trace = _mean_traces(args, cfg, noise_db)
+    configs = _configs(args, kind, series)
+    for cfg, (_, trace) in zip(configs, _mean_traces(args, configs, noise_db)):
         for it, snr in enumerate(trace, start=1):
             rows.append(
                 (kind.value, cfg.operator.modules, args.relax, args.k_rate, it, float(snr),
@@ -150,8 +160,8 @@ def cmd_lambda_sweep(args) -> int:
         if not 0.0 < lam < 2.0:
             raise UsageError(f"lambda grid values must lie in (0, 2), got {lam}")
     rows = []
-    for cfg in _configs(args, kind, [(args.modules_single, lam, args.k_rate) for lam in lams]):
-        init, trace = _mean_traces(args, cfg)
+    configs = _configs(args, kind, [(args.modules_single, lam, args.k_rate) for lam in lams])
+    for cfg, (init, trace) in zip(configs, _mean_traces(args, configs)):
         rows.append((cfg.relax, (float(trace[-1]) - init) / args.iterations))
     path = _write_csv(args.out, ["lambda", "avg_db_per_iteration"], rows)
     print(path)
@@ -162,8 +172,8 @@ def cmd_rate(args) -> int:
     kind = _kind(args.kind)
     ks = _nonempty(args.k_rates, "--k-rates")
     per_rate = []
-    for k, cfg in zip(ks, _configs(args, kind, [(args.modules_single, args.relax, k) for k in ks])):
-        init, trace = _mean_traces(args, cfg)
+    configs = _configs(args, kind, [(args.modules_single, args.relax, k) for k in ks])
+    for k, (init, trace) in zip(ks, _mean_traces(args, configs)):
         per_rate.append((k, init, trace, (float(trace[-1]) - init) / args.iterations))
     base_gain = per_rate[0][3]
     rows = []

@@ -171,7 +171,8 @@ def snr_db(reference, estimate) -> float:
     """Interior SNR in dB; ``EDGE_IGNORE_FRAC`` of each axis is excluded at both ends.
 
     Accepts :class:`DenseSignal` or plain arrays of equal shape.  Returns
-    ``math.inf`` when the interior error is exactly zero.
+    ``math.inf`` when the interior error is exactly zero, and ``-math.inf``
+    when only the interior reference is.
     """
     ref = np.asarray(getattr(reference, "values", reference), dtype=np.float64)
     est = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)
@@ -184,7 +185,10 @@ def snr_db(reference, estimate) -> float:
     err = float(np.sum(e * e))
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(float(np.sum(r * r)) / err)
+    energy = float(np.sum(r * r))
+    if energy == 0.0:
+        return -math.inf
+    return 10.0 * math.log10(energy / err)
 
 
 def psnr_db(reference, estimate) -> float:

@@ -34,23 +34,24 @@ G sees a signal only through its samples, so the observation is G applied
 to the samples' trigonometric interpolant, whose coefficient at band bin k
 is ``ticks_per_sample`` times the coarse spectrum at k mod ``n_coarse``
 (halved at the coarse Nyquist bin): the observation's band is that times
-the gain.  So the gain is the solve's only measurement of G, and inverse
-transforms of the band, for the estimate and for each traced SNR, its only
-fine-grid work.
+the gain.  The gain itself has a closed form (:func:`_axis_band`), a sum of
+the interpolator kernel's DFT over the mixer's harmonics, so the solve never
+runs G: inverse transforms of the band, for the estimate and for each
+traced SNR, are its only fine-grid work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .modular import _mix_axis
-from .samplers import CoarseSamples, InterpKind, _interp_axis, lattice
+from .modular import cosine_mix
+from .samplers import CoarseSamples, InterpKind, interpolate, lattice, sample
 from .signal_core import ConfigurationError, DenseSignal, GridSpec, per_axis, snr_db
-from .spectral import _gain_mask, lowpass_array
+from .spectral import _gain_mask, lowpass
 
 __all__ = [
     "SingularSystemError",
@@ -65,9 +66,6 @@ __all__ = [
 
 # fixed_point_oracle builds a dense matrix; keep instances small
 ORACLE_MAX_FINE = 512
-# a measured per-bin gain is taken as real when its imaginary part is below
-# this fraction of its largest value (rounding leaves about 1e-15)
-GAIN_IMAG_TOL = 1e-9
 
 
 class SingularSystemError(ValueError):
@@ -98,15 +96,8 @@ class ReconOperator:
             )
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        axes = range(len(self.grid) - 1, -1, -1)
-        out = values[lattice(self.grid)]
-        for axis in axes:
-            out = _interp_axis(out, self.grid[axis], self.kind, axis)
-        for axis in axes:
-            out = _mix_axis(out, self.grid[axis].ticks_per_sample, self.modules, axis)
-        for axis in axes:
-            out = lowpass_array(out, self.grid[axis], axis)
-        return out
+        signal = sample(DenseSignal(self.grid, values))
+        return lowpass(cosine_mix(interpolate(signal, self.kind), self.modules)).values
 
     def observation(self, samples: CoarseSamples) -> np.ndarray:
         """G applied to the samples placed on the lattice of a zero fine array."""
@@ -161,9 +152,11 @@ class ReconReport:
     ``snr_trace_db[j]`` is the SNR of the estimate after iteration ``j+1``;
     ``snr_initial_db`` is the SNR of the starting estimate (the simply
     filtered reconstruction), or None when no reference was supplied or the
-    run was Chebyshev-accelerated.  ``non_contraction`` is set when the
-    update norm grew three iterations in a row, signalling a relaxation
-    parameter (or frame bounds) outside the convergent range.
+    run was Chebyshev-accelerated.  ``non_contraction`` is the exact per-bin
+    criterion: it is set when some band bin does not contract, that is when
+    ``max |1 - s*G̃| >= 1`` over the band, with ``s`` the relaxation
+    parameter, or ``2/(A+B)`` under Chebyshev acceleration.  It depends on
+    the configuration alone, not on the samples.
     ``operator_applications`` counts the fine-grid passes of G made by the
     call; it is 0 for every call, since :func:`iterate` works on DFT
     coefficients throughout, and is kept for the benchmark's tracer.
@@ -178,29 +171,22 @@ class ReconReport:
 
 
 SnrOf = Optional[Callable[[np.ndarray], float]]
-NormOf = Callable[[np.ndarray], float]
 
 
-def _plain_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf, norm: NormOf):
-    """Relaxed fixed-point loop from ``relax * g_obs``; one G pass per iteration.
-
-    ``norm`` measures each update as the fine-grid 2-norm of the step.
-    """
+def _plain_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf):
+    """Relaxed fixed-point loop from ``relax * g_obs``; one G pass per iteration."""
     relax = cfg.relax
     xk = relax * g_obs
     init_snr = snr_of(xk) if snr_of else None
     trace = [] if snr_of else None
-    update_norms = []
     for _ in range(cfg.iterations):
-        step = relax * (g_obs - apply_g(xk))
-        xk = xk + step
-        update_norms.append(float(norm(step)))
+        xk = xk + relax * (g_obs - apply_g(xk))
         if snr_of:
             trace.append(snr_of(xk))
-    return xk, init_snr, trace, update_norms
+    return xk, init_snr, trace
 
 
-def _chebyshev_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf, norm: NormOf):
+def _chebyshev_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf):
     """Three-term recursion seeded as the frame algorithm.
 
     The reference state is zero and the first iterate is ``2/(A+B)`` times
@@ -212,24 +198,23 @@ def _chebyshev_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf,
     x_prev = np.zeros_like(g_obs)  # algebraic seed of the three-term recursion
     x_cur = scale * g_obs
     trace = [snr_of(x_cur)] if snr_of else None
-    update_norms = []
     for lam in chebyshev_lambdas(accel.a, accel.b, cfg.iterations)[1:]:
         x_next = lam * (x_cur - x_prev + scale * (g_obs - apply_g(x_cur))) + x_prev
-        update_norms.append(float(norm(x_next - x_cur)))
         x_prev, x_cur = x_cur, x_next
         if snr_of:
             trace.append(snr_of(x_cur))
-    return x_cur, None, trace, update_norms
+    return x_cur, None, trace
 
 
-def _non_contraction(update_norms: List[float]) -> bool:
-    """True when the update norm grew in three consecutive iterations."""
-    streak = 0
-    for prev, cur in zip(update_norms, update_norms[1:]):
-        streak = streak + 1 if cur > prev else 0
-        if streak >= 3:
-            return True
-    return False
+def _non_contraction(cfg: ReconConfig, gain: np.ndarray) -> bool:
+    """True when some bin of ``gain`` does not contract: ``max |1 - s*gain| >= 1``.
+
+    ``s`` is ``relax`` for the plain loop; the Chebyshev recursion converges
+    on a bin exactly when ``|1 - 2*gain/(A+B)| < 1``, so there it is ``2/(A+B)``.
+    """
+    accel = cfg.acceleration
+    step = cfg.relax if accel is None else 2.0 / (accel.a + accel.b)
+    return bool(np.max(np.abs(1.0 - step * gain)) >= 1.0)
 
 
 @lru_cache(maxsize=32)
@@ -247,51 +232,38 @@ def chebyshev_lambdas(a: float, b: float, count: int) -> tuple:
     return tuple(lams)
 
 
-@lru_cache(maxsize=32)
-def _band_gain(op: ReconOperator) -> np.ndarray:
-    """Per-bin gain of a 1-D operator on the rfft bins its lowpass passes.
-
-    Measured once per operator, that is per (grid, kind, modules), by
-    running G on the band-limited impulse (the lowpass mask as a spectrum)
-    and dividing spectra.  The closed form needs a zero-phase G, so a gain
-    that is not real raises ``ConfigurationError``.
-    """
-    n = op.grid[0].n_fine
-    mask = _gain_mask(n, op.grid[0].band_edge)
-    band = mask > 0
-    response = np.fft.rfft(op.apply_values(np.fft.irfft(mask, n)))
-    gain = response[band] / mask[band]
-    if np.max(np.abs(gain.imag)) > GAIN_IMAG_TOL * np.max(np.abs(gain.real)):
-        raise ConfigurationError(
-            "the operator's per-bin gain is not real (it shifts phase), "
-            "so it has no per-bin closed form"
-        )
-    gain = gain.real
-    gain.setflags(write=False)
-    return gain
-
-
-def _axis_band(op: ReconOperator, last: bool):
+@lru_cache(maxsize=64)
+def _axis_band(grid: GridSpec, kind: InterpKind, modules: int, last: bool):
     """Band bins of one axis of ``rfftn``'s output, with the observation's weight and G's gain.
 
     The last axis holds rfft bins 0..B; any other axis holds full-FFT bins,
-    so its band is 0..B and n-B..n-1, folded onto rfft bin |k| for the gain.
-    The weight is ``ticks_per_sample`` times the gain, halved at the coarse
-    Nyquist bin ``2|k| == n_coarse`` (only at ``rate_multiple`` 1 with even
-    ``n_coarse``): the observation's coefficient at fine bin k is the weight
-    times the coarse spectrum at bin k mod ``n_coarse``.
+    so its band is the signed bins 0..B and -B..-1, the latter at n+k.  At
+    signed bin k, with f = (k + m*n_coarse)/n_fine, G's gain before the
+    lowpass is ``raw(k) = sum over |m| <= modules of kernel(f)``: sampling
+    folds bins ``n_coarse`` apart together, the interpolator scales each by
+    its kernel's DFT, and the mixer's m-th harmonic shifts bin k + m*n_coarse
+    back onto k.  The kernel term is ``sin(pi f R) cot(pi f) / R`` for the
+    centred hold with half-weight ends and ``(sin(pi f R) / (R sin(pi f)))**2``
+    for the triangle.  The observation's weight is ``R * mask(|k|) * raw(k)``,
+    and the gain ``mask(|k|) * raw(k)``, except at the coarse Nyquist bin
+    ``2|k| == n_coarse`` (only at ``rate_multiple`` 1 with even ``n_coarse``),
+    where the mirror bin undoes the mask's halving and the gain is raw(k).
     """
-    gain = _band_gain(op)
-    grid = op.grid[0]
-    fold = np.arange(gain.size)
-    index = fold
-    if not last:
-        mirror = np.arange(gain.size - 1, 0, -1)
-        fold = np.concatenate([fold, mirror])
-        index = np.concatenate([index, grid.n_fine - mirror])
-    weight = grid.ticks_per_sample * gain[fold]
-    weight[2 * fold == grid.n_coarse] *= 0.5
-    return index, weight, gain[fold]
+    n, r = grid.n_fine, grid.ticks_per_sample
+    mask = _gain_mask(n, grid.band_edge)
+    top = np.count_nonzero(mask) - 1
+    k = np.arange(top + 1) if last else np.concatenate([np.arange(top + 1), np.arange(-top, 0)])
+    f = (k[:, np.newaxis] + grid.n_coarse * np.arange(-modules, modules + 1)) / n
+    hold = kind is InterpKind.SAMPLE_AND_HOLD
+    den = r * (np.tan(np.pi * f) if hold else np.sin(np.pi * f))
+    # every term is 1 at f = 0, the only f at which den vanishes
+    term = np.divide(np.sin(np.pi * f * r), den, out=np.ones_like(f), where=f != 0)
+    raw = np.sum(term if hold else term * term, axis=1)
+    masked = mask[np.abs(k)] * raw
+    out = k % n, r * masked, np.where(2 * np.abs(k) == grid.n_coarse, raw, masked)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _outer(vectors) -> np.ndarray:
@@ -311,7 +283,7 @@ def _band_observation(op: ReconOperator, values: np.ndarray):
     """
     ndim = len(op.grid)
     index, weight, gain = zip(
-        *[_axis_band(replace(op, grid=g), axis == ndim - 1) for axis, g in enumerate(op.grid)]
+        *[_axis_band(g, op.kind, op.modules, axis == ndim - 1) for axis, g in enumerate(op.grid)]
     )
     coarse = np.fft.rfftn(values, axes=tuple(range(ndim)))
     g_obs = coarse[np.ix_(*[k % g.n_coarse for k, g in zip(index, op.grid)])]
@@ -327,7 +299,7 @@ def iterate(
 
     Runs the plain relaxed loop, or the Chebyshev recursion when
     ``cfg.acceleration`` is set, on the observation's band coefficients
-    (:func:`_band_observation`) with G as the per-bin gain, measured once
+    (:func:`_band_observation`) with G as the per-bin gain, in closed form
     per axis and cached.  With a reference, every iterate's SNR against it
     is traced, at one ``irfftn`` per traced iterate; the only other
     fine-grid transform is the ``irfftn`` that returns the estimate.
@@ -344,25 +316,18 @@ def iterate(
         spectrum[band] = coeffs
         return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape))))
 
-    def norm(coeffs):
-        # Parseval on rfftn's half spectrum: each last-axis bin but 0 stands
-        # for its mirror too (the band never reaches Nyquist: band_edge <= 1/4)
-        total = 2.0 * np.vdot(coeffs, coeffs).real
-        total -= np.vdot(coeffs[..., 0], coeffs[..., 0]).real
-        return np.sqrt(total / np.prod(shape))
-
     snr_of = None
     if reference is not None:
         snr_of = lambda c: snr_db(reference, values_of(c))
     loop = _plain_loop if cfg.acceleration is None else _chebyshev_loop
-    coeffs, init_snr, trace, update_norms = loop(g_obs, lambda v: gain * v, cfg, snr_of, norm)
+    coeffs, init_snr, trace = loop(g_obs, lambda v: gain * v, cfg, snr_of)
     return ReconReport(
         estimate=DenseSignal(op.grid, values_of(coeffs)),
         iterations_run=cfg.iterations,
         operator_applications=0,
         snr_initial_db=init_snr,
         snr_trace_db=trace,
-        non_contraction=_non_contraction(update_norms),
+        non_contraction=_non_contraction(cfg, gain),
     )
 
 

@@ -6,7 +6,6 @@ import pytest
 from interpcomp import (
     GridSpec,
     InterpKind,
-    ReconOperator,
     UsageError,
     contraction_factor,
     distortion_gain,
@@ -18,7 +17,7 @@ from interpcomp import (
     predicted_gain_db,
 )
 from interpcomp.analysis import analyze
-from interpcomp.solver import _band_gain
+from interpcomp.solver import _axis_band
 
 SH = InterpKind.SAMPLE_AND_HOLD
 LI = InterpKind.LINEAR
@@ -48,13 +47,13 @@ class TestDistortionGain:
     @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
     def test_discrete_band_edge_gain_converges(self, kind):
         # the fine grid samples the continuous interpolator kernel every
-        # 1/R of a sampling interval, so the measured band-edge gain of the
-        # discrete G misses the continuous sinc^p by O(1/R^2): the error
-        # falls about 4x per doubling of R (S&H: 0.63457 at R=16)
+        # 1/R of a sampling interval, so the band-edge gain of the discrete
+        # G misses the continuous sinc^p by O(1/R^2): the error falls about
+        # 4x per doubling of R (S&H: 0.63457 at R=16)
         target = distortion_gain(kind, 0, 0.5)
         errors = []
         for ticks in (16, 32, 64, 128):
-            gain = _band_gain(ReconOperator(GridSpec(8, ticks), kind, 0))
+            gain = _axis_band(GridSpec(8, ticks), kind, 0, True)[2]
             errors.append(abs(gain[-1] - target))
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.9 < coarse / fine < 4.1

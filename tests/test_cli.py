@@ -109,6 +109,32 @@ class TestConvergence:
         assert len(calls) == 0
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,per_trial",
+        [
+            (["convergence", "--modules", "0,1,2"], 1),
+            (["noise", "--modules", "0,1"], 1),
+            (["lambda-sweep", "--lambda-grid", "0.5,1.0"], 1),
+            (["rate", "--k-rates", "1,2"], 2),
+        ],
+        ids=["convergence", "noise", "lambda-sweep", "rate"],
+    )
+    def test_one_signal_per_trial_and_grid(self, tmp_path, monkeypatch, argv, per_trial):
+        # every configuration on a grid reads the same trial signals, so they
+        # are generated once per (seed, grid), not once per configuration
+        seeds = []
+        generate = cli.gen_bandlimited
+
+        def counted(seed, *args, **kwargs):
+            seeds.append(seed)
+            return generate(seed, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "gen_bandlimited", counted)
+        out = tmp_path / "x.csv"
+        argv = [*argv, "--trials", 3, "--iterations", 2, "--n-coarse", 32, "--seed", 4]
+        assert run([*argv, "--out", out]) == 0
+        assert sorted(seeds) == sorted([4, 5, 6] * per_trial)
+
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INTERPCOMP_OUT_DIR", str(tmp_path / "outputs"))
         assert run(

@@ -125,6 +125,11 @@ class TestSnr:
         zero = bl_signal.with_values(np.zeros_like(bl_signal.values))
         assert snr_db(bl_signal, zero) == pytest.approx(0.0, abs=1e-12)
 
+    def test_silent_reference(self):
+        # no reference energy: any error is infinitely loud, none is a match
+        assert snr_db(np.zeros(20), np.ones(20)) == -math.inf
+        assert snr_db(np.zeros(20), np.zeros(20)) == math.inf
+
     def test_interior_offset_matches_direct_sum(self, grid):
         n = grid.n_fine
         t = np.arange(n)

@@ -18,8 +18,8 @@ from interpcomp import (
     iterate,
     sample,
 )
-from interpcomp import solver
-from fine_reference import fine_iterate
+from interpcomp import modular, samplers, solver, spectral
+from fine_reference import fine_iterate, measured_gain
 from interpcomp.samplers import CoarseSamples, interpolate
 from interpcomp.spectral import lowpass_array
 
@@ -331,6 +331,7 @@ class TestSpectralIterate:
                 err = np.max(np.abs(rep.estimate.values - ref.estimate.values))
                 assert err <= 1e-12 * np.max(np.abs(ref.estimate.values)), (modules, loop)
                 assert rep.operator_applications == 0
+                assert rep.non_contraction == ref.non_contraction
                 assert (rep.snr_initial_db is None) == (ref.snr_initial_db is None)
                 assert len(rep.snr_trace_db) == len(ref.snr_trace_db)
                 cells = list(zip(rep.snr_trace_db, ref.snr_trace_db))
@@ -358,18 +359,9 @@ class TestSpectralIterate:
             ref = np.fft.rfftn(op.observation(s))[band]
             assert np.max(np.abs(g_obs - ref)) <= 1e-12 * np.max(np.abs(ref)), modules
 
-    def test_no_fine_grid_pass(self, monkeypatch):
-        # a guard against a fine-grid pass of G coming back: once the
-        # per-axis gains are cached, the solve interpolates, mixes and
-        # lowpasses nothing; it transforms the coarse values once, and the
-        # band back to the fine grid once per traced iterate (the start and
-        # 10 iterations) and once for the estimate
-        grid = (GridSpec(24, 8), GridSpec(16, 4))
-        x = gen_bandlimited(4, grid, 0.0)
-        s = sample(x)
-        cfg = ReconConfig(ReconOperator(grid, SH, 1), iterations=10)
-        warm = iterate(s, cfg).estimate.values
-        stages, transforms = [], []
+    def stage_calls(self, monkeypatch):
+        """Record every call of a stage of G, patched where the stage is defined."""
+        stages = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -377,6 +369,18 @@ class TestSpectralIterate:
                 return fn(*args, **kwargs)
 
             return wrapper
+
+        for module, name in ((samplers, "_interp_axis"), (modular, "_mix_axis"),
+                             (spectral, "lowpass_array")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(
+            ReconOperator, "apply_values", counted("apply_values", ReconOperator.apply_values)
+        )
+        return stages
+
+    def transform_calls(self, monkeypatch):
+        """Record every numpy.fft call as (name, input shape, output shape)."""
+        transforms = []
 
         def recorded(name, fn):
             def wrapper(a, *args, **kwargs):
@@ -386,13 +390,22 @@ class TestSpectralIterate:
 
             return wrapper
 
-        for name in ("_interp_axis", "_mix_axis", "lowpass_array"):
-            monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
-        monkeypatch.setattr(
-            ReconOperator, "apply_values", counted("apply_values", ReconOperator.apply_values)
-        )
         for name in self.FFT_NAMES:
             monkeypatch.setattr(np.fft, name, recorded(name, getattr(np.fft, name)))
+        return transforms
+
+    def test_no_fine_grid_pass(self, monkeypatch):
+        # a guard against a fine-grid pass of G coming back: the solve
+        # interpolates, mixes and lowpasses nothing; it transforms the coarse
+        # values once, and the band back to the fine grid once per traced
+        # iterate (the start and 10 iterations) and once for the estimate
+        grid = (GridSpec(24, 8), GridSpec(16, 4))
+        x = gen_bandlimited(4, grid, 0.0)
+        s = sample(x)
+        cfg = ReconConfig(ReconOperator(grid, SH, 1), iterations=10)
+        warm = iterate(s, cfg).estimate.values
+        stages = self.stage_calls(monkeypatch)
+        transforms = self.transform_calls(monkeypatch)
         for reference, traced in ((None, 0), (x, 11)):
             stages.clear()
             transforms.clear()
@@ -404,44 +417,24 @@ class TestSpectralIterate:
             assert rep.operator_applications == 0
             np.testing.assert_array_equal(rep.estimate.values, warm)
 
-    def test_gain_is_the_only_measurement(self, monkeypatch):
-        # G sees a signal only through its samples, so the observation's band
-        # is the measured gain times the band of the samples' trigonometric
-        # interpolant: a cold solve runs G once per axis, on that axis's
-        # band-limited impulse, and measures nothing else
-        solver._band_gain.cache_clear()
+    def test_cold_solve_runs_no_stage_of_g(self, monkeypatch):
+        # the per-bin gain is in closed form, so a solve with an empty cache
+        # runs no stage of G either, and transforms exactly as a warm one
         grid = (GridSpec(20, 6), GridSpec(14, 4))
         s = sample(gen_bandlimited(4, grid, 0.0))
-        applied, interp_inside, transforms = [], [], []
-        in_apply = [False]
-        apply_values, interp_axis = ReconOperator.apply_values, solver._interp_axis
-
-        def counted_apply(op, values):
-            applied.append(np.shape(values))
-            in_apply[0] = True
-            out = apply_values(op, values)
-            in_apply[0] = False
-            return out
-
-        def counted_interp(*args, **kwargs):
-            interp_inside.append(in_apply[0])
-            return interp_axis(*args, **kwargs)
-
-        def named(name, fn):
-            def wrapper(*args, **kwargs):
-                transforms.append(name)
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(ReconOperator, "apply_values", counted_apply)
-        monkeypatch.setattr(solver, "_interp_axis", counted_interp)
-        for name in self.FFT_NAMES:
-            monkeypatch.setattr(np.fft, name, named(name, getattr(np.fft, name)))
-        iterate(s, ReconConfig(ReconOperator(grid, SH, 1), iterations=10))
-        assert sorted(applied) == sorted((g.n_fine,) for g in grid)
-        assert interp_inside == [True, True]
-        assert "fft" not in transforms
+        cfg = ReconConfig(ReconOperator(grid, SH, 1), iterations=10)
+        stages = self.stage_calls(monkeypatch)
+        transforms = self.transform_calls(monkeypatch)
+        solver._axis_band.cache_clear()
+        cold = iterate(s, cfg).estimate.values
+        cold_transforms = list(transforms)
+        transforms.clear()
+        warm = iterate(s, cfg).estimate.values
+        assert stages == []
+        assert cold_transforms == transforms == [
+            ("rfftn", (20, 14), (20, 8)), ("irfftn", (120, 29), (120, 56))
+        ]
+        np.testing.assert_array_equal(cold, warm)
 
     def test_divergence_flagged(self, grid):
         # 1-module gain peaks at 1.061: relax=1.95 pushes |1-relax*H| past 1
@@ -453,17 +446,44 @@ class TestSpectralIterate:
         plain = ReconOperator(grid, SH, 0)
         rep = iterate(s, ReconConfig(plain, relax=1.0, iterations=12))
         assert not rep.non_contraction
+        # |1 - 1.9*1.061| = 1.016: diverging too slowly for 10 iterations of
+        # update norms to show it, but a bin does not contract
+        rep = iterate(s, ReconConfig(op, relax=1.9, iterations=10))
+        assert rep.non_contraction
+        # Chebyshev steps by 2/(A+B): bounds far below the gain overshoot it
+        rep = iterate(s, ReconConfig(op, iterations=10, acceleration=ChebyshevAccel(0.3, 0.4)))
+        assert rep.non_contraction
+        # the default bounds do not bracket the plain gain [0.645, 1], yet
+        # 2/(A+B) = 2/3 still contracts every bin
+        rep = iterate(s, ReconConfig(plain, iterations=10, acceleration=ChebyshevAccel(1, 2)))
+        assert not rep.non_contraction
+        # a converged run whose updates are rounding noise is not flagged
+        x = gen_bandlimited(5, grid, 34.0)
+        rep = iterate(s, ReconConfig(op, iterations=60), reference=x)
+        assert rep.snr_trace_db[-1] > 240.0
+        assert not rep.non_contraction
 
-    def test_phase_shifted_operator_rejected(self, grid):
-        # a G delayed by one tick is still diagonal in the DFT, but its gain
-        # is complex, which the real per-bin closed form does not cover
-        class RolledOperator(ReconOperator):
-            def apply_values(self, values):
-                return np.roll(super().apply_values(values), 1)
 
-        s = sample(gen_bandlimited(3, grid, 0.0))
-        with pytest.raises(ConfigurationError, match="not real"):
-            iterate(s, ReconConfig(RolledOperator(grid, SH, 0)))
+class TestBandGain:
+    """The closed-form per-bin gain against G measured on the fine grid."""
+
+    @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
+    @pytest.mark.parametrize("n_coarse", [8, 9, 16, 33])
+    def test_matches_measured_gain(self, kind, n_coarse):
+        for ticks in range(2, 17, 2):
+            for rate in (1, 2, 3):
+                grid = GridSpec(n_coarse, ticks, rate)
+                for modules in range(min(2, ticks // 2) + 1):
+                    measured = measured_gain(grid, kind, modules)
+                    for last in (True, False):
+                        index, weight, gain = solver._axis_band(grid, kind, modules, last)
+                        signed = np.where(index > grid.n_fine // 2, grid.n_fine - index, index)
+                        err = np.max(np.abs(gain - measured[signed]))
+                        assert err <= 1e-13 * np.max(np.abs(measured)), (grid, modules, last)
+
+    def test_read_only(self):
+        for array in solver._axis_band(GridSpec(16, 4), SH, 1, False):
+            assert not array.flags.writeable
 
 
 class TestFixedPointOracle:
