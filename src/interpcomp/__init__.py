@@ -10,10 +10,10 @@ GridSpec for 1-D, or a tuple such as ``(grid_y, grid_x)`` for an image.  The
 multi-axis operators are the 1-D ones applied along each axis in turn.  The
 lowpass always cuts at each axis's band edge, so the reconstruction operator
 is fixed by the grids, the interpolator and the module count.  ``iterate``
-is the one reconstruction solve: it runs the loop per DFT bin, from the
-operator's per-bin gain and the band of the samples' trigonometric
-interpolant, and its only fine-grid work is an inverse FFT for the estimate
-and for each traced SNR.
+is the one reconstruction solve: it computes each iterate per DFT bin in
+closed form, from the operator's per-bin gain and the band of the samples'
+trigonometric interpolant, and its only fine-grid work is an inverse FFT
+for the estimate and for each traced SNR.
 """
 
 from .signal_core import (
@@ -35,7 +35,6 @@ from .solver import (
     ReconOperator,
     ReconReport,
     SingularSystemError,
-    chebyshev_lambdas,
     fixed_point_oracle,
     iterate,
 )

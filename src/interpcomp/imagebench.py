@@ -8,11 +8,11 @@ afterwards, which suppresses wrap-around ringing at the borders; pixel math
 stays in floating point throughout and is clamped/rounded only on output.
 
 The iterative and hybrid methods solve with
-:func:`~interpcomp.solver.iterate`, which runs the loop on the band's DFT
-coefficients, since G is diagonal in the DFT on the band.  It starts from
-the spectrum of the low-resolution pixels and never interpolates on the
-fine grid; with no reference to trace, its only fine-grid work is the
-inverse FFT that returns the enlarged image.
+:func:`~interpcomp.solver.iterate`, which computes each iterate per band
+DFT bin in closed form, since G is diagonal in the DFT on the band.  It
+starts from the spectrum of the low-resolution pixels and never
+interpolates on the fine grid; with no reference to trace, its only
+fine-grid work is the inverse FFT that returns the enlarged image.
 """
 
 from __future__ import annotations

@@ -19,32 +19,32 @@ every axis in turn, last axis first.  ``G`` depends only on the grids, the
 interpolator and the module count; its lowpass cuts at each axis's band
 edge.
 
-:func:`iterate` runs the loop on DFT coefficients.  On band-limited input
-``G`` is diagonal in the DFT: sampling, interpolation and mixing are
-periodic with period ``ticks_per_sample``, so each only moves a bin onto
-bins ``n_coarse`` apart from it, and the lowpass keeps the band, which holds
-one bin of each such set.  (A band-edge bin at the coarse Nyquist frequency
-shares its set with its mirror bin.  G only outputs the part of the pair
-that is even about the edge, every iterate stays in that part, and there the
-gain is exact.)  So ``G`` scales each band bin by a real gain, the product
-of the per-axis gains, and the K-th plain or Chebyshev iterate is a fixed
-polynomial in that gain (for Chebyshev, the polynomial of Gröchenig,
-"Acceleration of the frame algorithm", IEEE Trans. Signal Process., 1993).
-G sees a signal only through its samples, so the observation is G applied
-to the samples' trigonometric interpolant, whose coefficient at band bin k
-is ``ticks_per_sample`` times the coarse spectrum at k mod ``n_coarse``
-(halved at the coarse Nyquist bin): the observation's band is that times
-the gain.  The gain itself has a closed form (:func:`_axis_band`), a sum of
-the interpolator kernel's DFT over the mixer's harmonics, so the solve never
-runs G: inverse transforms of the band, for the estimate and for each
-traced SNR, are its only fine-grid work.
+:func:`iterate` computes each iterate per DFT bin in closed form.  On
+band-limited input ``G`` is diagonal in the DFT: sampling, interpolation and
+mixing are periodic with period ``ticks_per_sample``, so each only moves a
+bin onto bins ``n_coarse`` apart from it, and the lowpass keeps the band,
+which holds one bin of each such set.  (A band-edge bin at the coarse
+Nyquist frequency shares its set with its mirror bin.  G only outputs the
+part of the pair that is even about the edge, every iterate stays in that
+part, and there the gain is exact.)  So ``G`` scales each band bin by a real
+gain G̃, in closed form (:func:`_axis_band`).  G sees a signal only through
+its samples, so the loop's fixed point on the band is T, the band of the
+samples' trigonometric interpolant: ``ticks_per_sample`` times the lowpass
+mask at |k| times the coarse spectrum at k mod ``n_coarse``.  The
+observation is T·G̃, and iterate j is ``(1 - e_j)·T``, with ``e_j`` a
+polynomial in ``q = 1 - s·G̃`` (``s`` the relaxation parameter, or
+``2/(A+B)`` under Chebyshev): ``q**(j+1)`` for the plain loop, Gröchenig's
+three-term recursion for Chebyshev ("Acceleration of the frame algorithm",
+IEEE Trans. Signal Process., 1993).  So the solve never runs G: inverse
+transforms of the band, for the estimate and for each traced SNR, are its
+only fine-grid work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +60,6 @@ __all__ = [
     "ReconConfig",
     "ReconReport",
     "iterate",
-    "chebyshev_lambdas",
     "fixed_point_oracle",
 ]
 
@@ -154,9 +153,8 @@ class ReconReport:
     filtered reconstruction), or None when no reference was supplied or the
     run was Chebyshev-accelerated.  ``non_contraction`` is the exact per-bin
     criterion: it is set when some band bin does not contract, that is when
-    ``max |1 - s*G̃| >= 1`` over the band, with ``s`` the relaxation
-    parameter, or ``2/(A+B)`` under Chebyshev acceleration.  It depends on
-    the configuration alone, not on the samples.
+    ``max |q| >= 1`` over the band, with ``q = 1 - s*G̃`` as in
+    :func:`_error_factors`.  It depends on the configuration alone.
     ``operator_applications`` counts the fine-grid passes of G made by the
     call; it is 0 for every call, since :func:`iterate` works on DFT
     coefficients throughout, and is kept for the benchmark's tracer.
@@ -170,71 +168,9 @@ class ReconReport:
     non_contraction: bool = False
 
 
-SnrOf = Optional[Callable[[np.ndarray], float]]
-
-
-def _plain_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf):
-    """Relaxed fixed-point loop from ``relax * g_obs``; one G pass per iteration."""
-    relax = cfg.relax
-    xk = relax * g_obs
-    init_snr = snr_of(xk) if snr_of else None
-    trace = [] if snr_of else None
-    for _ in range(cfg.iterations):
-        xk = xk + relax * (g_obs - apply_g(xk))
-        if snr_of:
-            trace.append(snr_of(xk))
-    return xk, init_snr, trace
-
-
-def _chebyshev_loop(g_obs: np.ndarray, apply_g, cfg: ReconConfig, snr_of: SnrOf):
-    """Three-term recursion seeded as the frame algorithm.
-
-    The reference state is zero and the first iterate is ``2/(A+B)`` times
-    the observed reconstruction; the trace starts at that first iterate, so
-    ``iterations`` counts it and G is applied ``iterations - 1`` times.
-    """
-    accel = cfg.acceleration
-    scale = 2.0 / (accel.a + accel.b)
-    x_prev = np.zeros_like(g_obs)  # algebraic seed of the three-term recursion
-    x_cur = scale * g_obs
-    trace = [snr_of(x_cur)] if snr_of else None
-    for lam in chebyshev_lambdas(accel.a, accel.b, cfg.iterations)[1:]:
-        x_next = lam * (x_cur - x_prev + scale * (g_obs - apply_g(x_cur))) + x_prev
-        x_prev, x_cur = x_cur, x_next
-        if snr_of:
-            trace.append(snr_of(x_cur))
-    return x_cur, None, trace
-
-
-def _non_contraction(cfg: ReconConfig, gain: np.ndarray) -> bool:
-    """True when some bin of ``gain`` does not contract: ``max |1 - s*gain| >= 1``.
-
-    ``s`` is ``relax`` for the plain loop; the Chebyshev recursion converges
-    on a bin exactly when ``|1 - 2*gain/(A+B)| < 1``, so there it is ``2/(A+B)``.
-    """
-    accel = cfg.acceleration
-    step = cfg.relax if accel is None else 2.0 / (accel.a + accel.b)
-    return bool(np.max(np.abs(1.0 - step * gain)) >= 1.0)
-
-
-@lru_cache(maxsize=32)
-def chebyshev_lambdas(a: float, b: float, count: int) -> tuple:
-    """The relaxation sequence: lambda_1 = 2, lambda_n = 1 / (1 - rho^2 * lambda_{n-1} / 4).
-
-    Depends only on the frame bounds, so it is computed once per (A, B) and
-    reused across reconstructions.
-    """
-    accel = ChebyshevAccel(a, b)
-    rho_sq = accel.rho**2
-    lams = [2.0]
-    for _ in range(1, max(count, 1)):
-        lams.append(1.0 / (1.0 - rho_sq * lams[-1] / 4.0))
-    return tuple(lams)
-
-
 @lru_cache(maxsize=64)
 def _axis_band(grid: GridSpec, kind: InterpKind, modules: int, last: bool):
-    """Band bins of one axis of ``rfftn``'s output, with the observation's weight and G's gain.
+    """Band bins of one axis of ``rfftn``'s output, with T's weight and G's gain.
 
     The last axis holds rfft bins 0..B; any other axis holds full-FFT bins,
     so its band is the signed bins 0..B and -B..-1, the latter at n+k.  At
@@ -244,10 +180,10 @@ def _axis_band(grid: GridSpec, kind: InterpKind, modules: int, last: bool):
     its kernel's DFT, and the mixer's m-th harmonic shifts bin k + m*n_coarse
     back onto k.  The kernel term is ``sin(pi f R) cot(pi f) / R`` for the
     centred hold with half-weight ends and ``(sin(pi f R) / (R sin(pi f)))**2``
-    for the triangle.  The observation's weight is ``R * mask(|k|) * raw(k)``,
-    and the gain ``mask(|k|) * raw(k)``, except at the coarse Nyquist bin
-    ``2|k| == n_coarse`` (only at ``rate_multiple`` 1 with even ``n_coarse``),
-    where the mirror bin undoes the mask's halving and the gain is raw(k).
+    for the triangle.  T's weight is ``R * mask(|k|)`` and the gain
+    ``mask(|k|) * raw(k)``, except at the coarse Nyquist bin 2|k| = n_coarse
+    (only at ``rate_multiple`` 1 with even ``n_coarse``), where the mirror
+    bin undoes the mask's halving and the gain is raw(k).
     """
     n, r = grid.n_fine, grid.ticks_per_sample
     mask = _gain_mask(n, grid.band_edge)
@@ -259,8 +195,8 @@ def _axis_band(grid: GridSpec, kind: InterpKind, modules: int, last: bool):
     # every term is 1 at f = 0, the only f at which den vanishes
     term = np.divide(np.sin(np.pi * f * r), den, out=np.ones_like(f), where=f != 0)
     raw = np.sum(term if hold else term * term, axis=1)
-    masked = mask[np.abs(k)] * raw
-    out = k % n, r * masked, np.where(2 * np.abs(k) == grid.n_coarse, raw, masked)
+    mask = mask[np.abs(k)]
+    out = k % n, r * mask, np.where(2 * np.abs(k) == grid.n_coarse, raw, mask * raw)
     for a in out:
         a.setflags(write=False)
     return out
@@ -272,22 +208,38 @@ def _outer(vectors) -> np.ndarray:
 
 
 def _band_observation(op: ReconOperator, values: np.ndarray):
-    """The band of ``rfftn(op.observation(samples))`` from the samples' values alone.
+    """The band's index into the fine grid's ``rfftn`` output, T there and G̃ there.
 
-    Returns the band's index into the fine grid's ``rfftn`` output, the
-    observation's coefficients there and G's per-bin gain there.  The
-    coefficients are the gain times the band of the samples' trigonometric
-    interpolant, read from one ``rfftn`` of the coarse values: a fine bin k
-    reads coarse bin k mod ``n_coarse`` on each axis (on a non-last axis,
-    fine bin n-j reads coarse bin ``n_coarse``-j).
+    ``T * G̃`` is the band of ``rfftn(op.observation(samples))``.  T, the
+    band of the samples' trigonometric interpolant, is read from one
+    ``rfftn`` of the coarse values: a fine bin k reads coarse bin k mod
+    ``n_coarse`` on each axis (on a non-last axis, fine bin n-j reads coarse
+    bin ``n_coarse``-j).
     """
     ndim = len(op.grid)
     index, weight, gain = zip(
         *[_axis_band(g, op.kind, op.modules, axis == ndim - 1) for axis, g in enumerate(op.grid)]
     )
     coarse = np.fft.rfftn(values, axes=tuple(range(ndim)))
-    g_obs = coarse[np.ix_(*[k % g.n_coarse for k, g in zip(index, op.grid)])]
-    return np.ix_(*index), g_obs * _outer(weight), _outer(gain)
+    fixed = coarse[np.ix_(*[k % g.n_coarse for k, g in zip(index, op.grid)])]
+    return np.ix_(*index), fixed * _outer(weight), _outer(gain)
+
+
+def _error_factors(q: np.ndarray, rho: float):
+    """Yield the per-bin error factors e_1 = q, e_2, ... of Gröchenig's recursion.
+
+    ``q = 1 - s*G̃``; iterate j is ``(1 - e_j) * T``.  With e_0 = 1,
+    ``e_j = lam_j*q*e_(j-1) + (1 - lam_j)*e_(j-2)``, where lam_1 = 2 and
+    ``lam_j = 1 / (1 - rho**2 * lam_(j-1) / 4)``.  A bin converges exactly
+    when ``|q| < 1``.  Where lam_j is 1, as at every j > 1 when rho = 0 (the
+    plain loop), the second term is zero and a step is one multiply, q * e.
+    """
+    rho_sq = rho**2
+    lam, prev, cur = 2.0, 1.0, q
+    while True:
+        yield cur
+        lam = 1.0 / (1.0 - rho_sq * lam / 4.0)
+        prev, cur = cur, q * cur if lam == 1.0 else lam * q * cur + (1.0 - lam) * prev
 
 
 def iterate(
@@ -297,37 +249,49 @@ def iterate(
 ) -> ReconReport:
     """Reconstruct a dense signal from its coarse samples, on any number of axes.
 
-    Runs the plain relaxed loop, or the Chebyshev recursion when
-    ``cfg.acceleration`` is set, on the observation's band coefficients
-    (:func:`_band_observation`) with G as the per-bin gain, in closed form
-    per axis and cached.  With a reference, every iterate's SNR against it
-    is traced, at one ``irfftn`` per traced iterate; the only other
-    fine-grid transform is the ``irfftn`` that returns the estimate.
+    Computes each iterate of the plain relaxed loop, or of the Chebyshev
+    recursion when ``cfg.acceleration`` is set, per band bin in closed form
+    (see the module docstring).  With a reference, every iterate's SNR is
+    traced, at one ``irfftn`` per traced iterate; the only other fine-grid
+    transform is the ``irfftn`` that returns the estimate.  A run that does
+    not contract and overflows float64 raises :class:`ConfigurationError`.
     """
     op = cfg.operator
     if observed.grid != op.grid:
         raise ConfigurationError("samples and operator must have the same grids")
     shape = tuple([g.n_fine for g in op.grid])
-    band, g_obs, gain = _band_observation(op, observed.values)
+    band, fixed, gain = _band_observation(op, observed.values)
+    accel = cfg.acceleration
+    q = 1.0 - (cfg.relax if accel is None else 2.0 / (accel.a + accel.b)) * gain
+    worst = float(np.max(np.abs(q)))
 
-    def values_of(coeffs):
-        # allocated per call, so an untraced loop's peak memory is the band alone
+    def values_of(error):
+        # allocated per call, so an untraced solve's peak memory is the band alone
         spectrum = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
-        spectrum[band] = coeffs
+        spectrum[band] = (1.0 - error) * fixed
         return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape))))
 
-    snr_of = None
-    if reference is not None:
-        snr_of = lambda c: snr_db(reference, values_of(c))
-    loop = _plain_loop if cfg.acceleration is None else _chebyshev_loop
-    coeffs, init_snr, trace = loop(g_obs, lambda v: gain * v, cfg, snr_of)
+    factors = _error_factors(q, 0.0 if accel is None else accel.rho)
+    trace = None if reference is None else []
+    try:
+        with np.errstate(over="raise"):
+            # the plain loop's start, e = q, is reported apart from the trace
+            for _, error in zip(range(cfg.iterations + (accel is None)), factors):
+                if trace is not None:
+                    trace.append(snr_db(reference, values_of(error)))
+            values = values_of(error)
+    except FloatingPointError:
+        raise ConfigurationError(
+            f"the iterates overflow float64 within {cfg.iterations} iterations: "
+            f"a band bin does not contract, max |1 - s*gain| = {worst:.6g} >= 1"
+        ) from None
     return ReconReport(
-        estimate=DenseSignal(op.grid, values_of(coeffs)),
+        estimate=DenseSignal(op.grid, values),
         iterations_run=cfg.iterations,
         operator_applications=0,
-        snr_initial_db=init_snr,
+        snr_initial_db=trace.pop(0) if trace is not None and accel is None else None,
         snr_trace_db=trace,
-        non_contraction=_non_contraction(cfg, gain),
+        non_contraction=worst >= 1.0,
     )
 
 

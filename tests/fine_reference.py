@@ -1,13 +1,16 @@
 """The fine-grid reference for :func:`interpcomp.iterate` and its per-bin gain.
 
-``iterate`` runs its loop per DFT bin, with G as a closed-form per-bin gain
-and never runs G itself.  ``fine_iterate`` runs the same two loop functions
-on the fine grid instead, with ``op.apply_values`` as G and
-``op.observation(samples)`` as the observation: one pass of G per
-iteration, and every traced SNR taken from the iterate itself.  It has
-``iterate``'s signature and report, so a test can swap it in for the solve.
-``measured_gain`` measures the per-bin gain the closed form must match, by
-running G on a band-limited impulse.
+``iterate`` computes each iterate per DFT bin in closed form, from a
+closed-form per-bin gain, and never runs G itself.  ``fine_iterate`` runs
+the explicit plain and Chebyshev loops on the fine grid instead, with
+``op.apply_values`` as G and ``op.observation(samples)`` as the
+observation: one pass of G per iteration, and every traced SNR taken from
+the iterate itself.  The loops, the Chebyshev relaxation sequence
+(``chebyshev_lambdas``) and the divergence flag are this module's own and
+share no code with the solve.  ``fine_iterate`` has ``iterate``'s signature
+and report, so a test can swap it in for the solve.  ``measured_gain``
+measures the per-bin gain the closed form must match, by running G on a
+band-limited impulse.
 """
 
 from functools import reduce
@@ -15,7 +18,6 @@ from functools import reduce
 import numpy as np
 
 from interpcomp import DenseSignal, ReconOperator, ReconReport, snr_db
-from interpcomp.solver import _chebyshev_loop, _non_contraction, _plain_loop
 from interpcomp.spectral import _gain_mask
 
 
@@ -32,21 +34,69 @@ def measured_gain(grid, kind, modules):
     return response[band] / mask[band]
 
 
+def chebyshev_lambdas(a, b, count):
+    """Gröchenig's relaxation sequence: lambda_1 = 2, lambda_n = 1 / (1 - rho^2 * lambda_{n-1} / 4).
+
+    rho = (B - A) / (B + A) for frame bounds A and B.
+    """
+    rho_sq = ((b - a) / (b + a)) ** 2
+    lams = [2.0]
+    while len(lams) < count:
+        lams.append(1.0 / (1.0 - rho_sq * lams[-1] / 4.0))
+    return lams
+
+
+def plain_loop(g_obs, apply_g, cfg, snr_of):
+    """Relaxed fixed-point loop from ``relax * g_obs``; one G pass per iteration."""
+    relax = cfg.relax
+    xk = relax * g_obs
+    init_snr = snr_of(xk) if snr_of else None
+    trace = [] if snr_of else None
+    for _ in range(cfg.iterations):
+        xk = xk + relax * (g_obs - apply_g(xk))
+        if snr_of:
+            trace.append(snr_of(xk))
+    return xk, init_snr, trace
+
+
+def chebyshev_loop(g_obs, apply_g, cfg, snr_of):
+    """Three-term recursion seeded as the frame algorithm.
+
+    The reference state is zero and the first iterate is ``2/(A+B)`` times
+    the observed reconstruction; the trace starts at that first iterate, so
+    ``iterations`` counts it and G is applied ``iterations - 1`` times.
+    """
+    accel = cfg.acceleration
+    scale = 2.0 / (accel.a + accel.b)
+    x_prev = np.zeros_like(g_obs)  # algebraic seed of the three-term recursion
+    x_cur = scale * g_obs
+    trace = [snr_of(x_cur)] if snr_of else None
+    for lam in chebyshev_lambdas(accel.a, accel.b, cfg.iterations)[1:]:
+        x_next = lam * (x_cur - x_prev + scale * (g_obs - apply_g(x_cur))) + x_prev
+        x_prev, x_cur = x_cur, x_next
+        if snr_of:
+            trace.append(snr_of(x_cur))
+    return x_cur, None, trace
+
+
 def fine_iterate(observed, cfg, reference=None):
     op = cfg.operator
     snr_of = None
     if reference is not None:
         snr_of = lambda v: snr_db(reference, v)
-    loop = _plain_loop if cfg.acceleration is None else _chebyshev_loop
+    loop = plain_loop if cfg.acceleration is None else chebyshev_loop
     xk, init_snr, trace = loop(op.observation(observed), op.apply_values, cfg, snr_of)
     # the gain is even in the bin, so the rfft bins of each axis cover the band
     gain = reduce(np.multiply.outer, [measured_gain(g, op.kind, op.modules).real for g in op.grid])
-    passes = cfg.iterations if cfg.acceleration is None else cfg.iterations - 1
+    accel = cfg.acceleration
+    step = cfg.relax if accel is None else 2.0 / (accel.a + accel.b)
+    passes = cfg.iterations if accel is None else cfg.iterations - 1
     return ReconReport(
         estimate=DenseSignal(op.grid, xk),
         iterations_run=cfg.iterations,
         operator_applications=1 + passes,  # the observation is one pass
         snr_initial_db=init_snr,
         snr_trace_db=trace,
-        non_contraction=_non_contraction(cfg, gain),
+        # a bin contracts in either loop exactly when |1 - step*gain| < 1
+        non_contraction=bool(np.max(np.abs(1.0 - step * gain)) >= 1.0),
     )

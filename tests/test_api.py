@@ -1,0 +1,28 @@
+"""The public names of ``interpcomp``, pinned.
+
+A change that adds or drops a public name edits this list, so the diff
+shows it.
+"""
+
+import types
+
+import interpcomp
+
+PUBLIC_NAMES = [
+    "AnalysisResult", "ChebyshevAccel", "CoarseSamples", "ConfigurationError", "DenseSignal",
+    "EnlargeConfig", "GrayImage", "GridSpec", "InterpKind", "ReconConfig", "ReconOperator",
+    "ReconReport", "SingularSystemError", "UsageError", "add_awgn", "contraction_factor",
+    "cosine_mix", "decimate", "distortion_gain", "enlarge", "enlarge_dense",
+    "fixed_point_oracle", "gen_bandlimited", "interpolate", "iterate", "lambda_opt_minimax",
+    "lambda_opt_paper", "lowpass", "noise_tolerance_coeff", "op_counts", "op_counts_2d",
+    "predicted_gain_db", "psnr_benchmark", "psnr_db", "read_pgm", "sample", "snr_db",
+    "synthetic_scene", "write_pgm",
+]
+
+
+def test_public_names_pinned():
+    names = sorted(
+        name for name, value in vars(interpcomp).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES

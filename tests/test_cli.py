@@ -64,6 +64,19 @@ class TestConvergence:
         err = capsys.readouterr().err
         assert "relaxation" in err
 
+    def test_overflowing_divergent_run_exit_code(self, tmp_path, capsys):
+        # a valid lambda whose run does not contract overflows float64 in
+        # 8000 iterations; the error names the contraction factor
+        out = tmp_path / "x.csv"
+        code = run(
+            ["convergence", "--lambda", "1.95", "--modules", "1", "--iterations", 8000,
+             "--trials", 1, "--out", out]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "overflow" in err and "max |1 - s*gain| = 1.07307" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["convergence", "lambda-sweep", "noise", "rate"])
     @pytest.mark.parametrize("trials", [0, -1])
     def test_nonpositive_trials_exit_code(self, tmp_path, capsys, command, trials):

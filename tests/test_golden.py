@@ -8,10 +8,12 @@ output on purpose regenerates the copies with
 
 and the diff shows which numbers moved.
 
-The trial experiments' SNR cells are also checked against the same runs on
-the fine-grid reference solve, under the benchmark's output rule: a cell
-agrees to ``SNR_TOL_DB``, or both values sit at or above ``FLOOR_DB``, on
-the float64 floor, where rounding alone moves a cell by whole dB.
+Every case that solves is also checked against the same run on the
+fine-grid reference solve.  An SNR cell, or an average of SNR cells, agrees
+under the benchmark's output rule: to ``SNR_TOL_DB``, or both values sit at
+or above ``FLOOR_DB``, on the float64 floor, where rounding alone moves a
+cell by whole dB.  A PSNR cell agrees to ``PSNR_TOL_DB``; every other cell,
+and every image, is equal.
 """
 
 import contextlib
@@ -22,13 +24,22 @@ from pathlib import Path
 import pytest
 
 from fine_reference import fine_iterate
-from interpcomp import cli
+from interpcomp import cli, imagebench
 from interpcomp.cli import main
 from interpcomp.imagebench import synthetic_scene, write_pgm
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SNR_TOL_DB = 1e-3
+PSNR_TOL_DB = 1e-4
 FLOOR_DB = 240.0
+# column -> tolerance of the cells checked against the fine-grid reference
+TOLERANCE_DB = {
+    "mean_snr_db": SNR_TOL_DB,
+    "avg_db_per_iteration": SNR_TOL_DB,
+    "avg_db_per_iter": SNR_TOL_DB,
+    "gain_diff_vs_first": SNR_TOL_DB,
+    "psnr_db": PSNR_TOL_DB,
+}
 
 SMALL_1D = ["--trials", "3", "--iterations", "4", "--n-coarse", "32", "--seed", "5"]
 SMALL_2D = [
@@ -92,19 +103,26 @@ def read_table(data: bytes) -> list:
     return list(csv.DictReader(io.StringIO(data.decode())))
 
 
-@pytest.mark.parametrize("case", ["convergence_1d", "convergence_2d", "noise_1d", "noise_2d"])
+@pytest.mark.parametrize("case", [c for c in CASES if not c.startswith("analyze")])
 def test_snr_cells_match_fine_reference(case, tmp_path, monkeypatch):
     (tmp_path / "band").mkdir()
     (tmp_path / "fine").mkdir()
     got = produce(case, tmp_path / "band")
     monkeypatch.setattr(cli, "iterate", fine_iterate)
+    monkeypatch.setattr(imagebench, "iterate", fine_iterate)
     want = produce(case, tmp_path / "fine")
     assert sorted(got) == sorted(want)
     for name in want:
+        if not name.endswith(".csv"):
+            assert got[name] == want[name], name
+            continue
         got_rows, want_rows = read_table(got[name]), read_table(want[name])
         assert len(got_rows) == len(want_rows) > 0
         for g, w in zip(got_rows, want_rows):
-            a, b = float(g.pop("mean_snr_db")), float(w.pop("mean_snr_db"))
+            for column, tol in TOLERANCE_DB.items():
+                if column not in w:
+                    continue
+                a, b = float(g.pop(column)), float(w.pop(column))
+                on_floor = a >= FLOOR_DB and b >= FLOOR_DB
+                assert on_floor or abs(a - b) <= tol, (name, column, w, a, b)
             assert g == w
-            on_floor = a >= FLOOR_DB and b >= FLOOR_DB
-            assert on_floor or abs(a - b) <= SNR_TOL_DB, (name, w, a, b)

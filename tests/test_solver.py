@@ -12,14 +12,13 @@ from interpcomp import (
     ReconConfig,
     ReconOperator,
     SingularSystemError,
-    chebyshev_lambdas,
     fixed_point_oracle,
     gen_bandlimited,
     iterate,
     sample,
 )
 from interpcomp import modular, samplers, solver, spectral
-from fine_reference import fine_iterate, measured_gain
+from fine_reference import chebyshev_lambdas, fine_iterate, measured_gain
 from interpcomp.samplers import CoarseSamples, interpolate
 from interpcomp.spectral import lowpass_array
 
@@ -113,8 +112,8 @@ class TestIterate:
 
     @pytest.mark.parametrize("relax", [0.2, 1.0, 1.8])
     def test_convergent_lambda_range(self, grid, relax):
-        # plain method contracts for all relax in (0,2); flag stays down and
-        # update norms shrink monotonically (pre-roundoff)
+        # the plain method contracts for all relax in (0,2): the flag stays
+        # down and the SNR rises
         x = gen_bandlimited(4, grid, 34.0)
         op = ReconOperator(grid, SH, 0)
         rep = iterate(
@@ -124,7 +123,6 @@ class TestIterate:
         assert rep.snr_trace_db[-1] > rep.snr_trace_db[0]
 
     def test_update_norm_contraction(self, grid):
-        # successive update norms decrease strictly while converging
         x = gen_bandlimited(4, grid, 34.0)
         op = ReconOperator(grid, SH, 0)
         g_obs = op.observation(sample(x))
@@ -164,7 +162,7 @@ class TestChebyshev:
     def test_equal_bounds_degenerate_to_relaxed_iteration(self, grid):
         # A=B: rho=0, all lambda_n = 1 beyond the seed; the recursion collapses
         # to the relaxed iteration with step 2/(A+B)
-        assert chebyshev_lambdas(1.5, 1.5, 5) == (2.0, 1.0, 1.0, 1.0, 1.0)
+        assert chebyshev_lambdas(1.5, 1.5, 5) == [2.0, 1.0, 1.0, 1.0, 1.0]
         x = gen_bandlimited(9, grid, 34.0)
         s = sample(x)
         op = ReconOperator(grid, SH, 1)
@@ -290,8 +288,10 @@ class TestSpectralIterate:
     LOOPS = [
         dict(relax=1.0),
         dict(relax=0.7),
+        dict(relax=1.5),
         dict(acceleration=ChebyshevAccel()),
         dict(acceleration=ChebyshevAccel(0.9, 1.1)),
+        dict(acceleration=ChebyshevAccel(1.3, 1.3)),  # rho = 0
     ]
     FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
                  "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft")
@@ -350,14 +350,15 @@ class TestSpectralIterate:
     )
     def test_observation_from_coarse_spectrum(self, grid, kind):
         # interpolating and mixing commute with a one-sample shift, so the
-        # observation's band follows from the coarse spectrum; at rate 2 the
-        # band edge is not the coarse Nyquist bin, so no mask weight folds
+        # observation's band, T times the gain, follows from the coarse
+        # spectrum; at rate 2 the band edge is not the coarse Nyquist bin, so
+        # no mask weight folds
         s = sample(gen_bandlimited(6, grid, 0.0))
         for modules in (0, 1, 2):
             op = ReconOperator(grid, kind, modules)
-            band, g_obs, _ = solver._band_observation(op, s.values)
+            band, fixed, gain = solver._band_observation(op, s.values)
             ref = np.fft.rfftn(op.observation(s))[band]
-            assert np.max(np.abs(g_obs - ref)) <= 1e-12 * np.max(np.abs(ref)), modules
+            assert np.max(np.abs(fixed * gain - ref)) <= 1e-12 * np.max(np.abs(ref)), modules
 
     def stage_calls(self, monkeypatch):
         """Record every call of a stage of G, patched where the stage is defined."""
@@ -446,8 +447,8 @@ class TestSpectralIterate:
         plain = ReconOperator(grid, SH, 0)
         rep = iterate(s, ReconConfig(plain, relax=1.0, iterations=12))
         assert not rep.non_contraction
-        # |1 - 1.9*1.061| = 1.016: diverging too slowly for 10 iterations of
-        # update norms to show it, but a bin does not contract
+        # |1 - 1.9*1.061| = 1.016: a bin does not contract, however slowly
+        # the run diverges
         rep = iterate(s, ReconConfig(op, relax=1.9, iterations=10))
         assert rep.non_contraction
         # Chebyshev steps by 2/(A+B): bounds far below the gain overshoot it
@@ -462,6 +463,25 @@ class TestSpectralIterate:
         rep = iterate(s, ReconConfig(op, iterations=60), reference=x)
         assert rep.snr_trace_db[-1] > 240.0
         assert not rep.non_contraction
+
+    def test_overflow_names_the_contraction_factor(self, grid):
+        # max |1 - 1.95*G̃| = 1.073 on this grid: the error grows by that per
+        # iteration and overflows float64 long before 12,000 iterations; the
+        # error names the factor, not the signal
+        s = sample(gen_bandlimited(5, grid, 34.0))
+        cfg = ReconConfig(ReconOperator(grid, SH, 1), relax=1.95, iterations=12_000)
+        with pytest.raises(ConfigurationError, match=r"max \|1 - s\*gain\| = 1\.073"):
+            iterate(s, cfg)
+
+    def test_long_chebyshev_run_stays_finite(self, grid):
+        s = sample(gen_bandlimited(5, grid, 34.0))
+        op = ReconOperator(grid, SH, 0)
+        runs = [
+            iterate(s, ReconConfig(op, iterations=k, acceleration=ChebyshevAccel())).estimate.values
+            for k in (500, 3000)
+        ]
+        assert np.all(np.isfinite(runs[1]))
+        assert np.max(np.abs(runs[1] - runs[0])) <= 1e-12 * np.max(np.abs(runs[0]))
 
 
 class TestBandGain:
