@@ -20,7 +20,6 @@ from .signal_core import (
     ConfigurationError,
     DenseSignal,
     GridSpec,
-    UsageError,
     add_awgn,
     gen_bandlimited,
     psnr_db,

@@ -9,6 +9,9 @@ evaluated over the signal band ``|fT| <= 1/(2k)`` for a sampling rate ``k``
 times Nyquist.  The contraction factor of the relaxed iteration is the band
 maximum of ``|1 - relax * H_N|``; each iteration multiplies the error by at
 most that factor, i.e. gains ``-20*log10(r)`` dB of SNR.
+
+One sum, :func:`distortion_gain`, gives H_N at a frequency or on the band grid
+and checks the module count for both; bad input raises ConfigurationError.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .samplers import InterpKind
-from .signal_core import ConfigurationError, UsageError
+from .signal_core import ConfigurationError
 
 __all__ = [
     "AnalysisResult",
@@ -55,28 +58,25 @@ PAPER_PRINTED_LAMBDA_OPT = {
 PAPER_PRINTED_CONTRACTION_LI_1MOD = 0.234
 
 
-def distortion_gain(kind: InterpKind, modules: int, ft: float) -> float:
-    """Per-bin gain H_N at normalized frequency ``ft = f*T``; exact 1 at DC."""
+def distortion_gain(kind: InterpKind, modules: int, ft):
+    """Per-bin gain H_N at normalized frequency ``ft = f*T``, a float or an array; 1 at DC."""
     if modules < 0:
         raise ConfigurationError(f"modules must be >= 0, got {modules}")
     m = np.arange(-modules, modules + 1)
-    return float(np.sum(np.sinc(ft - m) ** kind.distortion_exponent))
+    gain = np.sum(np.sinc(np.subtract.outer(ft, m)) ** kind.distortion_exponent, axis=-1)
+    return gain if np.ndim(ft) else float(gain)
 
 
 def _gain_on_band(kind: InterpKind, modules: int, rate_multiple: int) -> np.ndarray:
-    ft = np.linspace(0.0, 0.5 / rate_multiple, GRID_POINTS)
-    m = np.arange(-modules, modules + 1)
-    return np.sum(
-        np.sinc(ft[:, None] - m[None, :]) ** kind.distortion_exponent, axis=1
-    )
+    return distortion_gain(kind, modules, np.linspace(0.0, 0.5 / rate_multiple, GRID_POINTS))
 
 
 def contraction_factor(
     kind: InterpKind, modules: int, relax: float, rate_multiple: int = 1
 ) -> float:
     """Band maximum of ``|1 - relax * H_N|`` on a dense frequency grid."""
-    if relax <= 0:
-        raise ConfigurationError(f"relax must be positive, got {relax}")
+    if not 0.0 < relax < math.inf:
+        raise ConfigurationError(f"relax must be positive and finite, got {relax}")
     if rate_multiple < 1:
         raise ConfigurationError(f"rate_multiple must be >= 1, got {rate_multiple}")
     gains = _gain_on_band(kind, modules, rate_multiple)
@@ -103,7 +103,7 @@ class LambdaOptPaper:
 def lambda_opt_paper(kind: InterpKind, modules: int) -> LambdaOptPaper:
     """Closed-form relaxation choice that zeroes the band-edge residual (one module only)."""
     if modules != 1:
-        raise UsageError(
+        raise ConfigurationError(
             f"closed form is available only for one module, got {modules}"
         )
     recomputed = 1.0 / distortion_gain(kind, 1, 0.5)
@@ -157,9 +157,9 @@ def op_counts(iterations: int, fft_block: int, hybrid_one_module: bool) -> Tuple
     iteration: M*(4*log2(2N) + 4) and M*(2*log2(2N) + 3).
     """
     if iterations < 1:
-        raise UsageError(f"iterations must be >= 1, got {iterations}")
+        raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
     if fft_block < 1 or fft_block & (fft_block - 1):
-        raise UsageError(f"fft_block must be a power of two, got {fft_block}")
+        raise ConfigurationError(f"fft_block must be a power of two, got {fft_block}")
     log2_2n = int(math.log2(2 * fft_block))
     if hybrid_one_module:
         return iterations * (4 * log2_2n + 4), iterations * (2 * log2_2n + 3)
@@ -177,7 +177,7 @@ def op_counts_2d(
 def predicted_gain_db(r: float) -> float:
     """SNR improvement per iteration implied by a contraction factor r."""
     if not 0.0 < r < 1.0:
-        raise UsageError(f"contraction factor must be in (0, 1), got {r}")
+        raise ConfigurationError(f"contraction factor must be in (0, 1), got {r}")
     return -20.0 * math.log10(r)
 
 

@@ -28,7 +28,7 @@ from .imagebench import (
     write_pgm,
 )
 from .samplers import InterpKind, sample
-from .signal_core import ConfigurationError, GridSpec, UsageError, add_awgn, gen_bandlimited
+from .signal_core import ConfigurationError, GridSpec, add_awgn, gen_bandlimited
 from .solver import ChebyshevAccel, ReconConfig, ReconOperator, iterate
 
 DEFAULT_TRIALS = 50
@@ -63,13 +63,6 @@ def _write_csv(path: str, header: Sequence[str], rows) -> str:
     return path
 
 
-def _kind(name: str) -> InterpKind:
-    try:
-        return InterpKind(name)
-    except ValueError:
-        raise UsageError(f"--kind must be 'sh' or 'li', got {name!r}")
-
-
 def _int_list(text: str) -> List[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
@@ -79,9 +72,9 @@ def _float_list(text: str) -> List[float]:
 
 
 def _nonempty(values: list, flag: str) -> list:
-    """``values``, or a UsageError naming ``flag`` when the comma list held none."""
+    """``values``, or a ConfigurationError naming ``flag`` when the comma list held none."""
     if not values:
-        raise UsageError(f"{flag} needs at least one value")
+        raise ConfigurationError(f"{flag} needs at least one value")
     return values
 
 
@@ -91,7 +84,9 @@ def _configs(args, kind, series) -> List[ReconConfig]:
     All are built, and so checked, before the first trial runs.
     """
     if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+        raise ConfigurationError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     configs = []
     for modules, relax, k_rate in series:
         if args.dims == 1:
@@ -132,7 +127,7 @@ def cmd_convergence(args) -> int:
     Serves ``noise`` too: when ``args.noise_power_db`` is set, AWGN of that
     power is added to every input signal and reported in a last column.
     """
-    kind = _kind(args.kind)
+    kind = InterpKind(args.kind)
     noise_db = args.noise_power_db
     header = ["method", "modules", "lambda", "k_rate", "iteration", "mean_snr_db", "trials", "seed"]
     extra = ()
@@ -154,11 +149,11 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_lambda_sweep(args) -> int:
-    kind = _kind(args.kind)
+    kind = InterpKind(args.kind)
     lams = _nonempty(args.lambda_grid, "--lambda-grid")
     for lam in lams:
         if not 0.0 < lam < 2.0:
-            raise UsageError(f"lambda grid values must lie in (0, 2), got {lam}")
+            raise ConfigurationError(f"lambda grid values must lie in (0, 2), got {lam}")
     rows = []
     configs = _configs(args, kind, [(args.modules_single, lam, args.k_rate) for lam in lams])
     for cfg, (init, trace) in zip(configs, _mean_traces(args, configs)):
@@ -169,7 +164,7 @@ def cmd_lambda_sweep(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    kind = _kind(args.kind)
+    kind = InterpKind(args.kind)
     ks = _nonempty(args.k_rates, "--k-rates")
     per_rate = []
     configs = _configs(args, kind, [(args.modules_single, args.relax, k) for k in ks])
@@ -190,7 +185,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    kind = _kind(args.kind)
+    kind = InterpKind(args.kind)
     res = ana.analyze(kind, args.modules_single, args.relax, args.k_rate)
     adds, mults = ana.op_counts(
         args.iterations, args.fft_block, args.modules_single == 1
@@ -229,7 +224,7 @@ def _parse_method(token: str, factor: int, relax: float, acceleration) -> Enlarg
     try:
         counts = [int(f) for f in fields]
     except ValueError:
-        raise UsageError(f"method {token!r}: ITERS and MODULES must be integers") from None
+        raise ConfigurationError(f"method {token!r}: ITERS and MODULES must be integers") from None
     common = dict(factor=factor, relax=relax, acceleration=acceleration)
     if name == "bilinear":
         return EnlargeConfig(method="bilinear", **common)
@@ -240,7 +235,7 @@ def _parse_method(token: str, factor: int, relax: float, acceleration) -> Enlarg
         iters = counts[0] if counts else 2
         modules = counts[1] if len(counts) > 1 else 1
         return EnlargeConfig(method="hybrid", iterations=iters, modules=modules, **common)
-    raise UsageError(f"unknown method {token!r}; use bilinear, iterative:N, hybrid:N:M")
+    raise ConfigurationError(f"unknown method {token!r}; use bilinear, iterative:N, hybrid:N:M")
 
 
 def cmd_image(args) -> int:
@@ -364,7 +359,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, UsageError, OSError) as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,13 +17,14 @@ fine-grid work is the inverse FFT that returns the enlarged image.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .samplers import CoarseSamples, InterpKind, interpolate
-from .signal_core import ConfigurationError, GridSpec, UsageError, psnr_db
+from .signal_core import ConfigurationError, GridSpec, psnr_db
 from .solver import ChebyshevAccel, ReconConfig, ReconOperator, iterate
 
 __all__ = [
@@ -61,7 +62,7 @@ class GrayImage:
                 f"GrayImage needs at least 2x2 pixels, got shape {arr.shape}"
             )
         if arr.dtype != np.uint8:
-            if np.any(arr < 0) or np.any(arr > 255):
+            if not np.all((arr >= 0) & (arr <= 255)):  # NaN fails too
                 raise ConfigurationError("pixel values must be within 0..255")
             arr = arr.astype(np.uint8)
         object.__setattr__(self, "pixels", arr)
@@ -75,87 +76,69 @@ class GrayImage:
         return self.pixels.shape[1]
 
 
-class _PgmReader:
-    """Token scanner for the netpbm header; keeps the byte offset for errors."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def fail(self, message: str):
-        raise PgmError(message, self.pos)
-
-    def _skip_space_and_comments(self):
-        while self.pos < len(self.data):
-            c = self.data[self.pos : self.pos + 1]
-            if c.isspace():
-                self.pos += 1
-            elif c == b"#":
-                nl = self.data.find(b"\n", self.pos)
-                self.pos = len(self.data) if nl < 0 else nl + 1
-            else:
-                return
-
-    def token(self) -> bytes:
-        self._skip_space_and_comments()
-        if self.pos >= len(self.data):
-            self.fail("unexpected end of file in header")
-        start = self.pos
-        while self.pos < len(self.data) and not self.data[self.pos : self.pos + 1].isspace():
-            self.pos += 1
-        return self.data[start : self.pos]
-
-    def int_token(self, what: str) -> int:
-        start = self.pos
-        tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
-            self.pos = start
-            self.fail(f"expected integer {what}, got {tok!r}")
+# a header token after whitespace and comments; a comment runs to a newline or the
+# end, and no token starts with "#", so backtracking never reads a comment's tail
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
 
 
 def read_pgm(path) -> GrayImage:
-    """Read a binary (P5) or ASCII (P2) grayscale netpbm file with maxval 255."""
+    """Read a binary (P5) or ASCII (P2) grayscale netpbm file with maxval 255.
+
+    Malformed data raises :class:`PgmError` with the byte offset of the
+    fault: a bad header integer reports the offset of its own token.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    rd = _PgmReader(data)
-    magic = rd.token()
+    pos = 0
+
+    def token(what: str = ""):
+        """The next header token, as an int when ``what`` names one; moves ``pos`` past it."""
+        nonlocal pos
+        found = _HEADER_TOKEN.match(data, pos)
+        if found is None:
+            raise PgmError("unexpected end of file in header", len(data))
+        pos, tok = found.end(), found.group(1)
+        if not what:
+            return tok
+        try:
+            return int(tok)
+        except ValueError:
+            raise PgmError(f"expected integer {what}, got {tok!r}", found.start(1)) from None
+
+    magic = token()
     if magic not in (b"P2", b"P5"):
-        rd.pos = 0
-        rd.fail(f"not a PGM file (magic {magic!r})")
-    width = rd.int_token("width")
-    height = rd.int_token("height")
+        raise PgmError(f"not a PGM file (magic {magic!r})", 0)
+    width = token("width")
+    height = token("height")
     if width < 1 or height < 1:
-        rd.fail(f"image size must be positive, got {width}x{height}")
-    maxval = rd.int_token("maxval")
+        raise PgmError(f"image size must be positive, got {width}x{height}", pos)
+    maxval = token("maxval")
     if maxval != 255:
-        rd.fail(f"unsupported maxval {maxval}, only 255 is handled")
+        raise PgmError(f"unsupported maxval {maxval}, only 255 is handled", pos)
     count = width * height
     if magic == b"P5":
-        rd.pos += 1  # single whitespace byte after maxval
+        pos += 1  # single whitespace byte after maxval
         need = count
     else:
         need = 2 * count - 1  # one digit per pixel, one separator between pixels
     # checked before any array is made, so a huge header cannot allocate
-    left = len(data) - rd.pos
+    left = len(data) - pos
     if left < need:
-        rd.pos = len(data)
-        rd.fail(f"truncated raster: {count} pixels need at least {need} bytes, got {left}")
+        message = f"truncated raster: {count} pixels need at least {need} bytes, got {left}"
+        raise PgmError(message, len(data))
     if magic == b"P5":
-        pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=rd.pos)
+        pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
     else:
         # pgm(5) allows comments only up to the maxval, so the raster is bare tokens
-        tokens = data[rd.pos :].split()
+        tokens = data[pos:].split()
         if len(tokens) < count:
-            rd.pos = len(data)
-            rd.fail(f"truncated raster: {count} pixels, got {len(tokens)} values")
+            raise PgmError(f"truncated raster: {count} pixels, got {len(tokens)} values", len(data))
         try:
             values = np.array(list(map(int, tokens[:count])), dtype=np.int64)
         except (ValueError, OverflowError):
-            rd.fail("pixel values must be integers")
+            raise PgmError("pixel values must be integers", pos) from None
         if np.any(values < 0) or np.any(values > 255):
-            rd.fail("pixel value out of 0..255")
+            raise PgmError("pixel value out of 0..255", pos)
         pixels = values.astype(np.uint8)
     return GrayImage(pixels.reshape(height, width))
 
@@ -178,9 +161,9 @@ def write_pgm(img: GrayImage, path, ascii_format: bool = False) -> None:
 def decimate(img: GrayImage, factor: int) -> GrayImage:
     """Direct subsampling: keep every ``factor``-th pixel, no prefilter."""
     if factor < 1:
-        raise UsageError(f"factor must be >= 1, got {factor}")
+        raise ConfigurationError(f"factor must be >= 1, got {factor}")
     if img.height % factor or img.width % factor:
-        raise UsageError(
+        raise ConfigurationError(
             f"dimensions {img.height}x{img.width} not divisible by {factor}"
         )
     return GrayImage(img.pixels[::factor, ::factor].copy())

@@ -42,8 +42,6 @@ def mixer_period(ticks_per_sample: int, modules: int) -> np.ndarray:
 
 
 def _mix_axis(values: np.ndarray, ticks_per_sample: int, modules: int, axis: int) -> np.ndarray:
-    if modules == 0:
-        return values
     n = values.shape[axis]
     gains = np.tile(mixer_period(ticks_per_sample, modules), n // ticks_per_sample)
     shape = [1] * values.ndim

@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "ConfigurationError",
-    "UsageError",
     "GridSpec",
     "DenseSignal",
     "gen_bandlimited",
@@ -38,11 +37,7 @@ PEAK = 255.0
 
 
 class ConfigurationError(ValueError):
-    """Raised when a grid / operator configuration is invalid."""
-
-
-class UsageError(ValueError):
-    """Raised when arguments are individually valid but mutually inconsistent."""
+    """Raised on bad input: a value out of its range, or values that do not fit together."""
 
 
 @dataclass(frozen=True)
@@ -177,7 +172,7 @@ def snr_db(reference, estimate) -> float:
     ref = np.asarray(getattr(reference, "values", reference), dtype=np.float64)
     est = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)
     if ref.shape != est.shape:
-        raise UsageError(f"shape mismatch: {ref.shape} vs {est.shape}")
+        raise ConfigurationError(f"shape mismatch: {ref.shape} vs {est.shape}")
     margins = [math.ceil(EDGE_IGNORE_FRAC * n) for n in ref.shape]
     interior = tuple([slice(m, n - m) for m, n in zip(margins, ref.shape)])
     r = ref[interior]
@@ -199,7 +194,7 @@ def psnr_db(reference, estimate) -> float:
     ref = np.asarray(getattr(reference, "values", reference), dtype=np.float64)
     est = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)
     if ref.shape != est.shape:
-        raise UsageError(f"shape mismatch: {ref.shape} vs {est.shape}")
+        raise ConfigurationError(f"shape mismatch: {ref.shape} vs {est.shape}")
     mse = float(np.mean((ref - est) ** 2))
     if mse == 0.0:
         return math.inf

@@ -116,9 +116,9 @@ class ChebyshevAccel:
     b: float = 2.0
 
     def __post_init__(self):
-        if not 0.0 < self.a <= self.b:
+        if not 0.0 < self.a <= self.b < np.inf:
             raise ConfigurationError(
-                f"frame bounds require 0 < A <= B, got A={self.a}, B={self.b}"
+                f"frame bounds require 0 < A <= B < inf, got A={self.a}, B={self.b}"
             )
 
     @property
@@ -252,9 +252,10 @@ def iterate(
     Computes each iterate of the plain relaxed loop, or of the Chebyshev
     recursion when ``cfg.acceleration`` is set, per band bin in closed form
     (see the module docstring).  With a reference, every iterate's SNR is
-    traced, at one ``irfftn`` per traced iterate; the only other fine-grid
-    transform is the ``irfftn`` that returns the estimate.  A run that does
-    not contract and overflows float64 raises :class:`ConfigurationError`.
+    traced, at one ``irfftn`` per traced iterate, and the last one is the
+    estimate; without one, a single ``irfftn`` returns the estimate.  A run
+    that does not contract and overflows float64 raises
+    :class:`ConfigurationError`.
     """
     op = cfg.operator
     if observed.grid != op.grid:
@@ -278,8 +279,10 @@ def iterate(
             # the plain loop's start, e = q, is reported apart from the trace
             for _, error in zip(range(cfg.iterations + (accel is None)), factors):
                 if trace is not None:
-                    trace.append(snr_db(reference, values_of(error)))
-            values = values_of(error)
+                    values = values_of(error)
+                    trace.append(snr_db(reference, values))
+            if trace is None:
+                values = values_of(error)
     except FloatingPointError:
         raise ConfigurationError(
             f"the iterates overflow float64 within {cfg.iterations} iterations: "

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from interpcomp import (
+    ConfigurationError,
     GridSpec,
     InterpKind,
-    UsageError,
     contraction_factor,
     distortion_gain,
     lambda_opt_minimax,
@@ -43,6 +43,24 @@ class TestDistortionGain:
 
     def test_li_band_edge_plain(self):
         assert distortion_gain(LI, 0, 0.5) == pytest.approx((2 / math.pi) ** 2, abs=1e-12)
+
+    def test_array_matches_scalar(self):
+        # one sum serves one frequency and the dense band grid alike
+        ft = np.linspace(-1.3, 1.3, 27)
+        for kind in (SH, LI):
+            gains = distortion_gain(kind, 2, ft)
+            assert gains.shape == ft.shape
+            assert gains.tolist() == [distortion_gain(kind, 2, float(f)) for f in ft]
+
+    def test_negative_modules_rejected(self):
+        # the band maxima take the same sum, so they check the count too
+        for call in (
+            lambda: distortion_gain(SH, -1, 0.25),
+            lambda: contraction_factor(SH, -1, 1.0),
+            lambda: lambda_opt_minimax(SH, -1),
+        ):
+            with pytest.raises(ConfigurationError, match="modules must be >= 0"):
+                call()
 
     @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
     def test_discrete_band_edge_gain_converges(self, kind):
@@ -81,6 +99,15 @@ class TestContractionFactor:
                 for k in (1, 2, 4):
                     assert contraction_factor(kind, n, 1.0, k) < 1.0
 
+    @pytest.mark.parametrize("relax", [0.0, -1.0, math.nan, math.inf])
+    def test_relax_must_be_positive_and_finite(self, relax):
+        with pytest.raises(ConfigurationError, match="relax must be positive and finite"):
+            contraction_factor(SH, 1, relax)
+
+    def test_rate_multiple_below_one_rejected(self):
+        with pytest.raises(ConfigurationError, match="rate_multiple"):
+            contraction_factor(SH, 1, 1.0, 0)
+
 
 class TestLambdaOpt:
     def test_paper_closed_forms(self):
@@ -94,7 +121,7 @@ class TestLambdaOpt:
         assert li.disagrees
 
     def test_only_one_module_supported(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigurationError):
             lambda_opt_paper(SH, 2)
 
     def test_band_edge_balance_improves_sh(self):
@@ -162,8 +189,12 @@ class TestOpCounts:
         assert op_counts_2d(3, 512, 512, True) == (2 * 512 * adds, 2 * 512 * mults)
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigurationError):
             op_counts(1, 3, False)
+
+    def test_rejects_no_iterations(self):
+        with pytest.raises(ConfigurationError, match="iterations"):
+            op_counts(0, 2, False)
 
 
 class TestPredictedGain:
@@ -183,7 +214,7 @@ class TestPredictedGain:
 
     def test_domain_errors(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(UsageError):
+            with pytest.raises(ConfigurationError):
                 predicted_gain_db(bad)
 
 

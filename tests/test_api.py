@@ -11,7 +11,7 @@ import interpcomp
 PUBLIC_NAMES = [
     "AnalysisResult", "ChebyshevAccel", "CoarseSamples", "ConfigurationError", "DenseSignal",
     "EnlargeConfig", "GrayImage", "GridSpec", "InterpKind", "ReconConfig", "ReconOperator",
-    "ReconReport", "SingularSystemError", "UsageError", "add_awgn", "contraction_factor",
+    "ReconReport", "SingularSystemError", "add_awgn", "contraction_factor",
     "cosine_mix", "decimate", "distortion_gain", "enlarge", "enlarge_dense",
     "fixed_point_oracle", "gen_bandlimited", "interpolate", "iterate", "lambda_opt_minimax",
     "lambda_opt_paper", "lowpass", "noise_tolerance_coeff", "op_counts", "op_counts_2d",

@@ -324,6 +324,83 @@ class TestImage:
     def test_bad_method_token_exit_code(self, tmp_path, capsys):
         src = tmp_path / "scene.pgm"
         write_pgm(synthetic_scene(16, 16, seed=1), src)
-        code = run(["image", src, "--methods", "iterative:abc", "--out-dir", tmp_path / "o"])
+        for token in ("iterative:abc", "bogus:2"):
+            code = run(["image", src, "--methods", token, "--out-dir", tmp_path / "o"])
+            assert code == 2
+            assert f"method '{token}'" in capsys.readouterr().err
+
+
+# the numeric flags of each subcommand
+SWEPT_FLAGS = {
+    "convergence": ["--seed", "--lambda", "--modules", "--k-rate", "--iterations"],
+    "noise": ["--seed", "--lambda", "--modules", "--k-rate", "--iterations", "--noise-power-db"],
+    "lambda-sweep": ["--seed", "--lambda", "--modules", "--k-rate", "--iterations"],
+    "rate": ["--seed", "--lambda", "--modules", "--k-rate", "--iterations"],
+    "analyze": ["--lambda", "--modules", "--k-rate", "--iterations", "--fft-block"],
+    "image": ["--lambda", "--factor", "--frame-a", "--frame-b"],
+}
+TINY_TRIALS = ["--trials", 1, "--iterations", 2, "--n-coarse", 16]
+
+
+@pytest.fixture(scope="module")
+def pgm16(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scene") / "scene16.pgm"
+    write_pgm(synthetic_scene(16, 16, seed=1), path)
+    return path
+
+
+def tiny_argv(command, pgm, tmp_path):
+    """A small run of ``command``, writing under ``tmp_path``."""
+    if command == "analyze":
+        return [command]
+    if command == "image":
+        return [command, pgm, "--accelerate", "--out-dir", tmp_path / "o"]
+    return [command, *TINY_TRIALS, "--out", tmp_path / "x.csv"]
+
+
+class TestBoundarySweep:
+    """Every numeric flag of every subcommand, set in turn to -1, 0, nan and inf.
+
+    A run exits 0 or 2 and raises nothing; argparse rejects a value that is
+    not an integer with SystemExit(2), which counts as 2.  RuntimeWarnings
+    are errors in the test suite, so a numpy warning fails the run too.
+    """
+
+    @pytest.mark.parametrize(
+        "command,flag", [(c, f) for c, flags in SWEPT_FLAGS.items() for f in flags]
+    )
+    def test_exits_0_or_2(self, tmp_path, pgm16, command, flag):
+        for value in ("-1", "0", "nan", "inf"):
+            argv = [*tiny_argv(command, pgm16, tmp_path), flag, value]
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code in (0, 2), argv
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("convergence", "--seed", "-1"),
+            ("noise", "--seed", "-1"),
+            ("lambda-sweep", "--seed", "-1"),
+            ("rate", "--seed", "-1"),
+            ("analyze", "--modules", "-1"),
+            ("analyze", "--lambda", "nan"),
+            ("analyze", "--lambda", "inf"),
+        ],
+    )
+    def test_rejected_with_one_line(self, tmp_path, capsys, command, flag, value):
+        code = run([*tiny_argv(command, None, tmp_path), flag, value])
+        out, err = capsys.readouterr()
         assert code == 2
-        assert "iterative:abc" in capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == ""
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_non_contracting_lambda_reported(self, capsys):
+        # lambda 3 is a valid input that does not contract: no dB per iteration
+        assert run(["analyze", "--lambda", "3", "--csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        table = dict(row.split(",", 1) for row in lines[1:])
+        assert table["predicted_db_per_iteration"] == "nan"

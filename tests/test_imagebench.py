@@ -13,7 +13,6 @@ from interpcomp import (
     InterpKind,
     ReconConfig,
     ReconOperator,
-    UsageError,
     decimate,
     enlarge,
     enlarge_dense,
@@ -122,6 +121,42 @@ class TestPgmIO:
         with pytest.raises(PgmError):
             read_pgm(path)
 
+    def test_header_ends_early(self, tmp_path):
+        # a trailing comment holds no token, even one that reads as the maxval
+        path = tmp_path / "short.pgm"
+        path.write_bytes(b"P2\n2 2\n# 255")
+        with pytest.raises(PgmError) as err:
+            read_pgm(path)
+        assert "unexpected end of file in header" in str(err.value)
+        assert err.value.offset == path.stat().st_size
+
+    def test_non_integer_header_token(self, tmp_path):
+        # the offset is the bad token's own, not that of the whitespace before it
+        raw = b"P2\n2 \t# note\n x2\n255\n0 1 2 3\n"
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(PgmError) as err:
+            read_pgm(path)
+        assert "expected integer height, got b'x2'" in str(err.value)
+        assert err.value.offset == raw.index(b"x2")
+
+
+class TestGrayImage:
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (4, 1), (2, 2, 2)])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(ConfigurationError, match="at least 2x2"):
+            GrayImage(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("bad", [-1.0, 255.5, math.nan])
+    def test_float_pixels_outside_range_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="0..255"):
+            GrayImage(np.array([[0.0, bad], [1.0, 2.0]]))
+
+    def test_float_pixels_inside_range_converted(self):
+        img = GrayImage(np.array([[0.0, 255.0], [1.0, 2.0]]))
+        assert img.pixels.dtype == np.uint8
+        assert img.pixels.tolist() == [[0, 255], [1, 2]]
+
 
 class TestDecimate:
     def test_identity(self, scene256):
@@ -134,8 +169,13 @@ class TestDecimate:
 
     def test_indivisible_rejected(self):
         img = GrayImage(np.zeros((6, 6), dtype=np.uint8))
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigurationError):
             decimate(img, 4)
+
+    def test_factor_below_one_rejected(self):
+        img = GrayImage(np.zeros((6, 6), dtype=np.uint8))
+        with pytest.raises(ConfigurationError, match="factor must be >= 1"):
+            decimate(img, 0)
 
     def test_enlarge_then_decimate_recovers(self):
         # the converged reconstruction interpolates the low-res samples, so
@@ -181,6 +221,20 @@ class TestEnlarge:
     def test_modules_capped_by_factor(self):
         with pytest.raises(ConfigurationError):
             EnlargeConfig(2, "hybrid", modules=2)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(factor=1), "factor must be >= 2"),
+            (dict(factor=3), "factor must be even"),
+            (dict(method="bicubic"), "unknown method"),
+            (dict(method="iterative", iterations=0), "iterations must be >= 1"),
+        ],
+        ids=["factor-1", "odd-factor", "unknown-method", "no-iterations"],
+    )
+    def test_invalid_config(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            EnlargeConfig(**kwargs)
 
     def test_monotone_psnr_model_class(self):
         # for a periodic band-limited field (with the module harmonic strictly

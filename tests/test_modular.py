@@ -62,6 +62,10 @@ class TestCosineMix:
         with pytest.raises(ConfigurationError):
             mixer_period(4, 3)
 
+    def test_negative_modules_rejected(self):
+        with pytest.raises(ConfigurationError, match="modules must be >= 0"):
+            mixer_period(4, -1)
+
 
 class TestCosineMix2d:
     def grids(self):

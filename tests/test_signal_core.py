@@ -9,7 +9,6 @@ from interpcomp import (
     ConfigurationError,
     DenseSignal,
     GridSpec,
-    UsageError,
     add_awgn,
     gen_bandlimited,
     lowpass,
@@ -86,6 +85,11 @@ class TestAddAwgn:
         y = add_awgn(bl_signal, -300.0, seed=9)
         assert np.max(np.abs(y.values - bl_signal.values)) < 1e-12
 
+    @pytest.mark.parametrize("power_db", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_power_rejected(self, bl_signal, power_db):
+        with pytest.raises(ConfigurationError, match="noise_power_db must be finite"):
+            add_awgn(bl_signal, power_db, seed=9)
+
     def test_snr_about_54db(self, grid):
         # 34 dB signal + (-20 dB) noise: empirical SNR near 54 dB
         snrs = []
@@ -146,7 +150,7 @@ class TestSnr:
     def test_length_mismatch(self, grid):
         x = DenseSignal(grid, np.zeros(grid.n_fine))
         other = DenseSignal(GridSpec(32, 16), np.ones(512))
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigurationError):
             snr_db(x, other)
 
     @given(st.floats(min_value=1e-6, max_value=10.0))
@@ -182,7 +186,7 @@ class TestPsnr:
         assert psnr_db(a, b) == pytest.approx(10 * math.log10(255**2 / mse), abs=1e-9)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigurationError):
             psnr_db(np.zeros((4, 4)), np.zeros((4, 5)))
 
     def test_on_dense_images(self):

@@ -58,6 +58,10 @@ class TestApplyOperator:
         with pytest.raises(ConfigurationError):
             ReconOperator(GridSpec(16, 4), SH, 3)
 
+    def test_negative_modules_rejected(self):
+        with pytest.raises(ConfigurationError, match="modules must be >= 0"):
+            ReconOperator(GridSpec(16, 4), SH, -1)
+
 
 class TestIterate:
     def test_constant_exact_recovery(self, grid):
@@ -148,6 +152,8 @@ class TestIterate:
         x = gen_bandlimited(2, GridSpec(grid.n_coarse, grid.ticks_per_sample, 2), 0.0)
         with pytest.raises(ConfigurationError):
             iterate(sample(x), ReconConfig(ReconOperator(grid, SH, 0)))
+        with pytest.raises(ConfigurationError, match="same grids"):
+            ReconOperator(grid, SH, 0).observation(sample(x))
 
 
 class TestChebyshev:
@@ -182,6 +188,8 @@ class TestChebyshev:
             ChebyshevAccel(2.0, 1.0)
         with pytest.raises(ConfigurationError):
             ChebyshevAccel(0.0, 1.0)
+        with pytest.raises(ConfigurationError):
+            ChebyshevAccel(1.0, np.inf)
 
     def test_accelerates_its_base_iteration(self, grid):
         x = gen_bandlimited(21, grid, 34.0)
@@ -399,7 +407,8 @@ class TestSpectralIterate:
         # a guard against a fine-grid pass of G coming back: the solve
         # interpolates, mixes and lowpasses nothing; it transforms the coarse
         # values once, and the band back to the fine grid once per traced
-        # iterate (the start and 10 iterations) and once for the estimate
+        # iterate (the start and 10 iterations), the last of which is the
+        # estimate, or once for the estimate of an untraced solve
         grid = (GridSpec(24, 8), GridSpec(16, 4))
         x = gen_bandlimited(4, grid, 0.0)
         s = sample(x)
@@ -407,12 +416,12 @@ class TestSpectralIterate:
         warm = iterate(s, cfg).estimate.values
         stages = self.stage_calls(monkeypatch)
         transforms = self.transform_calls(monkeypatch)
-        for reference, traced in ((None, 0), (x, 11)):
+        for reference, inverse in ((None, 1), (x, 11)):
             stages.clear()
             transforms.clear()
             rep = iterate(s, cfg, reference=reference)
             assert stages == []
-            assert [t[0] for t in transforms] == ["rfftn"] + ["irfftn"] * (traced + 1)
+            assert [t[0] for t in transforms] == ["rfftn"] + ["irfftn"] * inverse
             assert transforms[0][1] == (24, 16)
             assert all(t[2] == (192, 64) for t in transforms[1:])
             assert rep.operator_applications == 0
