@@ -240,7 +240,8 @@ def _parse_method(token: str, factor: int, relax: float, acceleration) -> Enlarg
 
 def cmd_image(args) -> int:
     original = read_pgm(args.image)
-    accel = ChebyshevAccel(args.frame_a, args.frame_b) if args.accelerate else None
+    bounds = ChebyshevAccel(args.frame_a, args.frame_b)  # checked without --accelerate too
+    accel = bounds if args.accelerate else None
     methods = [
         _parse_method(tok, args.factor, args.relax, accel) for tok in args.methods.split(",")
     ]
@@ -272,11 +273,13 @@ def cmd_image(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, trials=True):
+def _add_common(p: argparse.ArgumentParser, *, trials=True, relax=True, k_rate=True):
     """The configuration flags; ``trials`` adds those of the trial-running subcommands."""
     p.add_argument("--kind", default="sh", choices=["sh", "li"], help="interpolator")
-    p.add_argument("--lambda", dest="relax", type=float, default=1.0, help="relaxation parameter")
-    p.add_argument("--k-rate", type=int, default=1, help="sampling rate multiple of Nyquist")
+    if relax:
+        p.add_argument("--lambda", dest="relax", type=float, default=1.0, help="relaxation parameter")
+    if k_rate:
+        p.add_argument("--k-rate", type=int, default=1, help="sampling rate multiple of Nyquist")
     p.add_argument("--iterations", type=int, default=10)
     if not trials:
         return
@@ -302,8 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="convergence.csv")
     p.set_defaults(func=cmd_convergence, noise_power_db=None)
 
-    p = sub.add_parser("lambda-sweep", help="average dB/iteration over a relaxation grid")
-    _add_common(p)
+    # no abbreviations, so that a flag left out is not read as the list flag it begins
+    p = sub.add_parser(
+        "lambda-sweep", help="average dB/iteration over a relaxation grid", allow_abbrev=False
+    )
+    _add_common(p, relax=False)
     p.add_argument("--modules", dest="modules_single", type=int, default=1)
     p.add_argument(
         "--lambda-grid",
@@ -322,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="noise.csv")
     p.set_defaults(func=cmd_convergence)
 
-    p = sub.add_parser("rate", help="traces at several sampling-rate multiples")
-    _add_common(p)
+    p = sub.add_parser("rate", help="traces at several sampling-rate multiples", allow_abbrev=False)
+    _add_common(p, k_rate=False)
     p.add_argument("--modules", dest="modules_single", type=int, default=1)
     p.add_argument("--k-rates", type=_int_list, default=[1, 2])
     p.add_argument("--out", default="rate.csv")

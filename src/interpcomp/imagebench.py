@@ -12,7 +12,9 @@ The iterative and hybrid methods solve with
 DFT bin in closed form, since G is diagonal in the DFT on the band.  It
 starts from the spectrum of the low-resolution pixels and never
 interpolates on the fine grid; with no reference to trace, its only
-fine-grid work is the inverse FFT that returns the enlarged image.
+fine-grid work is the inverse FFT that returns the enlarged image, on the
+band's columns and the crop's rows only.  Bilinear interpolates the image
+padded by one replicated row and column, all of the extension the crop reads.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .samplers import CoarseSamples, InterpKind, interpolate
 from .signal_core import ConfigurationError, GridSpec, psnr_db
-from .solver import ChebyshevAccel, ReconConfig, ReconOperator, iterate
+from .solver import ChebyshevAccel, ReconConfig, ReconOperator, _check_relax, iterate
 
 __all__ = [
     "PgmError",
@@ -189,6 +191,7 @@ class EnlargeConfig:
             )
         if self.method not in ("bilinear", "iterative", "hybrid"):
             raise ConfigurationError(f"unknown method {self.method!r}")
+        _check_relax(self.relax)  # for bilinear too, so a bad value never passes
         if self.method != "hybrid":
             object.__setattr__(self, "modules", 0)  # only the hybrid mixes
         if self.method == "bilinear":
@@ -219,21 +222,26 @@ def _mirror_extend(values: np.ndarray) -> np.ndarray:
 
 def enlarge_dense(low: GrayImage, cfg: EnlargeConfig) -> np.ndarray:
     """Float-valued enlargement (no clamping); shape (h*factor, w*factor)."""
-    ext = _mirror_extend(low.pixels.astype(np.float64))
+    pixels = low.pixels.astype(np.float64)
+    if cfg.method == "bilinear":
+        # the crop reads samples 0..h, and the mirror extension's sample h is
+        # h-1; a 2-pixel axis is padded to the 4 samples of a grid
+        ext = np.pad(pixels, [(0, max(1, 4 - n)) for n in pixels.shape], mode="edge")
+    else:
+        ext = _mirror_extend(pixels)
     grids = (GridSpec(ext.shape[0], cfg.factor), GridSpec(ext.shape[1], cfg.factor))
     samples = CoarseSamples(grids, ext)
+    crop = (low.height * cfg.factor, low.width * cfg.factor)
     if cfg.method == "bilinear":
-        dense = interpolate(samples, InterpKind.LINEAR).values
-    else:
-        op = ReconOperator(grids, InterpKind.SAMPLE_AND_HOLD, cfg.modules)
-        run = ReconConfig(
-            op,
-            relax=cfg.relax,
-            iterations=cfg.iterations,
-            acceleration=cfg.acceleration,
-        )
-        dense = iterate(samples, run).estimate.values
-    return dense[: low.height * cfg.factor, : low.width * cfg.factor]
+        return interpolate(samples, InterpKind.LINEAR).values[: crop[0], : crop[1]]
+    op = ReconOperator(grids, InterpKind.SAMPLE_AND_HOLD, cfg.modules)
+    run = ReconConfig(
+        op,
+        relax=cfg.relax,
+        iterations=cfg.iterations,
+        acceleration=cfg.acceleration,
+    )
+    return iterate(samples, run, crop=crop).estimate
 
 
 def enlarge(low: GrayImage, cfg: EnlargeConfig) -> GrayImage:

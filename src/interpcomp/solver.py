@@ -37,7 +37,8 @@ polynomial in ``q = 1 - s·G̃`` (``s`` the relaxation parameter, or
 three-term recursion for Chebyshev ("Acceleration of the frame algorithm",
 IEEE Trans. Signal Process., 1993).  So the solve never runs G: inverse
 transforms of the band, for the estimate and for each traced SNR, are its
-only fine-grid work.
+only fine-grid work, and each computes only the leading corner of the grid
+asked for (:func:`_band_inverse`).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 
 from .modular import cosine_mix
 from .samplers import CoarseSamples, InterpKind, interpolate, lattice, sample
-from .signal_core import ConfigurationError, DenseSignal, GridSpec, per_axis, snr_db
+from .signal_core import ConfigurationError, DenseSignal, GridSpec, _check_values, per_axis, snr_db
 from .spectral import _gain_mask, lowpass
 
 __all__ = [
@@ -126,6 +127,11 @@ class ChebyshevAccel:
         return (self.b - self.a) / (self.b + self.a)
 
 
+def _check_relax(relax: float) -> None:
+    if not 0.0 < relax < 2.0:
+        raise ConfigurationError(f"relaxation parameter must lie in (0, 2), got {relax}")
+
+
 @dataclass(frozen=True)
 class ReconConfig:
     operator: ReconOperator
@@ -134,10 +140,7 @@ class ReconConfig:
     acceleration: Optional[ChebyshevAccel] = None
 
     def __post_init__(self):
-        if not 0.0 < self.relax < 2.0:
-            raise ConfigurationError(
-                f"relaxation parameter must lie in (0, 2), got {self.relax}"
-            )
+        _check_relax(self.relax)
         if self.iterations < 1:
             raise ConfigurationError(
                 f"iterations must be >= 1, got {self.iterations}"
@@ -148,6 +151,8 @@ class ReconConfig:
 class ReconReport:
     """Outcome of one reconstruction run.
 
+    ``estimate`` is the dense signal or, for a solve given a ``crop``, the
+    values of that leading corner of the grid as a finite float64 array.
     ``snr_trace_db[j]`` is the SNR of the estimate after iteration ``j+1``;
     ``snr_initial_db`` is the SNR of the starting estimate (the simply
     filtered reconstruction), or None when no reference was supplied or the
@@ -208,13 +213,13 @@ def _outer(vectors) -> np.ndarray:
 
 
 def _band_observation(op: ReconOperator, values: np.ndarray):
-    """The band's index into the fine grid's ``rfftn`` output, T there and G̃ there.
+    """The band's per-axis index into the fine grid's ``rfftn`` output, T there and G̃ there.
 
-    ``T * G̃`` is the band of ``rfftn(op.observation(samples))``.  T, the
-    band of the samples' trigonometric interpolant, is read from one
-    ``rfftn`` of the coarse values: a fine bin k reads coarse bin k mod
-    ``n_coarse`` on each axis (on a non-last axis, fine bin n-j reads coarse
-    bin ``n_coarse``-j).
+    ``T * G̃`` is the band of ``rfftn(op.observation(samples))``, at
+    ``np.ix_(*index)``.  T, the band of the samples' trigonometric
+    interpolant, is read from one ``rfftn`` of the coarse values: a fine bin
+    k reads coarse bin k mod ``n_coarse`` on each axis (on a non-last axis,
+    fine bin n-j reads coarse bin ``n_coarse``-j).
     """
     ndim = len(op.grid)
     index, weight, gain = zip(
@@ -222,7 +227,22 @@ def _band_observation(op: ReconOperator, values: np.ndarray):
     )
     coarse = np.fft.rfftn(values, axes=tuple(range(ndim)))
     fixed = coarse[np.ix_(*[k % g.n_coarse for k, g in zip(index, op.grid)])]
-    return np.ix_(*index), fixed * _outer(weight), _outer(gain)
+    return index, fixed * _outer(weight), _outer(gain)
+
+
+def _band_inverse(band: np.ndarray, index, shape: tuple, crop: tuple) -> np.ndarray:
+    """The leading ``crop`` corner of ``irfftn`` of the band zero-filled to ``shape``, bitwise.
+
+    ``band`` sits at ``index``, as from :func:`_band_observation`.  A non-last
+    axis is transformed only on the band's lines, as all others stay zero; the
+    last axis holds rfft bins 0..B, which ``irfft`` zero-pads itself.
+    """
+    for axis, (k, n, keep) in enumerate(zip(index[:-1], shape, crop)):
+        lead = (slice(None),) * axis
+        full = np.zeros(band.shape[:axis] + (n,) + band.shape[axis + 1 :], dtype=np.complex128)
+        full[lead + (k,)] = band
+        band = np.fft.ifft(full, axis=axis)[lead + (slice(keep),)]
+    return np.fft.irfft(band, n=shape[-1], axis=-1)[..., : crop[-1]]
 
 
 def _error_factors(q: np.ndarray, rho: float):
@@ -246,14 +266,16 @@ def iterate(
     observed: CoarseSamples,
     cfg: ReconConfig,
     reference: Optional[DenseSignal] = None,
+    crop: Optional[Tuple[int, ...]] = None,
 ) -> ReconReport:
     """Reconstruct a dense signal from its coarse samples, on any number of axes.
 
     Computes each iterate of the plain relaxed loop, or of the Chebyshev
     recursion when ``cfg.acceleration`` is set, per band bin in closed form
     (see the module docstring).  With a reference, every iterate's SNR is
-    traced, at one ``irfftn`` per traced iterate, and the last one is the
-    estimate; without one, a single ``irfftn`` returns the estimate.  A run
+    traced, at one inverse transform per traced iterate, and the last one is
+    the estimate; without one, a single inverse transform returns the
+    estimate, or only its leading ``crop`` corner (one size per axis).  A run
     that does not contract and overflows float64 raises
     :class:`ConfigurationError`.
     """
@@ -261,16 +283,11 @@ def iterate(
     if observed.grid != op.grid:
         raise ConfigurationError("samples and operator must have the same grids")
     shape = tuple([g.n_fine for g in op.grid])
-    band, fixed, gain = _band_observation(op, observed.values)
+    corner = shape if crop is None else tuple(crop)
+    index, fixed, gain = _band_observation(op, observed.values)
     accel = cfg.acceleration
     q = 1.0 - (cfg.relax if accel is None else 2.0 / (accel.a + accel.b)) * gain
     worst = float(np.max(np.abs(q)))
-
-    def values_of(error):
-        # allocated per call, so an untraced solve's peak memory is the band alone
-        spectrum = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
-        spectrum[band] = (1.0 - error) * fixed
-        return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape))))
 
     factors = _error_factors(q, 0.0 if accel is None else accel.rho)
     trace = None if reference is None else []
@@ -279,17 +296,21 @@ def iterate(
             # the plain loop's start, e = q, is reported apart from the trace
             for _, error in zip(range(cfg.iterations + (accel is None)), factors):
                 if trace is not None:
-                    values = values_of(error)
+                    values = _band_inverse((1.0 - error) * fixed, index, shape, corner)
                     trace.append(snr_db(reference, values))
             if trace is None:
-                values = values_of(error)
+                values = _band_inverse((1.0 - error) * fixed, index, shape, corner)
     except FloatingPointError:
         raise ConfigurationError(
             f"the iterates overflow float64 within {cfg.iterations} iterations: "
             f"a band bin does not contract, max |1 - s*gain| = {worst:.6g} >= 1"
         ) from None
+    if crop is None:
+        estimate = DenseSignal(op.grid, values)
+    else:
+        estimate = _check_values(values, corner, "DenseSignal")
     return ReconReport(
-        estimate=DenseSignal(op.grid, values),
+        estimate=estimate,
         iterations_run=cfg.iterations,
         operator_applications=0,
         snr_initial_db=trace.pop(0) if trace is not None and accel is None else None,

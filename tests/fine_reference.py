@@ -8,9 +8,10 @@ observation: one pass of G per iteration, and every traced SNR taken from
 the iterate itself.  The loops, the Chebyshev relaxation sequence
 (``chebyshev_lambdas``) and the divergence flag are this module's own and
 share no code with the solve.  ``fine_iterate`` has ``iterate``'s signature
-and report, so a test can swap it in for the solve.  ``measured_gain``
-measures the per-bin gain the closed form must match, by running G on a
-band-limited impulse.
+and report, so a test can swap it in for the solve; it runs the whole grid
+and then cuts a requested crop from it.  ``measured_gain`` measures the
+per-bin gain the closed form must match, by running G on a band-limited
+impulse.
 """
 
 from functools import reduce
@@ -79,7 +80,7 @@ def chebyshev_loop(g_obs, apply_g, cfg, snr_of):
     return x_cur, None, trace
 
 
-def fine_iterate(observed, cfg, reference=None):
+def fine_iterate(observed, cfg, reference=None, crop=None):
     op = cfg.operator
     snr_of = None
     if reference is not None:
@@ -91,8 +92,9 @@ def fine_iterate(observed, cfg, reference=None):
     accel = cfg.acceleration
     step = cfg.relax if accel is None else 2.0 / (accel.a + accel.b)
     passes = cfg.iterations if accel is None else cfg.iterations - 1
+    estimate = DenseSignal(op.grid, xk)
     return ReconReport(
-        estimate=DenseSignal(op.grid, xk),
+        estimate=estimate if crop is None else estimate.values[tuple(slice(n) for n in crop)],
         iterations_run=cfg.iterations,
         operator_applications=1 + passes,  # the observation is one pass
         snr_initial_db=init_snr,

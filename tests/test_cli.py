@@ -334,8 +334,8 @@ class TestImage:
 SWEPT_FLAGS = {
     "convergence": ["--seed", "--lambda", "--modules", "--k-rate", "--iterations"],
     "noise": ["--seed", "--lambda", "--modules", "--k-rate", "--iterations", "--noise-power-db"],
-    "lambda-sweep": ["--seed", "--lambda", "--modules", "--k-rate", "--iterations"],
-    "rate": ["--seed", "--lambda", "--modules", "--k-rate", "--iterations"],
+    "lambda-sweep": ["--seed", "--modules", "--k-rate", "--iterations"],
+    "rate": ["--seed", "--lambda", "--modules", "--iterations"],
     "analyze": ["--lambda", "--modules", "--k-rate", "--iterations", "--fft-block"],
     "image": ["--lambda", "--factor", "--frame-a", "--frame-b"],
 }
@@ -349,13 +349,32 @@ def pgm16(tmp_path_factory):
     return path
 
 
-def tiny_argv(command, pgm, tmp_path):
+def tiny_argv(command, pgm, tmp_path, accelerate=True):
     """A small run of ``command``, writing under ``tmp_path``."""
     if command == "analyze":
         return [command]
     if command == "image":
-        return [command, pgm, "--accelerate", "--out-dir", tmp_path / "o"]
+        accel = ["--accelerate"] if accelerate else []
+        return [command, pgm, *accel, "--out-dir", tmp_path / "o"]
     return [command, *TINY_TRIALS, "--out", tmp_path / "x.csv"]
+
+
+# (command, flags) runs that must fail before they write anything; an image
+# run is not accelerated, so its frame bounds are checked all the same
+REJECTED = [
+    ("convergence", ["--seed", "-1"]),
+    ("noise", ["--seed", "-1"]),
+    ("lambda-sweep", ["--seed", "-1"]),
+    ("rate", ["--seed", "-1"]),
+    ("analyze", ["--modules", "-1"]),
+    ("analyze", ["--lambda", "nan"]),
+    ("analyze", ["--lambda", "inf"]),
+    ("image", ["--lambda", "0"]),
+    ("image", ["--lambda", "2", "--methods", "bilinear"]),
+    ("image", ["--frame-a", "0"]),
+    ("image", ["--frame-a", "3"]),
+    ("image", ["--frame-b", "inf"]),
+]
 
 
 class TestBoundarySweep:
@@ -379,24 +398,27 @@ class TestBoundarySweep:
             assert code in (0, 2), argv
 
     @pytest.mark.parametrize(
-        "command,flag,value",
-        [
-            ("convergence", "--seed", "-1"),
-            ("noise", "--seed", "-1"),
-            ("lambda-sweep", "--seed", "-1"),
-            ("rate", "--seed", "-1"),
-            ("analyze", "--modules", "-1"),
-            ("analyze", "--lambda", "nan"),
-            ("analyze", "--lambda", "inf"),
-        ],
+        "command,flags", REJECTED, ids=["-".join([c, *f]) for c, f in REJECTED]
     )
-    def test_rejected_with_one_line(self, tmp_path, capsys, command, flag, value):
-        code = run([*tiny_argv(command, None, tmp_path), flag, value])
+    def test_rejected_with_one_line(self, tmp_path, capsys, pgm16, command, flags):
+        code = run([*tiny_argv(command, pgm16, tmp_path, accelerate=False), *flags])
         out, err = capsys.readouterr()
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert out == ""
         assert not (tmp_path / "x.csv").exists()
+        assert not any((tmp_path / "o").glob("*"))
+
+    @pytest.mark.parametrize(
+        "command,flag", [("lambda-sweep", "--lambda"), ("rate", "--k-rate")]
+    )
+    def test_unread_flag_dropped(self, capsys, command, flag):
+        # the sweep takes its lambdas, and rate its rates, from a list flag;
+        # the lone flag is no abbreviation of it either
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_non_contracting_lambda_reported(self, capsys):
         # lambda 3 is a valid input that does not contract: no dB per iteration

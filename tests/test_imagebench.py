@@ -23,7 +23,9 @@ from interpcomp import (
     synthetic_scene,
     write_pgm,
 )
-from interpcomp.imagebench import PgmError
+from interpcomp import imagebench
+from interpcomp.imagebench import PgmError, _mirror_extend
+from interpcomp.samplers import interpolate
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +219,50 @@ class TestEnlarge:
         out = enlarge(img, cfg)
         assert dense.max() > 255.0 and dense.min() < 0.0
         assert out.pixels.max() <= 255 and out.pixels.min() >= 0
+
+    @pytest.mark.parametrize("shape", [(9, 7), (8, 8), (6, 11), (2, 5), (3, 2)])
+    def test_bilinear_matches_mirror_extension(self, shape, rng):
+        # the crop of bilinear on the 4x mirror extension, bit for bit
+        px = rng.integers(0, 256, size=shape).astype(np.uint8)
+        ext = _mirror_extend(px.astype(np.float64))
+        for factor in (2, 4):
+            grids = tuple([GridSpec(n, factor) for n in ext.shape])
+            full = interpolate(CoarseSamples(grids, ext), InterpKind.LINEAR).values
+            want = full[: shape[0] * factor, : shape[1] * factor]
+            got = enlarge_dense(GrayImage(px), EnlargeConfig(factor, "bilinear"))
+            assert np.array_equal(got, want)
+
+    def test_enlarge_computes_the_crop(self, monkeypatch):
+        # an iterative enlarge transforms the 2x mirror extension forward
+        # once, and no inverse returns more than the crop's rows of the fine
+        # grid; bilinear interpolates the image padded by one row and column
+        img = GrayImage(np.arange(24 * 20, dtype=np.uint8).reshape(24, 20))
+        calls = []
+
+        def shape(a):
+            return np.shape(getattr(a, "values", a))
+
+        def recorded(name, fn):
+            def wrapper(a, *args, **kwargs):
+                out = fn(a, *args, **kwargs)
+                calls.append((name, shape(a), shape(out)))
+                return out
+
+            return wrapper
+
+        for name in ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn", "fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, recorded(name, getattr(np.fft, name)))
+        monkeypatch.setattr(imagebench, "interpolate", recorded("interpolate", interpolate))
+        for method in ("iterative", "hybrid"):
+            calls.clear()
+            assert enlarge_dense(img, EnlargeConfig(2, method, iterations=3)).shape == (48, 40)
+            assert calls[0] == ("rfftn", (48, 40), (48, 21))
+            assert [c[0] for c in calls[1:]] == ["ifft", "irfft"]
+            assert all(np.prod(c[2]) <= 48 * 80 for c in calls[1:])
+            assert calls[-1][2] == (48, 80)
+        calls.clear()
+        enlarge_dense(img, EnlargeConfig(2, "bilinear"))
+        assert calls == [("interpolate", (25, 21), (50, 42))]
 
     def test_modules_capped_by_factor(self):
         with pytest.raises(ConfigurationError):

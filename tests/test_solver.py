@@ -364,8 +364,8 @@ class TestSpectralIterate:
         s = sample(gen_bandlimited(6, grid, 0.0))
         for modules in (0, 1, 2):
             op = ReconOperator(grid, kind, modules)
-            band, fixed, gain = solver._band_observation(op, s.values)
-            ref = np.fft.rfftn(op.observation(s))[band]
+            index, fixed, gain = solver._band_observation(op, s.values)
+            ref = np.fft.rfftn(op.observation(s))[np.ix_(*index)]
             assert np.max(np.abs(fixed * gain - ref)) <= 1e-12 * np.max(np.abs(ref)), modules
 
     def stage_calls(self, monkeypatch):
@@ -408,7 +408,8 @@ class TestSpectralIterate:
         # interpolates, mixes and lowpasses nothing; it transforms the coarse
         # values once, and the band back to the fine grid once per traced
         # iterate (the start and 10 iterations), the last of which is the
-        # estimate, or once for the estimate of an untraced solve
+        # estimate, or once for the estimate of an untraced solve; each
+        # inverse transforms the columns only on the band's 9 of 33 rfft bins
         grid = (GridSpec(24, 8), GridSpec(16, 4))
         x = gen_bandlimited(4, grid, 0.0)
         s = sample(x)
@@ -421,9 +422,10 @@ class TestSpectralIterate:
             transforms.clear()
             rep = iterate(s, cfg, reference=reference)
             assert stages == []
-            assert [t[0] for t in transforms] == ["rfftn"] + ["irfftn"] * inverse
-            assert transforms[0][1] == (24, 16)
-            assert all(t[2] == (192, 64) for t in transforms[1:])
+            assert transforms[0] == ("rfftn", (24, 16), (24, 9))
+            assert transforms[1:] == [
+                ("ifft", (192, 9), (192, 9)), ("irfft", (192, 9), (192, 64))
+            ] * inverse
             assert rep.operator_applications == 0
             np.testing.assert_array_equal(rep.estimate.values, warm)
 
@@ -442,7 +444,8 @@ class TestSpectralIterate:
         warm = iterate(s, cfg).estimate.values
         assert stages == []
         assert cold_transforms == transforms == [
-            ("rfftn", (20, 14), (20, 8)), ("irfftn", (120, 29), (120, 56))
+            ("rfftn", (20, 14), (20, 8)), ("ifft", (120, 8), (120, 8)),
+            ("irfft", (120, 8), (120, 56)),
         ]
         np.testing.assert_array_equal(cold, warm)
 
@@ -491,6 +494,49 @@ class TestSpectralIterate:
         ]
         assert np.all(np.isfinite(runs[1]))
         assert np.max(np.abs(runs[1] - runs[0])) <= 1e-12 * np.max(np.abs(runs[0]))
+
+
+class TestBandInverse:
+    """The pruned inverse against ``irfftn`` of the zero-filled band, then cropped."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec(64, 16),
+            GridSpec(25, 8),
+            GridSpec(32, 8, 2),
+            (GridSpec(24, 8), GridSpec(16, 4)),
+            (GridSpec(25, 4), GridSpec(12, 8)),
+            (GridSpec(25, 8, 2), GridSpec(16, 4)),
+            (GridSpec(300, 2), GridSpec(512, 2)),
+        ],
+        ids=[
+            "64x16", "25x8-odd", "32x8-rate2", "24x8-by-16x4", "25x4-by-12x8-odd",
+            "25x8-rate2-by-16x4", "300x2-by-512x2",
+        ],
+    )
+    def test_matches_irfftn_then_crop(self, grid):
+        s = sample(gen_bandlimited(3, grid, 0.0))
+        cfg = ReconConfig(ReconOperator(grid, SH, 1), iterations=3)
+        index, fixed, gain = solver._band_observation(cfg.operator, s.values)
+        band = (1.0 - (1.0 - gain) ** 4) * fixed
+        shape = tuple([g.n_fine for g in s.grid])
+        spectrum = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
+        spectrum[np.ix_(*index)] = band
+        full = np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape))))
+        whole = iterate(s, cfg).estimate.values
+        for crop in (shape, tuple([n // 2 for n in shape]), tuple([n - 3 for n in shape])):
+            corner = tuple([slice(n) for n in crop])
+            assert np.array_equal(solver._band_inverse(band, index, shape, crop), full[corner])
+            assert np.array_equal(iterate(s, cfg, crop=crop).estimate, whole[corner])
+
+    def test_crop_outside_the_grid_rejected(self):
+        grid = (GridSpec(8, 4), GridSpec(6, 4))
+        s = sample(gen_bandlimited(3, grid, 0.0))
+        cfg = ReconConfig(ReconOperator(grid, SH, 0))
+        for crop in ((33, 24), (32,), (-1, 24)):
+            with pytest.raises(ConfigurationError, match="expected shape"):
+                iterate(s, cfg, crop=crop)
 
 
 class TestBandGain:
