@@ -1,9 +1,10 @@
 """Signal reconstruction that compensates interpolation distortion.
 
-Subpackages cover the sampling/interpolation operators, ideal lowpass
-filtering, the cosine-module compensator, the iterative and hybrid
-reconstruction solve with Chebyshev acceleration, closed-form convergence
-and noise analysis, and a grayscale image enlargement benchmark.
+Modules cover the sampling/interpolation operators, the reconstruction
+operator G (sample, interpolate, mix with the cosine modules, lowpass), the
+iterative and hybrid reconstruction solve with Chebyshev acceleration,
+closed-form convergence and noise analysis, and a grayscale image
+enlargement benchmark.
 
 Signals, samples and operators take one :class:`GridSpec` per axis: a lone
 GridSpec for 1-D, or a tuple such as ``(grid_y, grid_x)`` for an image.  The
@@ -26,8 +27,6 @@ from .signal_core import (
     snr_db,
 )
 from .samplers import CoarseSamples, InterpKind, interpolate, sample
-from .spectral import lowpass
-from .modular import cosine_mix
 from .solver import (
     ChebyshevAccel,
     ReconConfig,

@@ -221,21 +221,18 @@ def cmd_analyze(args) -> int:
 def _parse_method(token: str, factor: int, relax: float, acceleration) -> EnlargeConfig:
     """bilinear | iterative:ITERS | hybrid:ITERS:MODULES, at the given factor and relaxation."""
     name, *fields = token.split(":")
+    arity = {"bilinear": 0, "iterative": 1, "hybrid": 2}.get(name, -1)  # -1: no such method
+    if len(fields) > arity:
+        raise ConfigurationError(f"method {token!r}: use bilinear, iterative:N or hybrid:N:M")
     try:
         counts = [int(f) for f in fields]
     except ValueError:
         raise ConfigurationError(f"method {token!r}: ITERS and MODULES must be integers") from None
-    common = dict(factor=factor, relax=relax, acceleration=acceleration)
-    if name == "bilinear":
-        return EnlargeConfig(method="bilinear", **common)
-    if name == "iterative":
-        iters = counts[0] if counts else 2
-        return EnlargeConfig(method="iterative", iterations=iters, **common)
-    if name == "hybrid":
-        iters = counts[0] if counts else 2
-        modules = counts[1] if len(counts) > 1 else 1
-        return EnlargeConfig(method="hybrid", iterations=iters, modules=modules, **common)
-    raise ConfigurationError(f"unknown method {token!r}; use bilinear, iterative:N, hybrid:N:M")
+    iters, modules = counts + [2, 1][len(counts):]  # EnlargeConfig drops what a method ignores
+    return EnlargeConfig(
+        factor=factor, method=name, iterations=iters, modules=modules, relax=relax,
+        acceleration=acceleration,
+    )
 
 
 def cmd_image(args) -> int:

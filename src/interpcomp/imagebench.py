@@ -27,7 +27,9 @@ import numpy as np
 
 from .samplers import CoarseSamples, InterpKind, interpolate
 from .signal_core import ConfigurationError, GridSpec, psnr_db
-from .solver import ChebyshevAccel, ReconConfig, ReconOperator, _check_relax, iterate
+from .solver import (
+    ChebyshevAccel, ReconConfig, ReconOperator, _check_modules, _check_relax, iterate,
+)
 
 __all__ = [
     "PgmError",
@@ -192,6 +194,7 @@ class EnlargeConfig:
         if self.method not in ("bilinear", "iterative", "hybrid"):
             raise ConfigurationError(f"unknown method {self.method!r}")
         _check_relax(self.relax)  # for bilinear too, so a bad value never passes
+        _check_modules(self.modules)  # likewise for the methods that do not mix
         if self.method != "hybrid":
             object.__setattr__(self, "modules", 0)  # only the hybrid mixes
         if self.method == "bilinear":

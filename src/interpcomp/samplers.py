@@ -19,7 +19,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .signal_core import DenseSignal, GridSpec, _check_values, per_axis
+from .signal_core import ConfigurationError, DenseSignal, GridSpec, _check_values, per_axis
 
 __all__ = [
     "InterpKind",
@@ -39,6 +39,12 @@ class InterpKind(enum.Enum):
     def distortion_exponent(self) -> int:
         """Power of the sinc distortion: 1 for the hold, 2 for linear."""
         return 1 if self is InterpKind.SAMPLE_AND_HOLD else 2
+
+
+def _check_kind(kind) -> None:
+    # the interpolators branch on the hold alone, so any other value would run linear
+    if not isinstance(kind, InterpKind):
+        raise ConfigurationError(f"kind must be an InterpKind, got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,7 @@ def interpolate(s: CoarseSamples, kind: InterpKind) -> DenseSignal:
     Separable on several axes: one axis at a time, last axis first (the
     order commutes up to rounding).
     """
+    _check_kind(kind)
     fine = s.values
     for axis in reversed(range(fine.ndim)):
         fine = _interp_axis(fine, s.grid[axis], kind, axis)

@@ -49,10 +49,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .modular import cosine_mix
-from .samplers import CoarseSamples, InterpKind, interpolate, lattice, sample
+from .samplers import CoarseSamples, InterpKind, _check_kind, interpolate, lattice, sample
 from .signal_core import ConfigurationError, DenseSignal, GridSpec, _check_values, per_axis, snr_db
-from .spectral import _gain_mask, lowpass
 
 __all__ = [
     "SingularSystemError",
@@ -76,6 +74,16 @@ class SingularSystemError(ValueError):
 class ReconOperator:
     """G = lowpass ∘ mix ∘ interpolate ∘ sample, on one axis or separably on several.
 
+    G is the fine-grid model of the reconstruction.  Its mixer
+    ``1 + 2*sum_{m=1..N} cos(2*pi*m*t/T)`` (N = ``modules``; none at 0),
+    phase-anchored so that fine tick 0 is a coarse sample position, shifts
+    the spectral replicas created by sampling back into the baseband, so the
+    lowpass at the band edge turns the per-bin distortion into the partial
+    sinc sum ``H_N(f) = sum_{|m|<=N} sinc^p(f*T - m)``, or the product of the
+    per-axis sums.  :func:`iterate` uses that gain in closed form
+    (:func:`_axis_band`); :meth:`apply_values` runs G on the fine grid, as the
+    operator of :func:`fixed_point_oracle` and as the tests' reference.
+
     ``grid`` is a lone GridSpec or one GridSpec per axis, stored as a tuple;
     the lowpass cuts at each axis's band edge.
     """
@@ -86,18 +94,37 @@ class ReconOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", per_axis(self.grid))
-        if self.modules < 0:
-            raise ConfigurationError(f"modules must be >= 0, got {self.modules}")
+        _check_kind(self.kind)
+        _check_modules(self.modules)
         min_ticks = min(g.ticks_per_sample for g in self.grid)
         if 2 * self.modules > min_ticks:
+            # harmonic m lives at m/R cycles per tick; beyond the fine-grid
+            # Nyquist it would alias onto lower harmonics (or DC) and corrupt
+            # the compensation instead of extending it
             raise ConfigurationError(
                 f"{self.modules} modules need ticks_per_sample >= "
                 f"{2 * self.modules} on every axis, got {min_ticks}"
             )
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        signal = sample(DenseSignal(self.grid, values))
-        return lowpass(cosine_mix(interpolate(signal, self.kind), self.modules)).values
+        """G on the fine grid: each stage along every axis in turn, last axis first."""
+        out = interpolate(sample(DenseSignal(self.grid, values)), self.kind).values
+        axes = range(out.ndim - 1, -1, -1)
+
+        def along(vector, axis):
+            return vector.reshape((-1,) + (1,) * (out.ndim - 1 - axis))
+
+        for axis in axes if self.modules else ():
+            r = self.grid[axis].ticks_per_sample
+            period = np.ones(r)
+            for harmonic in range(1, self.modules + 1):
+                period += 2.0 * np.cos(2.0 * np.pi * harmonic * np.arange(r) / r)
+            out = out * along(np.tile(period, self.grid[axis].n_coarse), axis)
+        for axis in axes:
+            n = out.shape[axis]
+            mask = along(_gain_mask(n, self.grid[axis].band_edge), axis)
+            out = np.fft.irfft(np.fft.rfft(out, axis=axis) * mask, n=n, axis=axis)
+        return out
 
     def observation(self, samples: CoarseSamples) -> np.ndarray:
         """G applied to the samples placed on the lattice of a zero fine array."""
@@ -125,6 +152,11 @@ class ChebyshevAccel:
     @property
     def rho(self) -> float:
         return (self.b - self.a) / (self.b + self.a)
+
+
+def _check_modules(modules: int) -> None:
+    if modules < 0:
+        raise ConfigurationError(f"modules must be >= 0, got {modules}")
 
 
 def _check_relax(relax: float) -> None:
@@ -171,6 +203,22 @@ class ReconReport:
     snr_initial_db: Optional[float] = None
     snr_trace_db: Optional[list] = None
     non_contraction: bool = False
+
+
+# the lowpass weight of a bin exactly on the band edge: 0.5 makes the lowpass
+# self-adjoint and treats the folded band edge symmetrically
+EDGE_WEIGHT = 0.5
+
+
+@lru_cache(maxsize=64)
+def _gain_mask(n: int, cutoff: float) -> np.ndarray:
+    """The ideal lowpass on the rfft bins of ``n`` points: 1 below ``cutoff``, 0 above."""
+    freqs = np.fft.rfftfreq(n)
+    mask = np.zeros(freqs.size)
+    mask[freqs < cutoff - 1e-12] = 1.0
+    mask[np.abs(freqs - cutoff) <= 1e-12] = EDGE_WEIGHT
+    mask.setflags(write=False)
+    return mask
 
 
 @lru_cache(maxsize=64)

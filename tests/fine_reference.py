@@ -11,7 +11,8 @@ share no code with the solve.  ``fine_iterate`` has ``iterate``'s signature
 and report, so a test can swap it in for the solve; it runs the whole grid
 and then cuts a requested crop from it.  ``measured_gain`` measures the
 per-bin gain the closed form must match, by running G on a band-limited
-impulse.
+impulse.  ``lowpass`` is G's last stage on its own, for tests that filter
+a signal without sampling it.
 """
 
 from functools import reduce
@@ -19,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from interpcomp import DenseSignal, ReconOperator, ReconReport, snr_db
-from interpcomp.spectral import _gain_mask
+from interpcomp.solver import _gain_mask
 
 
 def measured_gain(grid, kind, modules):
@@ -33,6 +34,22 @@ def measured_gain(grid, kind, modules):
     impulse = np.fft.irfft(mask, grid.n_fine)
     response = np.fft.rfft(ReconOperator(grid, kind, modules).apply_values(impulse))
     return response[band] / mask[band]
+
+
+def lowpass(x):
+    """The ideal lowpass of a dense signal at each axis's band edge, last axis first.
+
+    The same rfft, mask and irfft per axis as G's last stage, on the mask G
+    uses.
+    """
+    out = x.values
+    for axis in reversed(range(out.ndim)):
+        n = out.shape[axis]
+        mask = _gain_mask(n, x.grid[axis].band_edge)
+        shape = [1] * out.ndim
+        shape[axis] = mask.size
+        out = np.fft.irfft(np.fft.rfft(out, axis=axis) * mask.reshape(shape), n=n, axis=axis)
+    return x.with_values(out)
 
 
 def chebyshev_lambdas(a, b, count):

@@ -1,9 +1,10 @@
-"""The public names of ``interpcomp``, pinned.
+"""The public names and the modules of ``interpcomp``, pinned.
 
-A change that adds or drops a public name edits this list, so the diff
-shows it.
+A change that adds or drops a public name or a module edits these lists,
+so the diff shows it.
 """
 
+import pkgutil
 import types
 
 import interpcomp
@@ -12,12 +13,14 @@ PUBLIC_NAMES = [
     "AnalysisResult", "ChebyshevAccel", "CoarseSamples", "ConfigurationError", "DenseSignal",
     "EnlargeConfig", "GrayImage", "GridSpec", "InterpKind", "ReconConfig", "ReconOperator",
     "ReconReport", "SingularSystemError", "add_awgn", "contraction_factor",
-    "cosine_mix", "decimate", "distortion_gain", "enlarge", "enlarge_dense",
+    "decimate", "distortion_gain", "enlarge", "enlarge_dense",
     "fixed_point_oracle", "gen_bandlimited", "interpolate", "iterate", "lambda_opt_minimax",
-    "lambda_opt_paper", "lowpass", "noise_tolerance_coeff", "op_counts", "op_counts_2d",
+    "lambda_opt_paper", "noise_tolerance_coeff", "op_counts", "op_counts_2d",
     "predicted_gain_db", "psnr_benchmark", "psnr_db", "read_pgm", "sample", "snr_db",
     "synthetic_scene", "write_pgm",
 ]
+
+MODULES = ["analysis", "cli", "imagebench", "samplers", "signal_core", "solver"]
 
 
 def test_public_names_pinned():
@@ -26,3 +29,7 @@ def test_public_names_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_modules_pinned():
+    assert sorted(m.name for m in pkgutil.iter_modules(interpcomp.__path__)) == MODULES

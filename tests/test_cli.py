@@ -374,6 +374,10 @@ REJECTED = [
     ("image", ["--frame-a", "0"]),
     ("image", ["--frame-a", "3"]),
     ("image", ["--frame-b", "inf"]),
+    ("image", ["--methods", "hybrid:2:-1"]),
+    ("image", ["--methods", "bilinear:7"]),
+    ("image", ["--methods", "iterative:2:9"]),
+    ("image", ["--methods", "hybrid:2:1:3"]),
 ]
 
 

@@ -1,3 +1,12 @@
+"""The cosine-module compensator: G's mixing stage, and the one-shot modular reconstruction.
+
+The mixer has no function of its own; it is the stage of
+``ReconOperator.apply_values`` between the interpolation and the lowpass.
+``mixed`` reads its output as the input of the lowpass's first transform.
+"""
+
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,17 +14,15 @@ from hypothesis import strategies as st
 
 from interpcomp import (
     CoarseSamples,
-    ConfigurationError,
     DenseSignal,
     GridSpec,
     InterpKind,
     ReconOperator,
-    cosine_mix,
     gen_bandlimited,
+    interpolate,
     sample,
     snr_db,
 )
-from interpcomp.modular import mixer_period
 
 SH = InterpKind.SAMPLE_AND_HOLD
 LI = InterpKind.LINEAR
@@ -30,23 +37,37 @@ def modular_reconstruct(samples, kind, modules):
     return ReconOperator(samples.grid, kind, modules).observation(samples)
 
 
+def mixed(grid, values, modules):
+    """The S&H-interpolated samples of ``values`` after G's mixer: the lowpass's input."""
+    seen = []
+    rfft = np.fft.rfft
+
+    def record(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return rfft(a, *args, **kwargs)
+
+    with mock.patch.object(np.fft, "rfft", record):
+        ReconOperator(grid, SH, modules).apply_values(values)
+    return seen[0]
+
+
 class TestCosineMix:
-    def test_zero_modules_identity(self, bl_signal):
-        assert cosine_mix(bl_signal, 0) is bl_signal
+    def test_zero_modules_identity(self, grid, bl_signal):
+        held = interpolate(sample(bl_signal), SH).values
+        assert np.array_equal(mixed(grid, bl_signal.values, 0), held)
 
     def test_closed_form_r4(self):
         grid = GridSpec(4, 4)
-        ones = DenseSignal(grid, np.ones(grid.n_fine))
-        out = cosine_mix(ones, 1)
+        out = mixed(grid, np.ones(grid.n_fine), 1)
         expected = np.tile([3.0, 1.0, -1.0, 1.0], 4)
-        assert np.allclose(out.values, expected, atol=1e-12)
+        assert np.allclose(out, expected, atol=1e-12)
 
     @given(st.integers(min_value=0, max_value=8))
     @settings(max_examples=9, deadline=None)
     def test_lattice_tick_gain(self, modules):
-        r = 16
-        period = mixer_period(r, modules)
-        assert period[0] == pytest.approx(1 + 2 * modules, abs=1e-12)
+        grid = GridSpec(4, 16)
+        lattice_tick = mixed(grid, np.ones(grid.n_fine), modules)[0]
+        assert lattice_tick == pytest.approx(1 + 2 * modules, abs=1e-12)
 
     @given(
         st.integers(min_value=1, max_value=16).map(lambda h: 2 * h),
@@ -56,15 +77,8 @@ class TestCosineMix:
     def test_mixer_mean_is_one(self, ticks, modules):
         if 2 * modules > ticks:
             return
-        assert np.mean(mixer_period(ticks, modules)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_harmonics_must_fit_fine_grid(self):
-        with pytest.raises(ConfigurationError):
-            mixer_period(4, 3)
-
-    def test_negative_modules_rejected(self):
-        with pytest.raises(ConfigurationError, match="modules must be >= 0"):
-            mixer_period(4, -1)
+        grid = GridSpec(4, ticks)
+        assert np.mean(mixed(grid, np.ones(grid.n_fine), modules)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCosineMix2d:
@@ -74,23 +88,21 @@ class TestCosineMix2d:
     def test_zero_modules_identity(self, rng):
         gy, gx = self.grids()
         img = DenseSignal((gy, gx), rng.standard_normal((gy.n_fine, gx.n_fine)))
-        assert cosine_mix(img, 0) is img
+        held = interpolate(sample(img), SH).values
+        assert np.array_equal(mixed((gy, gx), img.values, 0), held)
 
     def test_lattice_gain_nine(self):
         gy, gx = self.grids()
-        img = DenseSignal((gy, gx), np.ones((gy.n_fine, gx.n_fine)))
-        out = cosine_mix(img, 1)
-        lattice = out.values[:: gy.ticks_per_sample, :: gx.ticks_per_sample]
+        out = mixed((gy, gx), np.ones((gy.n_fine, gx.n_fine)), 1)
+        lattice = out[:: gy.ticks_per_sample, :: gx.ticks_per_sample]
         assert np.allclose(lattice, 9.0, atol=1e-12)
 
     def test_rank_one_separability(self, rng):
         gy, gx = self.grids()
         u = rng.standard_normal(gy.n_fine)
         v = rng.standard_normal(gx.n_fine)
-        out2d = cosine_mix(DenseSignal((gy, gx), np.outer(u, v)), 2)
-        u_mix = cosine_mix(DenseSignal(gy, u), 2).values
-        v_mix = cosine_mix(DenseSignal(gx, v), 2).values
-        assert np.max(np.abs(out2d.values - np.outer(u_mix, v_mix))) < 1e-12
+        out2d = mixed((gy, gx), np.outer(u, v), 2)
+        assert np.max(np.abs(out2d - np.outer(mixed(gy, u, 2), mixed(gx, v, 2)))) < 1e-12
 
 
 class TestModularReconstruct:

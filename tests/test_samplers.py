@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from fine_reference import lowpass
 from interpcomp import (
     CoarseSamples,
+    ConfigurationError,
     DenseSignal,
     GridSpec,
     InterpKind,
     gen_bandlimited,
     interpolate,
-    lowpass,
     sample,
 )
 from interpcomp.samplers import _interp_axis
@@ -45,6 +46,13 @@ class TestInterpolate:
         for kind in (SH, LI):
             out = interpolate(s, kind)
             assert np.max(np.abs(out.values - 1.75)) < 1e-15
+
+    @pytest.mark.parametrize("kind", ["sh", "bogus", None])
+    def test_kind_must_be_an_interp_kind(self, kind):
+        # the interpolators branch on the hold alone: "sh" would run linear
+        s = CoarseSamples(GridSpec(4, 4), np.array([0.0, 1.0, 0.0, 1.0]))
+        with pytest.raises(ConfigurationError, match=f"kind must be an InterpKind, got {kind!r}"):
+            interpolate(s, kind)
 
     def test_linear_ramp(self):
         # circular tent through alternating samples; one period matches the

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fine_reference import lowpass
 from interpcomp import (
     ConfigurationError,
     DenseSignal,
     GridSpec,
     add_awgn,
     gen_bandlimited,
-    lowpass,
     psnr_db,
     snr_db,
 )

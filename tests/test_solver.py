@@ -17,10 +17,9 @@ from interpcomp import (
     iterate,
     sample,
 )
-from interpcomp import modular, samplers, solver, spectral
-from fine_reference import chebyshev_lambdas, fine_iterate, measured_gain
+from interpcomp import samplers, solver
+from fine_reference import chebyshev_lambdas, fine_iterate, lowpass, measured_gain
 from interpcomp.samplers import CoarseSamples, interpolate
-from interpcomp.spectral import lowpass_array
 
 SH = InterpKind.SAMPLE_AND_HOLD
 LI = InterpKind.LINEAR
@@ -62,6 +61,12 @@ class TestApplyOperator:
         with pytest.raises(ConfigurationError, match="modules must be >= 0"):
             ReconOperator(GridSpec(16, 4), SH, -1)
 
+    @pytest.mark.parametrize("kind", ["sh", "bogus", None])
+    def test_kind_must_be_an_interp_kind(self, kind):
+        # G branches on the hold alone: "sh" would solve as linear interpolation
+        with pytest.raises(ConfigurationError, match=f"kind must be an InterpKind, got {kind!r}"):
+            ReconOperator(GridSpec(16, 4), kind, 0)
+
 
 class TestIterate:
     def test_constant_exact_recovery(self, grid):
@@ -84,11 +89,11 @@ class TestIterate:
         rep = fine_iterate(
             s, ReconConfig(ReconOperator(grid, SH, 0), relax=relax, iterations=iters)
         )
-        g_obs = lowpass_array(interpolate(s, SH).values, grid)
+        g_obs = lowpass(interpolate(s, SH)).values
 
         def g_of(v):
             coarse = CoarseSamples(grid, v[:: grid.ticks_per_sample])
-            return lowpass_array(interpolate(coarse, SH).values, grid)
+            return lowpass(interpolate(coarse, SH)).values
 
         xk = relax * g_obs
         for _ in range(iters):
@@ -369,7 +374,10 @@ class TestSpectralIterate:
             assert np.max(np.abs(fixed * gain - ref)) <= 1e-12 * np.max(np.abs(ref)), modules
 
     def stage_calls(self, monkeypatch):
-        """Record every call of a stage of G, patched where the stage is defined."""
+        """Record every call of G and of its interpolation, patched where each is defined.
+
+        ``apply_values`` mixes and lowpasses itself, so its calls count those stages.
+        """
         stages = []
 
         def counted(name, fn):
@@ -379,9 +387,7 @@ class TestSpectralIterate:
 
             return wrapper
 
-        for module, name in ((samplers, "_interp_axis"), (modular, "_mix_axis"),
-                             (spectral, "lowpass_array")):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(samplers, "_interp_axis", counted("_interp_axis", samplers._interp_axis))
         monkeypatch.setattr(
             ReconOperator, "apply_values", counted("apply_values", ReconOperator.apply_values)
         )

@@ -1,7 +1,15 @@
+"""The ideal lowpass, G's last stage: its mask, and the filter built on it.
+
+``lowpass`` is the test-side copy of the stage, on the mask that G and the
+closed-form gain share.
+"""
+
 import numpy as np
 import pytest
 
-from interpcomp import DenseSignal, GridSpec, lowpass
+from fine_reference import lowpass
+from interpcomp import DenseSignal, GridSpec
+from interpcomp.solver import EDGE_WEIGHT, _gain_mask
 
 
 def tone(grid, cycles, phase=0.0):
@@ -96,3 +104,26 @@ class TestLowpass2d:
         )
         out = lowpass(img)
         assert np.max(np.abs(out.values)) < 1e-12
+
+
+class TestGainMask:
+    @pytest.mark.parametrize(
+        "grid,ones,edge",
+        [
+            (GridSpec(8, 4), 4, 4),
+            (GridSpec(9, 2), 5, None),
+            # rate 2: the edge bin 4 is not the coarse Nyquist bin 8
+            (GridSpec(16, 8, 2), 4, 4),
+            (GridSpec(33, 16, 3), 6, None),
+        ],
+        ids=["8x4", "9x2-odd", "16x8-rate2", "33x16-rate3-odd"],
+    )
+    def test_one_below_edge_weight_on_it_zero_above(self, grid, ones, edge):
+        mask = _gain_mask(grid.n_fine, grid.band_edge)
+        expected = np.zeros(grid.n_fine // 2 + 1)
+        expected[:ones] = 1.0
+        if edge is not None:
+            expected[edge] = EDGE_WEIGHT
+        assert EDGE_WEIGHT == 0.5
+        assert np.array_equal(mask, expected)
+        assert not mask.flags.writeable
