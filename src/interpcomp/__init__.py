@@ -37,7 +37,6 @@ from .solver import (
     iterate,
 )
 from .analysis import (
-    AnalysisResult,
     contraction_factor,
     distortion_gain,
     lambda_opt_minimax,

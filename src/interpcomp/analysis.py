@@ -11,7 +11,8 @@ maximum of ``|1 - relax * H_N|``; each iteration multiplies the error by at
 most that factor, i.e. gains ``-20*log10(r)`` dB of SNR.
 
 One sum, :func:`distortion_gain`, gives H_N at a frequency or on the band grid
-and checks the module count for both; bad input raises ConfigurationError.
+and checks the kind and the module count for both; one band grid checks the
+rate multiple for both band functions.  Bad input raises ConfigurationError.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .samplers import InterpKind
+from .samplers import InterpKind, _check_kind
 from .signal_core import ConfigurationError
+from .solver import _check_modules
 
 __all__ = [
-    "AnalysisResult",
     "LambdaOptPaper",
     "NoiseTolerance",
     "distortion_gain",
@@ -37,7 +38,6 @@ __all__ = [
     "op_counts",
     "op_counts_2d",
     "predicted_gain_db",
-    "analyze",
 ]
 
 GRID_POINTS = 20001  # dense frequency grid for band maxima
@@ -60,14 +60,16 @@ PAPER_PRINTED_CONTRACTION_LI_1MOD = 0.234
 
 def distortion_gain(kind: InterpKind, modules: int, ft):
     """Per-bin gain H_N at normalized frequency ``ft = f*T``, a float or an array; 1 at DC."""
-    if modules < 0:
-        raise ConfigurationError(f"modules must be >= 0, got {modules}")
+    _check_kind(kind)
+    _check_modules(modules)
     m = np.arange(-modules, modules + 1)
     gain = np.sum(np.sinc(np.subtract.outer(ft, m)) ** kind.distortion_exponent, axis=-1)
     return gain if np.ndim(ft) else float(gain)
 
 
 def _gain_on_band(kind: InterpKind, modules: int, rate_multiple: int) -> np.ndarray:
+    if rate_multiple < 1:
+        raise ConfigurationError(f"rate_multiple must be >= 1, got {rate_multiple}")
     return distortion_gain(kind, modules, np.linspace(0.0, 0.5 / rate_multiple, GRID_POINTS))
 
 
@@ -77,8 +79,6 @@ def contraction_factor(
     """Band maximum of ``|1 - relax * H_N|`` on a dense frequency grid."""
     if not 0.0 < relax < math.inf:
         raise ConfigurationError(f"relax must be positive and finite, got {relax}")
-    if rate_multiple < 1:
-        raise ConfigurationError(f"rate_multiple must be >= 1, got {rate_multiple}")
     gains = _gain_on_band(kind, modules, rate_multiple)
     return float(np.max(np.abs(1.0 - relax * gains)))
 
@@ -139,6 +139,7 @@ def noise_tolerance_coeff(
     Coefficients exist only for the conventional S&H bound (0.318) and the
     one-module hybrid bound (0.531); other combinations report absence.
     """
+    _check_kind(kind)
     base = _PAPER_NOISE_COEFF.get((kind, modules))
     if base is None:
         return NoiseTolerance(
@@ -179,22 +180,3 @@ def predicted_gain_db(r: float) -> float:
     if not 0.0 < r < 1.0:
         raise ConfigurationError(f"contraction factor must be in (0, 1), got {r}")
     return -20.0 * math.log10(r)
-
-
-@dataclass(frozen=True)
-class AnalysisResult:
-    r: float
-    lambda_opt: float
-    db_per_iter: float
-    noise_coeff: Optional[float]
-
-
-def analyze(
-    kind: InterpKind, modules: int, relax: float, rate_multiple: int = 1
-) -> AnalysisResult:
-    """Bundle the derived constants for one configuration."""
-    r = contraction_factor(kind, modules, relax, rate_multiple)
-    lam = lambda_opt_minimax(kind, modules, rate_multiple)
-    db = predicted_gain_db(r) if 0.0 < r < 1.0 else math.nan
-    noise = noise_tolerance_coeff(kind, modules, relax, iteration_k=2)
-    return AnalysisResult(r=r, lambda_opt=lam, db_per_iter=db, noise_coeff=noise.coeff)

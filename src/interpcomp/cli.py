@@ -3,6 +3,8 @@
 Each subcommand reproduces one family of experiments as a CSV file with a
 header row and full round-trip float formatting, deterministic for a given
 seed.  Relative output paths resolve against $INTERPCOMP_OUT_DIR when set.
+The trial-running subcommands solve on a grid of ``--dims`` equal axes, each
+of ``--n-coarse`` samples and ``--ticks`` fine ticks per sample.
 
 Subcommands: convergence, lambda-sweep, noise, rate, analyze, image.
 """
@@ -33,16 +35,13 @@ from .solver import ChebyshevAccel, ReconConfig, ReconOperator, iterate
 
 DEFAULT_TRIALS = 50
 DEFAULT_POWER_DB = 34.0
+DEFAULT_GRID = {1: (128, 16), 2: (32, 8)}  # --dims -> (--n-coarse, --ticks) when not given
 OUT_DIR_ENV = "INTERPCOMP_OUT_DIR"
 
 
 def _fmt(value) -> str:
-    """Round-trip formatting; infinities spelled 'inf'."""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    return str(value)
+    """Round-trip formatting of a float (infinities spell 'inf'); ``str`` of anything else."""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _resolve_out(path: str) -> str:
@@ -79,7 +78,7 @@ def _nonempty(values: list, flag: str) -> list:
 
 
 def _configs(args, kind, series) -> List[ReconConfig]:
-    """One solve per (modules, relax, k_rate) of ``series``, on the 1-D or 2-D trial grid.
+    """One solve per (modules, relax, k_rate) of ``series``, on the trial grid of ``--dims`` axes.
 
     All are built, and so checked, before the first trial runs.
     """
@@ -87,13 +86,12 @@ def _configs(args, kind, series) -> List[ReconConfig]:
         raise ConfigurationError(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
         raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+    n_coarse, ticks = DEFAULT_GRID[args.dims]
+    n_coarse = n_coarse if args.n_coarse is None else args.n_coarse
+    ticks = ticks if args.ticks is None else args.ticks
     configs = []
     for modules, relax, k_rate in series:
-        if args.dims == 1:
-            grid = GridSpec(args.n_coarse, args.ticks, k_rate)
-        else:
-            grid = (GridSpec(args.n_coarse_2d, args.ticks_2d, k_rate),) * 2
-        op = ReconOperator(grid, kind, modules)
+        op = ReconOperator((GridSpec(n_coarse, ticks, k_rate),) * args.dims, kind, modules)
         configs.append(ReconConfig(op, relax=relax, iterations=args.iterations))
     return configs
 
@@ -186,35 +184,39 @@ def cmd_rate(args) -> int:
 
 def cmd_analyze(args) -> int:
     kind = InterpKind(args.kind)
-    res = ana.analyze(kind, args.modules_single, args.relax, args.k_rate)
-    adds, mults = ana.op_counts(
-        args.iterations, args.fft_block, args.modules_single == 1
-    )
+    modules, relax, k_rate = args.modules_single, args.relax, args.k_rate
+    r = ana.contraction_factor(kind, modules, relax, k_rate)
     pairs = [
         ("kind", kind.value),
-        ("modules", args.modules_single),
-        ("lambda", args.relax),
-        ("k_rate", args.k_rate),
-        ("contraction_factor", res.r),
-        ("lambda_opt_minimax", res.lambda_opt),
-        ("predicted_db_per_iteration", res.db_per_iter),
-        ("noise_coeff", res.noise_coeff if res.noise_coeff is not None else "n/a"),
+        ("modules", modules),
+        ("lambda", relax),
+        ("k_rate", k_rate),
+        ("contraction_factor", r),
+        ("lambda_opt_minimax", ana.lambda_opt_minimax(kind, modules, k_rate)),
+    ]
+    if modules == 1:
+        opt = ana.lambda_opt_paper(kind, 1)
+        pairs += [
+            ("lambda_opt_recomputed", opt.recomputed),
+            ("lambda_opt_paper_printed", opt.paper_printed),
+        ]
+    noise = ana.noise_tolerance_coeff(kind, modules, relax, iteration_k=2).coeff
+    adds, mults = ana.op_counts(args.iterations, args.fft_block, modules == 1)
+    pairs += [
+        ("predicted_db_per_iteration", ana.predicted_gain_db(r) if 0.0 < r < 1.0 else math.nan),
+        ("noise_coeff", "n/a" if noise is None else noise),
         ("adds_per_sample", adds),
         ("mults_per_sample", mults),
     ]
-    if args.modules_single == 1:
-        opt = ana.lambda_opt_paper(kind, 1)
-        pairs.insert(6, ("lambda_opt_recomputed", opt.recomputed))
-        pairs.insert(7, ("lambda_opt_paper_printed", opt.paper_printed))
     if args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(["parameter", "value"])
         for key, val in pairs:
-            writer.writerow([key, _fmt(val) if isinstance(val, float) else val])
+            writer.writerow([key, _fmt(val)])
     else:
         width = max(len(k) for k, _ in pairs)
         for key, val in pairs:
-            print(f"{key:<{width}}  {_fmt(val) if isinstance(val, float) else val}")
+            print(f"{key:<{width}}  {_fmt(val)}")
     return 0
 
 
@@ -283,10 +285,12 @@ def _add_common(p: argparse.ArgumentParser, *, trials=True, relax=True, k_rate=T
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", type=int, default=1, choices=[1, 2], help="1-D signals or 2-D fields")
-    p.add_argument("--n-coarse", type=int, default=128, help="coarse samples (1-D)")
-    p.add_argument("--ticks", type=int, default=16, help="fine ticks per sampling interval (1-D)")
-    p.add_argument("--n-coarse-2d", type=int, default=32, help="lattice samples per axis (2-D)")
-    p.add_argument("--ticks-2d", type=int, default=8, help="fine ticks per interval (2-D)")
+    p.add_argument(
+        "--n-coarse", type=int, help="coarse samples per axis (default 128 in 1-D, 32 in 2-D)"
+    )
+    p.add_argument(
+        "--ticks", type=int, help="fine ticks per sampling interval (default 16 in 1-D, 8 in 2-D)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

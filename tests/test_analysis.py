@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from interpcomp import (
     op_counts_2d,
     predicted_gain_db,
 )
-from interpcomp.analysis import analyze
 from interpcomp.solver import _axis_band
 
 SH = InterpKind.SAMPLE_AND_HOLD
@@ -218,9 +218,30 @@ class TestPredictedGain:
                 predicted_gain_db(bad)
 
 
-def test_analyze_bundle():
-    res = analyze(SH, 1, 1.0, 1)
-    assert res.r == pytest.approx(0.061, abs=0.001)
-    assert res.db_per_iter == pytest.approx(24.4, abs=0.5)
-    assert res.noise_coeff == pytest.approx(0.531)
-    assert 0.90 <= res.lambda_opt <= 1.00
+# every analysis function checks its kind, and both band functions their
+# rate multiple, before it computes anything
+KIND_CALLS = [
+    (distortion_gain, (1, 0.25)),
+    (contraction_factor, (1, 1.0)),
+    (lambda_opt_paper, (1,)),
+    (lambda_opt_minimax, (1,)),
+    (noise_tolerance_coeff, (1, 1.0, 2)),
+]
+BAD_INPUT = [
+    pytest.param(partial(fn, kind, *rest), "kind must be an InterpKind", id=f"{fn.__name__}-{kind}")
+    for fn, rest in KIND_CALLS
+    for kind in ("sh", None)
+] + [
+    pytest.param(call, "rate_multiple must be >= 1", id=f"{call.func.__name__}-rate{rate}")
+    for rate in (0, -1)
+    for call in (
+        partial(contraction_factor, SH, 1, 1.0, rate_multiple=rate),
+        partial(lambda_opt_minimax, SH, 1, rate_multiple=rate),
+    )
+]
+
+
+@pytest.mark.parametrize("call,message", BAD_INPUT)
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ConfigurationError, match=message):
+        call()

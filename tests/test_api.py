@@ -10,7 +10,7 @@ import types
 import interpcomp
 
 PUBLIC_NAMES = [
-    "AnalysisResult", "ChebyshevAccel", "CoarseSamples", "ConfigurationError", "DenseSignal",
+    "ChebyshevAccel", "CoarseSamples", "ConfigurationError", "DenseSignal",
     "EnlargeConfig", "GrayImage", "GridSpec", "InterpKind", "ReconConfig", "ReconOperator",
     "ReconReport", "SingularSystemError", "add_awgn", "contraction_factor",
     "decimate", "distortion_gain", "enlarge", "enlarge_dense",

@@ -1,11 +1,12 @@
+import argparse
 import csv
 import math
 
 import numpy as np
 import pytest
 
-from interpcomp import cli
-from interpcomp.cli import main
+from interpcomp import GridSpec, cli
+from interpcomp.cli import build_parser, main
 from interpcomp.imagebench import GrayImage, read_pgm, synthetic_scene, write_pgm
 
 
@@ -148,6 +149,31 @@ class TestConvergence:
         assert run([*argv, "--out", out]) == 0
         assert sorted(seeds) == sorted([4, 5, 6] * per_trial)
 
+    @pytest.mark.parametrize(
+        "flags,axes",
+        [
+            (["--dims", 1, "--n-coarse", 16, "--ticks", 4], [(16, 4)]),
+            (["--dims", 2, "--n-coarse", 8, "--ticks", 4], [(8, 4)] * 2),
+            (["--dims", 1], [(128, 16)]),
+            (["--dims", 2], [(32, 8)] * 2),
+        ],
+        ids=["1d", "2d", "1d-default", "2d-default"],
+    )
+    def test_grid_flags_set_every_axis(self, tmp_path, monkeypatch, flags, axes):
+        # --n-coarse and --ticks set each of the --dims axes; a flag not
+        # given takes its default for that --dims
+        grids = []
+        generate = cli.gen_bandlimited
+
+        def recorded(seed, grid, *args, **kwargs):
+            grids.append(grid)
+            return generate(seed, grid, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "gen_bandlimited", recorded)
+        argv = ["convergence", *flags, "--trials", 1, "--iterations", 1, "--modules", 0]
+        assert run([*argv, "--out", tmp_path / "x.csv"]) == 0
+        assert grids == [tuple(GridSpec(n, ticks) for n, ticks in axes)]
+
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INTERPCOMP_OUT_DIR", str(tmp_path / "outputs"))
         assert run(
@@ -241,9 +267,7 @@ class TestAnalyze:
         assert float(table["contraction_factor"]) == pytest.approx(0.06, abs=5e-3)
 
 
-    @pytest.mark.parametrize(
-        "flag", ["--seed", "--dims", "--n-coarse", "--ticks", "--n-coarse-2d", "--ticks-2d"]
-    )
+    @pytest.mark.parametrize("flag", ["--seed", "--dims", "--n-coarse", "--ticks"])
     def test_trial_flags_rejected(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             run(["analyze", flag, "1"])
@@ -330,12 +354,52 @@ class TestImage:
             assert f"method '{token}'" in capsys.readouterr().err
 
 
+# each subcommand's sorted option strings, read from the parser; a change
+# that adds or drops a flag edits this table, so the diff shows it
+OPTIONS = {
+    "convergence": [
+        "--dims", "--help", "--iterations", "--k-rate", "--kind", "--lambda", "--modules",
+        "--n-coarse", "--out", "--seed", "--ticks", "--trials", "-h",
+    ],
+    "lambda-sweep": [
+        "--dims", "--help", "--iterations", "--k-rate", "--kind", "--lambda-grid", "--modules",
+        "--n-coarse", "--out", "--seed", "--ticks", "--trials", "-h",
+    ],
+    "noise": [
+        "--dims", "--help", "--iterations", "--k-rate", "--kind", "--lambda", "--modules",
+        "--n-coarse", "--noise-power-db", "--out", "--seed", "--ticks", "--trials", "-h",
+    ],
+    "rate": [
+        "--dims", "--help", "--iterations", "--k-rates", "--kind", "--lambda", "--modules",
+        "--n-coarse", "--out", "--seed", "--ticks", "--trials", "-h",
+    ],
+    "analyze": [
+        "--csv", "--fft-block", "--help", "--iterations", "--k-rate", "--kind", "--lambda",
+        "--modules", "-h",
+    ],
+    "image": [
+        "--accelerate", "--factor", "--frame-a", "--frame-b", "--help", "--lambda", "--methods",
+        "--out-dir", "-h",
+    ],
+}
+
+
+def test_options_pinned():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: sorted(opt for action in p._actions for opt in action.option_strings)
+        for name, p in sub.choices.items()
+    }
+    assert options == OPTIONS
+
+
 # the numeric flags of each subcommand
+TRIAL_FLAGS = ["--trials", "--seed", "--dims", "--n-coarse", "--ticks", "--iterations"]
 SWEPT_FLAGS = {
-    "convergence": ["--seed", "--lambda", "--modules", "--k-rate", "--iterations"],
-    "noise": ["--seed", "--lambda", "--modules", "--k-rate", "--iterations", "--noise-power-db"],
-    "lambda-sweep": ["--seed", "--modules", "--k-rate", "--iterations"],
-    "rate": ["--seed", "--lambda", "--modules", "--iterations"],
+    "convergence": [*TRIAL_FLAGS, "--lambda", "--modules", "--k-rate"],
+    "noise": [*TRIAL_FLAGS, "--lambda", "--modules", "--k-rate", "--noise-power-db"],
+    "lambda-sweep": [*TRIAL_FLAGS, "--modules", "--k-rate"],
+    "rate": [*TRIAL_FLAGS, "--lambda", "--modules"],
     "analyze": ["--lambda", "--modules", "--k-rate", "--iterations", "--fft-block"],
     "image": ["--lambda", "--factor", "--frame-a", "--frame-b"],
 }
@@ -366,6 +430,9 @@ REJECTED = [
     ("noise", ["--seed", "-1"]),
     ("lambda-sweep", ["--seed", "-1"]),
     ("rate", ["--seed", "-1"]),
+    ("convergence", ["--dims", "2", "--n-coarse", "0"]),
+    ("noise", ["--dims", "2", "--ticks", "3"]),
+    ("rate", ["--n-coarse", "3"]),
     ("analyze", ["--modules", "-1"]),
     ("analyze", ["--lambda", "nan"]),
     ("analyze", ["--lambda", "inf"]),

@@ -44,7 +44,7 @@ TOLERANCE_DB = {
 SMALL_1D = ["--trials", "3", "--iterations", "4", "--n-coarse", "32", "--seed", "5"]
 SMALL_2D = [
     "--dims", "2", "--trials", "2", "--iterations", "3",
-    "--n-coarse-2d", "8", "--ticks-2d", "4", "--seed", "5",
+    "--n-coarse", "8", "--ticks", "4", "--seed", "5",
 ]
 
 # case -> CLI arguments; "{out}" is the case's output directory and
