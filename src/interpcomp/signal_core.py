@@ -173,14 +173,22 @@ def snr_db(reference, estimate) -> float:
     est = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)
     if ref.shape != est.shape:
         raise ConfigurationError(f"shape mismatch: {ref.shape} vs {est.shape}")
-    margins = [math.ceil(EDGE_IGNORE_FRAC * n) for n in ref.shape]
-    interior = tuple([slice(m, n - m) for m, n in zip(margins, ref.shape)])
+    interior = _interior(ref.shape)
     r = ref[interior]
     e = r - est[interior]
-    err = float(np.sum(e * e))
-    if err == 0.0:
+    return _snr_cell(float(np.sum(r * r)), float(np.sum(e * e)))
+
+
+def _interior(shape: tuple) -> tuple:
+    """The slices of ``shape`` that :func:`snr_db` scores, ``EDGE_IGNORE_FRAC`` in from each end."""
+    margins = [math.ceil(EDGE_IGNORE_FRAC * n) for n in shape]
+    return tuple([slice(m, n - m) for m, n in zip(margins, shape)])
+
+
+def _snr_cell(energy: float, err: float) -> float:
+    """``10*log10(energy/err)``: ``inf`` if ``err <= 0``, else ``-inf`` if ``energy`` is 0."""
+    if err <= 0.0:
         return math.inf
-    energy = float(np.sum(r * r))
     if energy == 0.0:
         return -math.inf
     return 10.0 * math.log10(energy / err)

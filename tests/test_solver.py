@@ -12,10 +12,12 @@ from interpcomp import (
     ReconConfig,
     ReconOperator,
     SingularSystemError,
+    add_awgn,
     fixed_point_oracle,
     gen_bandlimited,
     iterate,
     sample,
+    snr_db,
 )
 from interpcomp import samplers, solver
 from fine_reference import chebyshev_lambdas, fine_iterate, lowpass, measured_gain
@@ -412,10 +414,10 @@ class TestSpectralIterate:
     def test_no_fine_grid_pass(self, monkeypatch):
         # a guard against a fine-grid pass of G coming back: the solve
         # interpolates, mixes and lowpasses nothing; it transforms the coarse
-        # values once, and the band back to the fine grid once per traced
-        # iterate (the start and 10 iterations), the last of which is the
-        # estimate, or once for the estimate of an untraced solve; each
-        # inverse transforms the columns only on the band's 9 of 33 rfft bins
+        # values once and the estimate's band back to the fine grid once,
+        # transforming the columns only on the band's 9 of 33 rfft bins; a
+        # traced solve adds one forward transform of the interior residual,
+        # whatever its number of iterates (the start and 10 iterations)
         grid = (GridSpec(24, 8), GridSpec(16, 4))
         x = gen_bandlimited(4, grid, 0.0)
         s = sample(x)
@@ -423,7 +425,7 @@ class TestSpectralIterate:
         warm = iterate(s, cfg).estimate.values
         stages = self.stage_calls(monkeypatch)
         transforms = self.transform_calls(monkeypatch)
-        for reference, inverse in ((None, 1), (x, 11)):
+        for reference, forward in ((None, []), (x, [("rfftn", (192, 64), (192, 33))])):
             stages.clear()
             transforms.clear()
             rep = iterate(s, cfg, reference=reference)
@@ -431,7 +433,7 @@ class TestSpectralIterate:
             assert transforms[0] == ("rfftn", (24, 16), (24, 9))
             assert transforms[1:] == [
                 ("ifft", (192, 9), (192, 9)), ("irfft", (192, 9), (192, 64))
-            ] * inverse
+            ] + forward
             assert rep.operator_applications == 0
             np.testing.assert_array_equal(rep.estimate.values, warm)
 
@@ -500,6 +502,114 @@ class TestSpectralIterate:
         ]
         assert np.all(np.isfinite(runs[1]))
         assert np.max(np.abs(runs[1] - runs[0])) <= 1e-12 * np.max(np.abs(runs[0]))
+
+
+class TestBandTrace:
+    """The SNR trace from the band against an inverse transform and ``snr_db`` per iterate."""
+
+    LOOPS = [dict(relax=1.0), dict(relax=0.7), dict(acceleration=ChebyshevAccel())]
+    # the worst cell below SNR_CHECKED_BELOW_DB measured 2.4e-8 dB; above it
+    # the estimate's own rounding moves the transcribed cells
+    SNR_TOL_DB = 1e-6
+    SNR_CHECKED_BELOW_DB = 150.0
+
+    @staticmethod
+    def transcribed(s, cfg, reference):
+        """Each iterate's SNR as an inverse transform of its band and ``snr_db`` compute it."""
+        accel = cfg.acceleration
+        index, fixed, gain = solver._band_observation(cfg.operator, s.values)
+        q = 1.0 - (cfg.relax if accel is None else 2.0 / (accel.a + accel.b)) * gain
+        factors = solver._error_factors(q, 0.0 if accel is None else accel.rho)
+        shape = tuple([g.n_fine for g in s.grid])
+        return [
+            snr_db(reference, solver._band_inverse((1.0 - e) * fixed, index, shape, shape))
+            for _, e in zip(range(cfg.iterations + (accel is None)), factors)
+        ]
+
+    @staticmethod
+    def traced(s, cfg, reference):
+        rep = iterate(s, cfg, reference=reference)
+        return ([] if rep.snr_initial_db is None else [rep.snr_initial_db]) + rep.snr_trace_db
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["bandlimited", "awgn"])
+    @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec(64, 16),
+            GridSpec(25, 8),
+            GridSpec(32, 8, 2),
+            (GridSpec(24, 8), GridSpec(16, 4)),
+            (GridSpec(16, 2), GridSpec(12, 2)),
+            (GridSpec(25, 8, 2), GridSpec(16, 4)),
+            (GridSpec(25, 2), GridSpec(13, 2)),
+        ],
+        ids=[
+            "64x16", "25x8-odd", "32x8-rate2", "24x8-by-16x4", "16x2-by-12x2", "25x8-rate2-by-16x4",
+            "25x2-by-13x2-odd",
+        ],
+    )
+    def test_matches_transcribed_trace(self, grid, kind, noisy):
+        x = gen_bandlimited(8, grid, 34.0)
+        s = sample(x)
+        # a reference with noise is not band-limited: the trace needs no band
+        reference = add_awgn(x, 10.0, 5) if noisy else x
+        min_ticks = min(g.ticks_per_sample for g in s.grid)
+        for modules in range(min(2, min_ticks // 2) + 1):
+            for loop in self.LOOPS:
+                cfg = ReconConfig(ReconOperator(grid, kind, modules), iterations=10, **loop)
+                got = self.traced(s, cfg, reference)
+                want = self.transcribed(s, cfg, reference)
+                assert len(got) == len(want)
+                assert got[-1] == want[-1], (modules, loop)
+                for cell, ref in zip(got, want):
+                    if ref < self.SNR_CHECKED_BELOW_DB:
+                        assert cell == pytest.approx(ref, abs=self.SNR_TOL_DB), (modules, loop)
+
+    def test_stacks_change_no_cell(self, monkeypatch):
+        # a long run goes through in several stacks of iterates
+        grid = (GridSpec(16, 4), GridSpec(12, 4))
+        x = gen_bandlimited(8, grid, 34.0)
+        cfg = ReconConfig(ReconOperator(grid, LI, 1), relax=0.7, iterations=30)
+        whole = self.traced(sample(x), cfg, x)
+        for size in (1, 7 * 17 * 7):  # one iterate, seven iterates of the 17 x 7 band
+            monkeypatch.setattr(solver, "TRACE_STACK", size)
+            assert self.traced(sample(x), cfg, x) == pytest.approx(whole, rel=1e-12)
+
+    def test_constant_signal_is_exact(self, grid):
+        # G̃ is 1 at DC, so at relax 1 every iterate is the constant itself
+        x = DenseSignal(grid, np.full(grid.n_fine, 3.0))
+        cfg = ReconConfig(ReconOperator(grid, SH, 1), iterations=10)
+        assert self.traced(sample(x), cfg, x) == [math.inf] * 11
+        assert self.transcribed(sample(x), cfg, x) == [math.inf] * 11
+
+    def test_zero_reference(self, grid):
+        s = sample(gen_bandlimited(8, grid, 0.0))
+        cfg = ReconConfig(ReconOperator(grid, LI, 0), relax=0.7, iterations=10)
+        zero = DenseSignal(grid, np.zeros(grid.n_fine))
+        assert self.traced(s, cfg, zero) == [-math.inf] * 11
+
+    def test_reference_of_another_shape_rejected(self, grid):
+        x = gen_bandlimited(8, grid, 0.0)
+        cfg = ReconConfig(ReconOperator(grid, SH, 0))
+        half = (grid.n_fine // 2,)
+        for reference, crop in ((x.values[:-1], None), (x.values[: half[0]], half), (x, half)):
+            with pytest.raises(ConfigurationError, match="shape mismatch"):
+                iterate(sample(x), cfg, reference=reference, crop=crop)
+
+    def test_energy_overflow_raises(self, grid):
+        # the factors 1.073**k are finite at k = 8000 and the iterates' error
+        # energies are not; np.errstate sees the overflow, and the stack's
+        # finiteness check catches what a threaded BLAS would hide from it
+        x = gen_bandlimited(5, grid, 34.0)
+        s = sample(x)
+        cfg = ReconConfig(ReconOperator(grid, SH, 1), relax=1.95, iterations=8000)
+        with pytest.raises(ConfigurationError, match=r"overflow .* = 1\.073"):
+            iterate(s, cfg, reference=x)
+        index, fixed, _ = solver._band_observation(cfg.operator, s.values)
+        huge = np.full(fixed.shape, 1e200)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            solver._band_trace(x, x.values, 0.0 * huge, iter([huge]), fixed, index, s.grid)
 
 
 class TestBandInverse:
