@@ -13,8 +13,9 @@ lowpass always cuts at each axis's band edge, so the reconstruction operator
 is fixed by the grids, the interpolator and the module count.  ``iterate``
 is the one reconstruction solve: it computes each iterate per DFT bin in
 closed form, from the operator's per-bin gain and the band of the samples'
-trigonometric interpolant, and its only fine-grid work is an inverse FFT
-for the estimate and for each traced SNR.
+trigonometric interpolant.  Its fine-grid work is one inverse transform
+for the estimate and, when it traces the SNR of every iterate, one forward
+transform of the estimate's residual.
 """
 
 from .signal_core import (
@@ -52,7 +53,6 @@ from .imagebench import (
     decimate,
     enlarge,
     enlarge_dense,
-    psnr_benchmark,
     read_pgm,
     synthetic_scene,
     write_pgm,

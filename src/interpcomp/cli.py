@@ -25,12 +25,12 @@ from .imagebench import (
     EnlargeConfig,
     GrayImage,
     decimate,
-    psnr_benchmark,
+    enlarge,
     read_pgm,
     write_pgm,
 )
 from .samplers import InterpKind, sample
-from .signal_core import ConfigurationError, GridSpec, add_awgn, gen_bandlimited
+from .signal_core import ConfigurationError, GridSpec, add_awgn, gen_bandlimited, psnr_db
 from .solver import ChebyshevAccel, ReconConfig, ReconOperator, iterate
 
 DEFAULT_TRIALS = 50
@@ -202,6 +202,8 @@ def cmd_analyze(args) -> int:
         ]
     noise = ana.noise_tolerance_coeff(kind, modules, relax, iteration_k=2).coeff
     adds, mults = ana.op_counts(args.iterations, args.fft_block, modules == 1)
+    if modules > 1:  # the paper counts the plain method and the one-module hybrid only
+        adds = mults = "n/a"
     pairs += [
         ("predicted_db_per_iteration", ana.predicted_gain_db(r) if 0.0 < r < 1.0 else math.nan),
         ("noise_coeff", "n/a" if noise is None else noise),
@@ -230,10 +232,9 @@ def _parse_method(token: str, factor: int, relax: float, acceleration) -> Enlarg
         counts = [int(f) for f in fields]
     except ValueError:
         raise ConfigurationError(f"method {token!r}: ITERS and MODULES must be integers") from None
-    iters, modules = counts + [2, 1][len(counts):]  # EnlargeConfig drops what a method ignores
-    return EnlargeConfig(
-        factor=factor, method=name, iterations=iters, modules=modules, relax=relax,
-        acceleration=acceleration,
+    return EnlargeConfig(  # EnlargeConfig's defaults fill what the token leaves out
+        factor=factor, method=name, relax=relax, acceleration=acceleration,
+        **dict(zip(("iterations", "modules"), counts)),
     )
 
 
@@ -248,8 +249,9 @@ def cmd_image(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     low = decimate(original, args.factor)
     write_pgm(low, os.path.join(out_dir, "decimated.pgm"))
+    recons = [enlarge(low, cfg) for cfg in methods]  # every method runs before any write
     rows = []
-    for cfg, psnr, recon in psnr_benchmark(original, methods):
+    for cfg, recon in zip(methods, recons):
         tag = cfg.label.replace("(", "_").replace(")", "").replace(",", "_")
         write_pgm(recon, os.path.join(out_dir, f"recon_{tag}.pgm"))
         err = np.abs(
@@ -262,6 +264,7 @@ def cmd_image(args) -> int:
             os.path.join(out_dir, f"err_{tag}.pgm"),
         )
         relax = cfg.relax if cfg.iterations else ""  # no lambda where nothing iterated
+        psnr = psnr_db(original.pixels, recon.pixels)
         rows.append((cfg.label, cfg.factor, cfg.iterations, cfg.modules, relax, psnr))
     path = _write_csv(
         os.path.join(out_dir, "psnr.csv"),

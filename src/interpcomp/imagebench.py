@@ -1,4 +1,4 @@
-"""Grayscale image ingestion, decimation, and enlargement benchmarking.
+"""Grayscale image ingestion, decimation and enlargement.
 
 Low-resolution pixels are treated as rectangular-lattice samples at the
 Nyquist rate of the target grid (one sampling interval = ``factor`` output
@@ -14,19 +14,19 @@ starts from the spectrum of the low-resolution pixels and never
 interpolates on the fine grid; with no reference to trace, its only
 fine-grid work is the inverse FFT that returns the enlarged image, on the
 band's columns and the crop's rows only.  Bilinear interpolates the image
-padded by one replicated row and column, all of the extension the crop reads.
+padded by one mirrored row and column, all of the extension the crop reads.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .samplers import CoarseSamples, InterpKind, interpolate
-from .signal_core import ConfigurationError, GridSpec, psnr_db
+from .signal_core import ConfigurationError, GridSpec
 from .solver import (
     ChebyshevAccel, ReconConfig, ReconOperator, _check_modules, _check_relax, iterate,
 )
@@ -40,7 +40,6 @@ __all__ = [
     "decimate",
     "enlarge",
     "enlarge_dense",
-    "psnr_benchmark",
     "synthetic_scene",
 ]
 
@@ -218,24 +217,19 @@ class EnlargeConfig:
         return f"hybrid({self.iterations},{self.modules})"
 
 
-def _mirror_extend(values: np.ndarray) -> np.ndarray:
-    ext = np.concatenate([values, values[::-1, :]], axis=0)
-    return np.concatenate([ext, ext[:, ::-1]], axis=1)
-
-
 def enlarge_dense(low: GrayImage, cfg: EnlargeConfig) -> np.ndarray:
     """Float-valued enlargement (no clamping); shape (h*factor, w*factor)."""
     pixels = low.pixels.astype(np.float64)
-    if cfg.method == "bilinear":
-        # the crop reads samples 0..h, and the mirror extension's sample h is
-        # h-1; a 2-pixel axis is padded to the 4 samples of a grid
-        ext = np.pad(pixels, [(0, max(1, 4 - n)) for n in pixels.shape], mode="edge")
-    else:
-        ext = _mirror_extend(pixels)
+    # the solve runs on the 2x mirror extension; bilinear's crop reads samples
+    # 0..n of it, and a 2-pixel axis is padded to the 4 samples of a grid
+    bilinear = cfg.method == "bilinear"
+    ext = np.pad(
+        pixels, [(0, max(1, 4 - n) if bilinear else n) for n in pixels.shape], mode="symmetric"
+    )
     grids = (GridSpec(ext.shape[0], cfg.factor), GridSpec(ext.shape[1], cfg.factor))
     samples = CoarseSamples(grids, ext)
     crop = (low.height * cfg.factor, low.width * cfg.factor)
-    if cfg.method == "bilinear":
+    if bilinear:
         return interpolate(samples, InterpKind.LINEAR).values[: crop[0], : crop[1]]
     op = ReconOperator(grids, InterpKind.SAMPLE_AND_HOLD, cfg.modules)
     run = ReconConfig(
@@ -251,22 +245,6 @@ def enlarge(low: GrayImage, cfg: EnlargeConfig) -> GrayImage:
     """Enlarged 8-bit image; clamping and rounding happen only here."""
     dense = enlarge_dense(low, cfg)
     return GrayImage(np.clip(np.rint(dense), 0, 255).astype(np.uint8))
-
-
-def psnr_benchmark(
-    original: GrayImage, methods: Sequence[EnlargeConfig]
-) -> List[Tuple[EnlargeConfig, float, GrayImage]]:
-    """Decimate, enlarge with each method, and score PSNR against the original.
-
-    Each row is (method, PSNR, the enlarged image that was scored); rows
-    come back in the order the methods were given.
-    """
-    rows = []
-    for cfg in methods:
-        low = decimate(original, cfg.factor)
-        recon = enlarge(low, cfg)
-        rows.append((cfg, psnr_db(original.pixels, recon.pixels), recon))
-    return rows
 
 
 def synthetic_scene(width: int = 512, height: int = 512, seed: int = 0) -> GrayImage:

@@ -117,6 +117,16 @@ class DenseSignal:
         return DenseSignal(self.grid, values)
 
 
+def _db_power(db: float, name: str) -> float:
+    """``10**(db/10)``; ConfigurationError naming ``name`` when ``db`` is not finite or overflows."""
+    if not math.isfinite(db):
+        raise ConfigurationError(f"{name} must be finite, got {db}")
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigurationError(f"{name} = {db} dB overflows float64") from None
+
+
 def gen_bandlimited(seed: int, grid, power_db: float) -> DenseSignal:
     """Deterministic band-limited Gaussian test signal of the requested mean-square power.
 
@@ -127,8 +137,7 @@ def gen_bandlimited(seed: int, grid, power_db: float) -> DenseSignal:
     is the classical radially band-limited field, with no content in the
     corners of the rectangular passband used by the reconstruction lowpass.
     """
-    if not math.isfinite(power_db):
-        raise ConfigurationError(f"power_db must be finite, got {power_db}")
+    scale = _db_power(power_db, "power_db")
     grids = per_axis(grid)
     shape = tuple(g.n_fine for g in grids)
     axes = tuple(range(len(grids)))
@@ -147,17 +156,13 @@ def gen_bandlimited(seed: int, grid, power_db: float) -> DenseSignal:
     power = float(np.mean(x * x))
     if power <= 0.0:
         raise ConfigurationError("degenerate draw: filtered signal has zero power")
-    x *= math.sqrt(10.0 ** (power_db / 10.0) / power)
+    x *= math.sqrt(scale / power)
     return DenseSignal(grid, x)
 
 
 def add_awgn(x: DenseSignal, noise_power_db: float, seed: int) -> DenseSignal:
     """Add zero-mean white Gaussian noise of variance ``10**(noise_power_db/10)``."""
-    if not math.isfinite(noise_power_db):
-        raise ConfigurationError(
-            f"noise_power_db must be finite, got {noise_power_db}"
-        )
-    sigma = math.sqrt(10.0 ** (noise_power_db / 10.0))
+    sigma = math.sqrt(_db_power(noise_power_db, "noise_power_db"))
     rng = np.random.default_rng(seed)
     return x.with_values(x.values + sigma * rng.standard_normal(x.values.shape))
 
@@ -191,7 +196,10 @@ def _snr_cell(energy: float, err: float) -> float:
         return math.inf
     if energy == 0.0:
         return -math.inf
-    return 10.0 * math.log10(energy / err)
+    ratio = energy / err
+    if ratio == 0.0 or ratio == math.inf:  # the ratio leaves float64; its logs do not
+        return 10.0 * (math.log10(energy) - math.log10(err))
+    return 10.0 * math.log10(ratio)
 
 
 def psnr_db(reference, estimate) -> float:
@@ -203,7 +211,4 @@ def psnr_db(reference, estimate) -> float:
     est = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)
     if ref.shape != est.shape:
         raise ConfigurationError(f"shape mismatch: {ref.shape} vs {est.shape}")
-    mse = float(np.mean((ref - est) ** 2))
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(PEAK * PEAK / mse)
+    return _snr_cell(PEAK * PEAK, float(np.mean((ref - est) ** 2)))

@@ -443,8 +443,8 @@ def iterate(
     reference, which must have the grid's shape and takes no crop, every
     iterate's SNR is traced from its band coefficients (:func:`_band_trace`),
     at one more forward transform per solve, whatever the iteration count.
-    A run that does not contract and overflows float64 raises
-    :class:`ConfigurationError`.
+    A run that overflows float64 raises :class:`ConfigurationError`, which
+    says whether a band bin does not contract.
     """
     op = cfg.operator
     if observed.grid != op.grid:
@@ -471,10 +471,14 @@ def iterate(
             if reference is not None:
                 trace = _band_trace(reference, values, last, factors(), fixed, index, op.grid)
     except FloatingPointError:
-        raise ConfigurationError(
-            f"the iterates overflow float64 within {cfg.iterations} iterations: "
-            f"a band bin does not contract, max |1 - s*gain| = {worst:.6g} >= 1"
-        ) from None
+        if worst < 1.0:  # the samples' own magnitude, not the iteration, overflows
+            why = f"the values overflow float64, though max |1 - s*gain| = {worst:.6g} < 1"
+        else:
+            why = (
+                f"the iterates overflow float64 within {cfg.iterations} iterations: "
+                f"a band bin does not contract, max |1 - s*gain| = {worst:.6g} >= 1"
+            )
+        raise ConfigurationError(why) from None
     if crop is None:
         estimate = DenseSignal(op.grid, values)
     else:

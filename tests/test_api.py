@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "decimate", "distortion_gain", "enlarge", "enlarge_dense",
     "fixed_point_oracle", "gen_bandlimited", "interpolate", "iterate", "lambda_opt_minimax",
     "lambda_opt_paper", "noise_tolerance_coeff", "op_counts", "op_counts_2d",
-    "predicted_gain_db", "psnr_benchmark", "psnr_db", "read_pgm", "sample", "snr_db",
+    "predicted_gain_db", "psnr_db", "read_pgm", "sample", "snr_db",
     "synthetic_scene", "write_pgm",
 ]
 

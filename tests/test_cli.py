@@ -225,6 +225,17 @@ class TestNoise:
         assert max(trace) > trace[-1] - 1e-3
         assert max(trace) > trace[0] + 3.0
 
+    def test_overflowing_samples_named(self, tmp_path, capsys):
+        # 3080 dB of noise is 1e308 in power: the samples' own energies overflow
+        # float64 while every band bin contracts, and the error says so
+        out = tmp_path / "n.csv"
+        code = run(["noise", *TINY_TRIALS, "--noise-power-db", "3080", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert "overflow" in err and "max |1 - s*gain| = 0.365427 < 1" in err
+        assert "does not contract" not in err
+        assert not out.exists()
+
 
 class TestRate:
     def test_same_rate_zero_difference(self, tmp_path):
@@ -266,6 +277,15 @@ class TestAnalyze:
         table = dict(row.split(",", 1) for row in lines[1:])
         assert float(table["contraction_factor"]) == pytest.approx(0.06, abs=5e-3)
 
+    @pytest.mark.parametrize(
+        "modules,adds,mults", [(0, "500", "250"), (1, "520", "270"), (2, "n/a", "n/a")]
+    )
+    def test_op_counts_cover_zero_and_one_module(self, capsys, modules, adds, mults):
+        # the paper counts the plain method and the one-module hybrid only
+        assert run(["analyze", "--modules", modules, "--csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        table = dict(row.split(",", 1) for row in lines[1:])
+        assert (table["adds_per_sample"], table["mults_per_sample"]) == (adds, mults)
 
     @pytest.mark.parametrize("flag", ["--seed", "--dims", "--n-coarse", "--ticks"])
     def test_trial_flags_rejected(self, capsys, flag):
@@ -445,6 +465,7 @@ REJECTED = [
     ("image", ["--methods", "bilinear:7"]),
     ("image", ["--methods", "iterative:2:9"]),
     ("image", ["--methods", "hybrid:2:1:3"]),
+    ("noise", ["--noise-power-db", "3100"]),
 ]
 
 

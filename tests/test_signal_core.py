@@ -15,6 +15,7 @@ from interpcomp import (
     psnr_db,
     snr_db,
 )
+from interpcomp.signal_core import _snr_cell
 
 
 class TestGridSpec:
@@ -64,6 +65,10 @@ class TestGenBandlimited:
         with pytest.raises(ConfigurationError):
             gen_bandlimited(1, grid, -math.inf)
 
+    def test_overflowing_power_rejected(self):
+        with pytest.raises(ConfigurationError, match="power_db = 4000.0 dB overflows"):
+            gen_bandlimited(0, GridSpec(16, 4), 4000.0)
+
     def test_lowpass_invariance(self, grid):
         # exactly band-limited: re-filtering at the generation cutoff is a no-op
         x = gen_bandlimited(3, grid, 34.0)
@@ -89,6 +94,10 @@ class TestAddAwgn:
     def test_non_finite_noise_power_rejected(self, bl_signal, power_db):
         with pytest.raises(ConfigurationError, match="noise_power_db must be finite"):
             add_awgn(bl_signal, power_db, seed=9)
+
+    def test_overflowing_noise_power_rejected(self, bl_signal):
+        with pytest.raises(ConfigurationError, match="noise_power_db = 3100.0 dB overflows"):
+            add_awgn(bl_signal, 3100.0, seed=9)
 
     def test_snr_about_54db(self, grid):
         # 34 dB signal + (-20 dB) noise: empirical SNR near 54 dB
@@ -133,6 +142,12 @@ class TestSnr:
         # no reference energy: any error is infinitely loud, none is a match
         assert snr_db(np.zeros(20), np.ones(20)) == -math.inf
         assert snr_db(np.zeros(20), np.zeros(20)) == math.inf
+
+    def test_ratio_beyond_float64(self):
+        # 16 interior cells: energy 16e-320 (subnormal) against error 16e20, so
+        # energy/err underflows to 0; the dB come from the difference of logs
+        assert snr_db(np.full(20, 1e-160), np.full(20, 1e10)) == pytest.approx(-3400, abs=0.01)
+        assert _snr_cell(1e200, 1e-200) == pytest.approx(4000, abs=1e-9)
 
     def test_interior_offset_matches_direct_sum(self, grid):
         n = grid.n_fine
