@@ -3,8 +3,8 @@
 Modules cover the sampling/interpolation operators, the reconstruction
 operator G (sample, interpolate, mix with the cosine modules, lowpass), the
 iterative and hybrid reconstruction solve with Chebyshev acceleration,
-closed-form convergence and noise analysis, and a grayscale image
-enlargement benchmark.
+closed-form convergence and noise analysis, and grayscale image
+enlargement.
 
 Signals, samples and operators take one :class:`GridSpec` per axis: a lone
 GridSpec for 1-D, or a tuple such as ``(grid_y, grid_x)`` for an image.  The

@@ -18,7 +18,6 @@ rate multiple for both band functions.  Bad input raises ConfigurationError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -28,8 +27,6 @@ from .signal_core import ConfigurationError
 from .solver import _check_modules
 
 __all__ = [
-    "LambdaOptPaper",
-    "NoiseTolerance",
     "distortion_gain",
     "contraction_factor",
     "lambda_opt_paper",
@@ -83,31 +80,12 @@ def contraction_factor(
     return float(np.max(np.abs(1.0 - relax * gains)))
 
 
-@dataclass(frozen=True)
-class LambdaOptPaper:
-    """Band-edge-balancing relaxation parameter, recomputed and as printed.
+def lambda_opt_paper(kind: InterpKind) -> float:
+    """Closed-form one-module relaxation ``1 / H_1(1/2)``, which zeroes the band-edge residual.
 
-    ``recomputed`` is ``1 / H_N(1/2)`` with the mathematically defined gain;
-    ``paper_printed`` is the published value, which for linear interpolation
-    derives from a sign slip and is kept only as a flagged reference.
+    The published values are ``PAPER_PRINTED_LAMBDA_OPT``, kept apart as references.
     """
-
-    recomputed: float
-    paper_printed: float
-
-    @property
-    def disagrees(self) -> bool:
-        return abs(self.recomputed - self.paper_printed) > 5e-3
-
-
-def lambda_opt_paper(kind: InterpKind, modules: int) -> LambdaOptPaper:
-    """Closed-form relaxation choice that zeroes the band-edge residual (one module only)."""
-    if modules != 1:
-        raise ConfigurationError(
-            f"closed form is available only for one module, got {modules}"
-        )
-    recomputed = 1.0 / distortion_gain(kind, 1, 0.5)
-    return LambdaOptPaper(recomputed, PAPER_PRINTED_LAMBDA_OPT[kind])
+    return 1.0 / distortion_gain(kind, 1, 0.5)
 
 
 def lambda_opt_minimax(
@@ -123,31 +101,17 @@ def lambda_opt_minimax(
     return float(2.0 / (gains.min() + gains.max()))
 
 
-@dataclass(frozen=True)
-class NoiseTolerance:
-    """Noise bound coefficient, or None with an explanation when unavailable."""
-
-    coeff: Optional[float]
-    note: str = ""
-
-
 def noise_tolerance_coeff(
     kind: InterpKind, modules: int, relax: float, iteration_k: int
-) -> NoiseTolerance:
+) -> Optional[float]:
     """Published worst-case noise-tolerance coefficient scaled by relax**(2-k).
 
     Coefficients exist only for the conventional S&H bound (0.318) and the
-    one-module hybrid bound (0.531); other combinations report absence.
+    one-module hybrid bound (0.531); every other combination returns None.
     """
     _check_kind(kind)
     base = _PAPER_NOISE_COEFF.get((kind, modules))
-    if base is None:
-        return NoiseTolerance(
-            None,
-            f"no published coefficient for kind={kind.value}, modules={modules}; "
-            "bounds exist only for conventional S&H and the 1-module hybrid",
-        )
-    return NoiseTolerance(base * relax ** (2 - iteration_k))
+    return None if base is None else base * relax ** (2 - iteration_k)
 
 
 def op_counts(iterations: int, fft_block: int, hybrid_one_module: bool) -> Tuple[int, int]:

@@ -195,12 +195,11 @@ def cmd_analyze(args) -> int:
         ("lambda_opt_minimax", ana.lambda_opt_minimax(kind, modules, k_rate)),
     ]
     if modules == 1:
-        opt = ana.lambda_opt_paper(kind, 1)
         pairs += [
-            ("lambda_opt_recomputed", opt.recomputed),
-            ("lambda_opt_paper_printed", opt.paper_printed),
+            ("lambda_opt_recomputed", ana.lambda_opt_paper(kind)),
+            ("lambda_opt_paper_printed", ana.PAPER_PRINTED_LAMBDA_OPT[kind]),
         ]
-    noise = ana.noise_tolerance_coeff(kind, modules, relax, iteration_k=2).coeff
+    noise = ana.noise_tolerance_coeff(kind, modules, relax, iteration_k=2)
     adds, mults = ana.op_counts(args.iterations, args.fft_block, modules == 1)
     if modules > 1:  # the paper counts the plain method and the one-module hybrid only
         adds = mults = "n/a"
@@ -263,7 +262,8 @@ def cmd_image(args) -> int:
             GrayImage(np.rint(scaled).astype(np.uint8)),
             os.path.join(out_dir, f"err_{tag}.pgm"),
         )
-        relax = cfg.relax if cfg.iterations else ""  # no lambda where nothing iterated
+        step = cfg.relax if cfg.acceleration is None else cfg.acceleration.step
+        relax = step if cfg.iterations else ""  # no lambda where nothing iterated
         psnr = psnr_db(original.pixels, recon.pixels)
         rows.append((cfg.label, cfg.factor, cfg.iterations, cfg.modules, relax, psnr))
     path = _write_csv(

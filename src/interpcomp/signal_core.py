@@ -15,6 +15,7 @@ turn, last axis first.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Tuple, Union
 
@@ -156,7 +157,10 @@ def gen_bandlimited(seed: int, grid, power_db: float) -> DenseSignal:
     power = float(np.mean(x * x))
     if power <= 0.0:
         raise ConfigurationError("degenerate draw: filtered signal has zero power")
-    x *= math.sqrt(scale / power)
+    ratio = scale / power
+    if ratio == math.inf:
+        raise ConfigurationError(f"power_db = {power_db} dB overflows the scaled signal")
+    x *= math.sqrt(ratio)
     return DenseSignal(grid, x)
 
 
@@ -172,16 +176,36 @@ def snr_db(reference, estimate) -> float:
 
     Accepts :class:`DenseSignal` or plain arrays of equal shape.  Returns
     ``math.inf`` when the interior error is exactly zero, and ``-math.inf``
-    when only the interior reference is.
+    when only the interior reference is.  Raises :class:`ConfigurationError`
+    on unequal shapes, a NaN or inf, or an energy that overflows float64.
     """
+    ref, est = _metric_inputs(reference, estimate)
+    interior = _interior(ref.shape)
+    r = ref[interior]
+    with _overflow_rejected():
+        e = r - est[interior]
+        return _snr_cell(float(np.sum(r * r)), float(np.sum(e * e)))
+
+
+def _metric_inputs(reference, estimate) -> Tuple[np.ndarray, np.ndarray]:
+    """The values of ``reference`` and ``estimate`` as float64, checked to match and be finite."""
     ref = np.asarray(getattr(reference, "values", reference), dtype=np.float64)
     est = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)
     if ref.shape != est.shape:
         raise ConfigurationError(f"shape mismatch: {ref.shape} vs {est.shape}")
-    interior = _interior(ref.shape)
-    r = ref[interior]
-    e = r - est[interior]
-    return _snr_cell(float(np.sum(r * r)), float(np.sum(e * e)))
+    if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(est))):
+        raise ConfigurationError("reference and estimate must be finite")
+    return ref, est
+
+
+@contextmanager
+def _overflow_rejected():
+    """Raise ConfigurationError when the energy sums inside overflow float64."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ConfigurationError("the signal or error energy overflows float64") from None
 
 
 def _interior(shape: tuple) -> tuple:
@@ -205,10 +229,8 @@ def _snr_cell(energy: float, err: float) -> float:
 def psnr_db(reference, estimate) -> float:
     """Peak SNR ``10*log10(PEAK**2 / MSE)`` over all pixels, PEAK = 255; ``inf`` on zero MSE.
 
-    Accepts :class:`DenseSignal` or plain arrays of equal shape.
+    Accepts and checks its inputs as :func:`snr_db` does.
     """
-    ref = np.asarray(getattr(reference, "values", reference), dtype=np.float64)
-    est = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)
-    if ref.shape != est.shape:
-        raise ConfigurationError(f"shape mismatch: {ref.shape} vs {est.shape}")
-    return _snr_cell(PEAK * PEAK, float(np.mean((ref - est) ** 2)))
+    ref, est = _metric_inputs(reference, estimate)
+    with _overflow_rejected():
+        return _snr_cell(PEAK * PEAK, float(np.mean((ref - est) ** 2)))

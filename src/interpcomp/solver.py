@@ -169,6 +169,11 @@ class ChebyshevAccel:
     def rho(self) -> float:
         return (self.b - self.a) / (self.b + self.a)
 
+    @property
+    def step(self) -> float:
+        """The recursion's relaxation, ``2 / (A + B)``."""
+        return 2.0 / (self.a + self.b)
+
 
 def _check_modules(modules: int) -> None:
     if modules < 0:
@@ -182,6 +187,12 @@ def _check_relax(relax: float) -> None:
 
 @dataclass(frozen=True)
 class ReconConfig:
+    """One solve: ``iterations`` steps of relaxation ``relax``, or of the Chebyshev recursion.
+
+    With ``acceleration`` set, ``relax`` is unused: the recursion relaxes by
+    ``acceleration.step``.
+    """
+
     operator: ReconOperator
     relax: float = 1.0
     iterations: int = 1
@@ -218,7 +229,6 @@ class ReconReport:
     """
 
     estimate: DenseSignal
-    iterations_run: int
     operator_applications: int
     snr_initial_db: Optional[float] = None
     snr_trace_db: Optional[list] = None
@@ -439,7 +449,7 @@ def iterate(
     Computes each iterate of the plain relaxed loop, or of the Chebyshev
     recursion when ``cfg.acceleration`` is set, per band bin in closed form
     (see the module docstring).  One inverse transform returns the estimate,
-    or only its leading ``crop`` corner (one size per axis).  With a
+    or only its leading ``crop`` corner (one size in 1..n per axis).  With a
     reference, which must have the grid's shape and takes no crop, every
     iterate's SNR is traced from its band coefficients (:func:`_band_trace`),
     at one more forward transform per solve, whatever the iteration count.
@@ -451,9 +461,13 @@ def iterate(
         raise ConfigurationError("samples and operator must have the same grids")
     shape = tuple([g.n_fine for g in op.grid])
     corner = shape if crop is None else tuple(crop)
+    if len(corner) != len(shape) or not all(
+        isinstance(c, (int, np.integer)) and 1 <= c <= n for c, n in zip(corner, shape)
+    ):
+        raise ConfigurationError(f"crop must be an integer in 1..n per axis of {shape}, got {crop}")
     index, fixed, gain = _band_observation(op, observed.values)
     accel = cfg.acceleration
-    q = 1.0 - (cfg.relax if accel is None else 2.0 / (accel.a + accel.b)) * gain
+    q = 1.0 - (cfg.relax if accel is None else accel.step) * gain
     worst = float(np.max(np.abs(q)))
 
     def factors():
@@ -485,7 +499,6 @@ def iterate(
         estimate = _check_values(values, corner, "DenseSignal")
     return ReconReport(
         estimate=estimate,
-        iterations_run=cfg.iterations,
         operator_applications=0,
         snr_initial_db=trace.pop(0) if trace is not None and accel is None else None,
         snr_trace_db=trace,

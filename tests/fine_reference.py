@@ -112,7 +112,6 @@ def fine_iterate(observed, cfg, reference=None, crop=None):
     estimate = DenseSignal(op.grid, xk)
     return ReconReport(
         estimate=estimate if crop is None else estimate.values[tuple(slice(n) for n in crop)],
-        iterations_run=cfg.iterations,
         operator_applications=1 + passes,  # the observation is one pass
         snr_initial_db=init_snr,
         snr_trace_db=trace,

@@ -365,6 +365,18 @@ class TestImage:
             ("hybrid(2,1)", "2", "1", "1.0"),
         ]
 
+    def test_accelerated_lambda_is_the_step_used(self, tmp_path):
+        # the Chebyshev recursion relaxes by 2/(A+B), whatever --lambda says
+        src = tmp_path / "scene.pgm"
+        write_pgm(synthetic_scene(32, 32, seed=4), src)
+        out_dir = tmp_path / "bench"
+        assert run(
+            ["image", src, "--methods", "bilinear,iterative:2", "--accelerate", "--lambda", 1.9,
+             "--frame-a", 1, "--frame-b", 2, "--out-dir", out_dir]
+        ) == 0
+        rows = read_rows(out_dir / "psnr.csv")
+        assert [r["lambda"] for r in rows] == ["", "0.6666666666666666"]
+
     def test_bad_method_token_exit_code(self, tmp_path, capsys):
         src = tmp_path / "scene.pgm"
         write_pgm(synthetic_scene(16, 16, seed=1), src)

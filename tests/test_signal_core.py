@@ -69,6 +69,11 @@ class TestGenBandlimited:
         with pytest.raises(ConfigurationError, match="power_db = 4000.0 dB overflows"):
             gen_bandlimited(0, GridSpec(16, 4), 4000.0)
 
+    def test_overflowing_scaled_signal_rejected(self):
+        # 10**307.8 is finite, but not once divided by the filtered draw's power
+        with pytest.raises(ConfigurationError, match="power_db = 3078.0 dB overflows"):
+            gen_bandlimited(0, GridSpec(16, 4), 3078.0)
+
     def test_lowpass_invariance(self, grid):
         # exactly band-limited: re-filtering at the generation cutoff is a no-op
         x = gen_bandlimited(3, grid, 34.0)
@@ -209,3 +214,20 @@ class TestPsnr:
         a = DenseSignal((gy, gx), np.zeros((8, 8)))
         b = DenseSignal((gy, gx), np.full((8, 8), 2.0))
         assert psnr_db(a, b) == pytest.approx(10 * math.log10(255**2 / 4.0))
+
+
+@pytest.mark.parametrize("metric", [snr_db, psnr_db], ids=["snr", "psnr"])
+class TestMetricInputs:
+    def test_energy_overflow_rejected(self, metric):
+        x = gen_bandlimited(0, GridSpec(16, 4), 3075.0)
+        with pytest.raises(ConfigurationError, match="energy overflows float64"):
+            metric(x, x.values * 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, metric, bad):
+        good = np.ones(20)
+        worse = good.copy()
+        worse[10] = bad
+        for ref, est in ((good, worse), (worse, good)):
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                metric(ref, est)
