@@ -11,8 +11,8 @@ maximum of ``|1 - relax * H_N|``; each iteration multiplies the error by at
 most that factor, i.e. gains ``-20*log10(r)`` dB of SNR.
 
 One sum, :func:`distortion_gain`, gives H_N at a frequency or on the band grid
-and checks the kind and the module count for both; one band grid checks the
-rate multiple for both band functions.  Bad input raises ConfigurationError.
+and checks the kind for both; every count must be an integer in its range.
+Bad input raises ConfigurationError.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .samplers import InterpKind, _check_kind
-from .signal_core import ConfigurationError
-from .solver import _check_modules
+from .signal_core import ConfigurationError, _check_count
 
 __all__ = [
     "distortion_gain",
@@ -52,21 +51,19 @@ PAPER_PRINTED_LAMBDA_OPT = {
     InterpKind.SAMPLE_AND_HOLD: 0.94,
     InterpKind.LINEAR: 1.31,
 }
-PAPER_PRINTED_CONTRACTION_LI_1MOD = 0.234
 
 
 def distortion_gain(kind: InterpKind, modules: int, ft):
     """Per-bin gain H_N at normalized frequency ``ft = f*T``, a float or an array; 1 at DC."""
     _check_kind(kind)
-    _check_modules(modules)
+    _check_count(modules, "modules", 0)
     m = np.arange(-modules, modules + 1)
     gain = np.sum(np.sinc(np.subtract.outer(ft, m)) ** kind.distortion_exponent, axis=-1)
     return gain if np.ndim(ft) else float(gain)
 
 
 def _gain_on_band(kind: InterpKind, modules: int, rate_multiple: int) -> np.ndarray:
-    if rate_multiple < 1:
-        raise ConfigurationError(f"rate_multiple must be >= 1, got {rate_multiple}")
+    _check_count(rate_multiple, "rate_multiple", 1)
     return distortion_gain(kind, modules, np.linspace(0.0, 0.5 / rate_multiple, GRID_POINTS))
 
 
@@ -117,13 +114,13 @@ def noise_tolerance_coeff(
 def op_counts(iterations: int, fft_block: int, hybrid_one_module: bool) -> Tuple[int, int]:
     """(additions, multiplications) per sample for M iterations at FFT block size N.
 
-    Conventional: M*(4*log2(2N) + 2) adds, M*(2*log2(2N) + 1) mults; the
-    one-module hybrid costs two extra adds and two extra mults per
-    iteration: M*(4*log2(2N) + 4) and M*(2*log2(2N) + 3).
+    M and N are integer counts, N a power of two.  Conventional: M*(4*log2(2N) + 2)
+    adds, M*(2*log2(2N) + 1) mults; the one-module hybrid costs two extra adds and
+    two extra mults per iteration: M*(4*log2(2N) + 4) and M*(2*log2(2N) + 3).
     """
-    if iterations < 1:
-        raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
-    if fft_block < 1 or fft_block & (fft_block - 1):
+    _check_count(iterations, "iterations", 1)
+    _check_count(fft_block, "fft_block", 1)
+    if fft_block & (fft_block - 1):
         raise ConfigurationError(f"fft_block must be a power of two, got {fft_block}")
     log2_2n = int(math.log2(2 * fft_block))
     if hybrid_one_module:

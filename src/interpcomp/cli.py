@@ -30,7 +30,9 @@ from .imagebench import (
     write_pgm,
 )
 from .samplers import InterpKind, sample
-from .signal_core import ConfigurationError, GridSpec, add_awgn, gen_bandlimited, psnr_db
+from .signal_core import (
+    ConfigurationError, GridSpec, _check_count, add_awgn, gen_bandlimited, psnr_db,
+)
 from .solver import ChebyshevAccel, ReconConfig, ReconOperator, iterate
 
 DEFAULT_TRIALS = 50
@@ -82,10 +84,8 @@ def _configs(args, kind, series) -> List[ReconConfig]:
 
     All are built, and so checked, before the first trial runs.
     """
-    if args.trials < 1:
-        raise ConfigurationError(f"--trials must be >= 1, got {args.trials}")
-    if args.seed < 0:
-        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+    _check_count(args.trials, "--trials", 1)
+    _check_count(args.seed, "--seed", 0)
     n_coarse, ticks = DEFAULT_GRID[args.dims]
     n_coarse = n_coarse if args.n_coarse is None else args.n_coarse
     ticks = ticks if args.ticks is None else args.ticks

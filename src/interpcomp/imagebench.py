@@ -26,10 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .samplers import CoarseSamples, InterpKind, interpolate
-from .signal_core import ConfigurationError, GridSpec
-from .solver import (
-    ChebyshevAccel, ReconConfig, ReconOperator, _check_modules, _check_relax, iterate,
-)
+from .signal_core import ConfigurationError, GridSpec, _check_count
+from .solver import ChebyshevAccel, ReconConfig, ReconOperator, _check_relax, iterate
 
 __all__ = [
     "PgmError",
@@ -162,9 +160,8 @@ def write_pgm(img: GrayImage, path, ascii_format: bool = False) -> None:
 
 
 def decimate(img: GrayImage, factor: int) -> GrayImage:
-    """Direct subsampling: keep every ``factor``-th pixel, no prefilter."""
-    if factor < 1:
-        raise ConfigurationError(f"factor must be >= 1, got {factor}")
+    """Direct subsampling: keep every ``factor``-th pixel (an integer >= 1), no prefilter."""
+    _check_count(factor, "factor", 1)
     if img.height % factor or img.width % factor:
         raise ConfigurationError(
             f"dimensions {img.height}x{img.width} not divisible by {factor}"
@@ -174,7 +171,7 @@ def decimate(img: GrayImage, factor: int) -> GrayImage:
 
 @dataclass(frozen=True)
 class EnlargeConfig:
-    """How to blow a low-resolution image up by an integer factor per axis."""
+    """How to blow a low-resolution image up by ``factor`` per axis; every count is an integer."""
 
     factor: int = 2
     method: str = "hybrid"  # bilinear | iterative | hybrid
@@ -184,8 +181,7 @@ class EnlargeConfig:
     acceleration: Optional[ChebyshevAccel] = None
 
     def __post_init__(self):
-        if self.factor < 2:
-            raise ConfigurationError(f"factor must be >= 2, got {self.factor}")
+        _check_count(self.factor, "factor", 2)
         if self.factor % 2:
             raise ConfigurationError(
                 f"factor must be even (centered-hold grid), got {self.factor}"
@@ -193,15 +189,13 @@ class EnlargeConfig:
         if self.method not in ("bilinear", "iterative", "hybrid"):
             raise ConfigurationError(f"unknown method {self.method!r}")
         _check_relax(self.relax)  # for bilinear too, so a bad value never passes
-        _check_modules(self.modules)  # likewise for the methods that do not mix
+        _check_count(self.modules, "modules", 0)  # likewise for the methods that do not mix
         if self.method != "hybrid":
             object.__setattr__(self, "modules", 0)  # only the hybrid mixes
         if self.method == "bilinear":
             object.__setattr__(self, "iterations", 0)  # and bilinear does not iterate
-        elif self.iterations < 1:
-            raise ConfigurationError(
-                f"iterations must be >= 1, got {self.iterations}"
-            )
+        else:
+            _check_count(self.iterations, "iterations", 1)
         if 2 * self.modules > self.factor:
             raise ConfigurationError(
                 f"{self.modules} modules need an enlargement factor >= "

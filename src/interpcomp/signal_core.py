@@ -41,14 +41,22 @@ class ConfigurationError(ValueError):
     """Raised on bad input: a value out of its range, or values that do not fit together."""
 
 
+def _check_count(value, name: str, least: int) -> None:
+    """ConfigurationError naming ``name`` unless ``value`` is an integer >= ``least``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform sampling grid: ``n_coarse`` samples, each spanning ``ticks_per_sample`` fine ticks.
 
-    ``rate_multiple`` is the oversampling factor relative to the Nyquist rate:
-    the signal band edge is ``1 / (2 * rate_multiple * ticks_per_sample)`` in
-    cycles per fine tick, so ``rate_multiple=1`` means sampling exactly at the
-    Nyquist rate of the band.
+    All three fields are integer counts.  ``rate_multiple`` is the
+    oversampling factor relative to the Nyquist rate: the signal band edge is
+    ``1 / (2 * rate_multiple * ticks_per_sample)`` in cycles per fine tick, so
+    ``rate_multiple=1`` means sampling exactly at the Nyquist rate of the band.
     """
 
     n_coarse: int
@@ -56,21 +64,14 @@ class GridSpec:
     rate_multiple: int = 1
 
     def __post_init__(self):
-        if self.n_coarse < 4:
-            raise ConfigurationError(f"n_coarse must be >= 4, got {self.n_coarse}")
-        if self.ticks_per_sample < 2:
-            raise ConfigurationError(
-                f"ticks_per_sample must be >= 2, got {self.ticks_per_sample}"
-            )
+        _check_count(self.n_coarse, "n_coarse", 4)
+        _check_count(self.ticks_per_sample, "ticks_per_sample", 2)
         if self.ticks_per_sample % 2 != 0:
             # centered hold boundaries must land on a tick
             raise ConfigurationError(
                 f"ticks_per_sample must be even, got {self.ticks_per_sample}"
             )
-        if self.rate_multiple < 1:
-            raise ConfigurationError(
-                f"rate_multiple must be >= 1, got {self.rate_multiple}"
-            )
+        _check_count(self.rate_multiple, "rate_multiple", 1)
 
     @property
     def n_fine(self) -> int:
@@ -119,13 +120,16 @@ class DenseSignal:
 
 
 def _db_power(db: float, name: str) -> float:
-    """``10**(db/10)``; ConfigurationError naming ``name`` when ``db`` is not finite or overflows."""
+    """``10**(db/10)``; ConfigurationError naming ``name`` unless that is finite and nonzero."""
     if not math.isfinite(db):
         raise ConfigurationError(f"{name} must be finite, got {db}")
     try:
-        return 10.0 ** (db / 10.0)
+        power = 10.0 ** (db / 10.0)
     except OverflowError:
         raise ConfigurationError(f"{name} = {db} dB overflows float64") from None
+    if power == 0.0:
+        raise ConfigurationError(f"{name} = {db} dB underflows float64")
+    return power
 
 
 def gen_bandlimited(seed: int, grid, power_db: float) -> DenseSignal:

@@ -59,6 +59,7 @@ from .signal_core import (
     ConfigurationError,
     DenseSignal,
     GridSpec,
+    _check_count,
     _check_values,
     _interior,
     _snr_cell,
@@ -91,7 +92,7 @@ class ReconOperator:
     """G = lowpass ∘ mix ∘ interpolate ∘ sample, on one axis or separably on several.
 
     G is the fine-grid model of the reconstruction.  Its mixer
-    ``1 + 2*sum_{m=1..N} cos(2*pi*m*t/T)`` (N = ``modules``; none at 0),
+    ``1 + 2*sum_{m=1..N} cos(2*pi*m*t/T)`` (N = ``modules``, an integer; none at 0),
     phase-anchored so that fine tick 0 is a coarse sample position, shifts
     the spectral replicas created by sampling back into the baseband, so the
     lowpass at the band edge turns the per-bin distortion into the partial
@@ -111,7 +112,7 @@ class ReconOperator:
     def __post_init__(self):
         object.__setattr__(self, "grid", per_axis(self.grid))
         _check_kind(self.kind)
-        _check_modules(self.modules)
+        _check_count(self.modules, "modules", 0)
         min_ticks = min(g.ticks_per_sample for g in self.grid)
         if 2 * self.modules > min_ticks:
             # harmonic m lives at m/R cycles per tick; beyond the fine-grid
@@ -175,11 +176,6 @@ class ChebyshevAccel:
         return 2.0 / (self.a + self.b)
 
 
-def _check_modules(modules: int) -> None:
-    if modules < 0:
-        raise ConfigurationError(f"modules must be >= 0, got {modules}")
-
-
 def _check_relax(relax: float) -> None:
     if not 0.0 < relax < 2.0:
         raise ConfigurationError(f"relaxation parameter must lie in (0, 2), got {relax}")
@@ -189,8 +185,8 @@ def _check_relax(relax: float) -> None:
 class ReconConfig:
     """One solve: ``iterations`` steps of relaxation ``relax``, or of the Chebyshev recursion.
 
-    With ``acceleration`` set, ``relax`` is unused: the recursion relaxes by
-    ``acceleration.step``.
+    ``iterations`` is an integer count, K >= 1.  With ``acceleration`` set,
+    ``relax`` is unused: the recursion relaxes by ``acceleration.step``.
     """
 
     operator: ReconOperator
@@ -200,10 +196,7 @@ class ReconConfig:
 
     def __post_init__(self):
         _check_relax(self.relax)
-        if self.iterations < 1:
-            raise ConfigurationError(
-                f"iterations must be >= 1, got {self.iterations}"
-            )
+        _check_count(self.iterations, "iterations", 1)
 
 
 @dataclass
@@ -412,6 +405,8 @@ def _band_trace(reference, values, last, errors, fixed, index, grids) -> list:
             f"shape mismatch: a traced solve scores the grid {shape}, "
             f"got a reference of {ref.shape} and an estimate of {values.shape}"
         )
+    if not np.all(np.isfinite(ref)):
+        raise ConfigurationError("reference and estimate must be finite")
     interior = _interior(shape)
     r = ref[interior]
     d = r - values[interior]

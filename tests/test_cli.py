@@ -478,6 +478,7 @@ REJECTED = [
     ("image", ["--methods", "iterative:2:9"]),
     ("image", ["--methods", "hybrid:2:1:3"]),
     ("noise", ["--noise-power-db", "3100"]),
+    ("noise", ["--noise-power-db", "-4000"]),
 ]
 
 

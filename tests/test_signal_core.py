@@ -74,6 +74,11 @@ class TestGenBandlimited:
         with pytest.raises(ConfigurationError, match="power_db = 3078.0 dB overflows"):
             gen_bandlimited(0, GridSpec(16, 4), 3078.0)
 
+    def test_underflowing_power_rejected(self):
+        # 10**-400 is 0.0 in float64: the signal would be all zeros
+        with pytest.raises(ConfigurationError, match="power_db = -4000.0 dB underflows"):
+            gen_bandlimited(0, GridSpec(16, 4), -4000.0)
+
     def test_lowpass_invariance(self, grid):
         # exactly band-limited: re-filtering at the generation cutoff is a no-op
         x = gen_bandlimited(3, grid, 34.0)
@@ -103,6 +108,10 @@ class TestAddAwgn:
     def test_overflowing_noise_power_rejected(self, bl_signal):
         with pytest.raises(ConfigurationError, match="noise_power_db = 3100.0 dB overflows"):
             add_awgn(bl_signal, 3100.0, seed=9)
+
+    def test_underflowing_noise_power_rejected(self, bl_signal):
+        with pytest.raises(ConfigurationError, match="noise_power_db = -4000.0 dB underflows"):
+            add_awgn(bl_signal, -4000.0, seed=9)
 
     def test_snr_about_54db(self, grid):
         # 34 dB signal + (-20 dB) noise: empirical SNR near 54 dB

@@ -596,6 +596,16 @@ class TestBandTrace:
             with pytest.raises(ConfigurationError, match="shape mismatch"):
                 iterate(sample(x), cfg, reference=reference, crop=crop)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_reference_rejected(self, grid, bad):
+        # named as snr_db names it, not as an overflow of the solve
+        x = gen_bandlimited(8, grid, 0.0)
+        cfg = ReconConfig(ReconOperator(grid, SH, 0), iterations=5)
+        reference = x.values.copy()
+        reference[grid.n_fine // 2] = bad
+        with pytest.raises(ConfigurationError, match="reference and estimate must be finite"):
+            iterate(sample(x), cfg, reference=reference)
+
     def test_energy_overflow_raises(self, grid):
         # the factors 1.073**k are finite at k = 8000 and the iterates' error
         # energies are not; np.errstate sees the overflow, and the stack's
