@@ -62,6 +62,12 @@ def distortion_gain(kind: InterpKind, modules: int, ft):
     return gain if np.ndim(ft) else float(gain)
 
 
+def _check_relax(relax: float) -> None:
+    """The relax rule of the analysis: positive and finite (a bound above 2 is valid input)."""
+    if not 0.0 < relax < math.inf:
+        raise ConfigurationError(f"relax must be positive and finite, got {relax}")
+
+
 def _gain_on_band(kind: InterpKind, modules: int, rate_multiple: int) -> np.ndarray:
     _check_count(rate_multiple, "rate_multiple", 1)
     return distortion_gain(kind, modules, np.linspace(0.0, 0.5 / rate_multiple, GRID_POINTS))
@@ -71,8 +77,7 @@ def contraction_factor(
     kind: InterpKind, modules: int, relax: float, rate_multiple: int = 1
 ) -> float:
     """Band maximum of ``|1 - relax * H_N|`` on a dense frequency grid."""
-    if not 0.0 < relax < math.inf:
-        raise ConfigurationError(f"relax must be positive and finite, got {relax}")
+    _check_relax(relax)
     gains = _gain_on_band(kind, modules, rate_multiple)
     return float(np.max(np.abs(1.0 - relax * gains)))
 
@@ -107,6 +112,9 @@ def noise_tolerance_coeff(
     one-module hybrid bound (0.531); every other combination returns None.
     """
     _check_kind(kind)
+    _check_count(modules, "modules", 0)
+    _check_relax(relax)
+    _check_count(iteration_k, "iteration_k", 1)
     base = _PAPER_NOISE_COEFF.get((kind, modules))
     return None if base is None else base * relax ** (2 - iteration_k)
 

@@ -4,7 +4,9 @@ Each subcommand reproduces one family of experiments as a CSV file with a
 header row and full round-trip float formatting, deterministic for a given
 seed.  Relative output paths resolve against $INTERPCOMP_OUT_DIR when set.
 The trial-running subcommands solve on a grid of ``--dims`` equal axes, each
-of ``--n-coarse`` samples and ``--ticks`` fine ticks per sample.
+of ``--n-coarse`` samples and ``--ticks`` fine ticks per sample.  Each
+subcommand returns the path of the CSV it wrote and :func:`main` prints it;
+``analyze`` prints its table to stdout instead.
 
 Subcommands: convergence, lambda-sweep, noise, rate, analyze, image.
 """
@@ -96,12 +98,15 @@ def _configs(args, kind, series) -> List[ReconConfig]:
     return configs
 
 
-def _mean_traces(args, configs, noise_db=None) -> list:
-    """Mean initial SNR and mean per-iteration SNR trace of each configuration over the trials.
+def _mean_traces(args, series, noise_db=None) -> list:
+    """``(cfg, mean SNR trace, dB gained per iteration)`` of each configuration of ``series``.
 
-    A trial's signal and samples are made once per grid and shared by every
-    configuration on that grid.
+    The gain runs from the mean initial SNR to the trace's last value.
+    Every configuration is built and checked (:func:`_configs`) before the
+    first trial.  A trial's signal and samples are made once per grid and
+    shared by every configuration on that grid.
     """
+    configs = _configs(args, InterpKind(args.kind), series)
     inits, traces = [[] for _ in configs], [[] for _ in configs]
     for t in range(args.trials):
         seed = args.seed + t
@@ -116,16 +121,19 @@ def _mean_traces(args, configs, noise_db=None) -> list:
             rep = iterate(samples, cfg, reference=x)
             inits[i].append(rep.snr_initial_db)
             traces[i].append(rep.snr_trace_db)
-    return [(float(np.mean(a)), np.mean(np.asarray(b), axis=0)) for a, b in zip(inits, traces)]
+    means = [(float(np.mean(a)), np.mean(np.asarray(b), axis=0)) for a, b in zip(inits, traces)]
+    return [
+        (cfg, trace, (float(trace[-1]) - init) / args.iterations)
+        for cfg, (init, trace) in zip(configs, means)
+    ]
 
 
-def cmd_convergence(args) -> int:
+def cmd_convergence(args) -> str:
     """Mean SNR per iteration for each module count.
 
     Serves ``noise`` too: when ``args.noise_power_db`` is set, AWGN of that
     power is added to every input signal and reported in a last column.
     """
-    kind = InterpKind(args.kind)
     noise_db = args.noise_power_db
     header = ["method", "modules", "lambda", "k_rate", "iteration", "mean_snr_db", "trials", "seed"]
     extra = ()
@@ -133,56 +141,39 @@ def cmd_convergence(args) -> int:
         header.append("noise_power_db")
         extra = (noise_db,)
     series = [(m, args.relax, args.k_rate) for m in _nonempty(args.modules, "--modules")]
-    rows = []
-    configs = _configs(args, kind, series)
-    for cfg, (_, trace) in zip(configs, _mean_traces(args, configs, noise_db)):
-        for it, snr in enumerate(trace, start=1):
-            rows.append(
-                (kind.value, cfg.operator.modules, args.relax, args.k_rate, it, float(snr),
-                 args.trials, args.seed, *extra)
-            )
-    path = _write_csv(args.out, header, rows)
-    print(path)
-    return 0
+    rows = [
+        (args.kind, cfg.operator.modules, args.relax, args.k_rate, it, float(snr),
+         args.trials, args.seed, *extra)
+        for cfg, trace, _ in _mean_traces(args, series, noise_db)
+        for it, snr in enumerate(trace, start=1)
+    ]
+    return _write_csv(args.out, header, rows)
 
 
-def cmd_lambda_sweep(args) -> int:
-    kind = InterpKind(args.kind)
+def cmd_lambda_sweep(args) -> str:
     lams = _nonempty(args.lambda_grid, "--lambda-grid")
     for lam in lams:
         if not 0.0 < lam < 2.0:
             raise ConfigurationError(f"lambda grid values must lie in (0, 2), got {lam}")
-    rows = []
-    configs = _configs(args, kind, [(args.modules_single, lam, args.k_rate) for lam in lams])
-    for cfg, (init, trace) in zip(configs, _mean_traces(args, configs)):
-        rows.append((cfg.relax, (float(trace[-1]) - init) / args.iterations))
-    path = _write_csv(args.out, ["lambda", "avg_db_per_iteration"], rows)
-    print(path)
-    return 0
+    series = [(args.modules_single, lam, args.k_rate) for lam in lams]
+    rows = [(cfg.relax, gain) for cfg, _, gain in _mean_traces(args, series)]
+    return _write_csv(args.out, ["lambda", "avg_db_per_iteration"], rows)
 
 
-def cmd_rate(args) -> int:
-    kind = InterpKind(args.kind)
+def cmd_rate(args) -> str:
     ks = _nonempty(args.k_rates, "--k-rates")
-    per_rate = []
-    configs = _configs(args, kind, [(args.modules_single, args.relax, k) for k in ks])
-    for k, (init, trace) in zip(ks, _mean_traces(args, configs)):
-        per_rate.append((k, init, trace, (float(trace[-1]) - init) / args.iterations))
-    base_gain = per_rate[0][3]
-    rows = []
-    for k, init, trace, gain in per_rate:
-        for it, snr in enumerate(trace, start=1):
-            rows.append((k, it, float(snr), gain, gain - base_gain))
-    path = _write_csv(
-        args.out,
-        ["k_rate", "iteration", "mean_snr_db", "avg_db_per_iter", "gain_diff_vs_first"],
-        rows,
-    )
-    print(path)
-    return 0
+    per_rate = _mean_traces(args, [(args.modules_single, args.relax, k) for k in ks])
+    base_gain = per_rate[0][2]
+    rows = [
+        (k, it, float(snr), gain, gain - base_gain)
+        for k, (_, trace, gain) in zip(ks, per_rate)
+        for it, snr in enumerate(trace, start=1)
+    ]
+    header = ["k_rate", "iteration", "mean_snr_db", "avg_db_per_iter", "gain_diff_vs_first"]
+    return _write_csv(args.out, header, rows)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     kind = InterpKind(args.kind)
     modules, relax, k_rate = args.modules_single, args.relax, args.k_rate
     r = ana.contraction_factor(kind, modules, relax, k_rate)
@@ -218,7 +209,6 @@ def cmd_analyze(args) -> int:
         width = max(len(k) for k, _ in pairs)
         for key, val in pairs:
             print(f"{key:<{width}}  {_fmt(val)}")
-    return 0
 
 
 def _parse_method(token: str, factor: int, relax: float, acceleration) -> EnlargeConfig:
@@ -237,7 +227,7 @@ def _parse_method(token: str, factor: int, relax: float, acceleration) -> Enlarg
     )
 
 
-def cmd_image(args) -> int:
+def cmd_image(args) -> str:
     original = read_pgm(args.image)
     bounds = ChebyshevAccel(args.frame_a, args.frame_b)  # checked without --accelerate too
     accel = bounds if args.accelerate else None
@@ -266,13 +256,8 @@ def cmd_image(args) -> int:
         relax = step if cfg.iterations else ""  # no lambda where nothing iterated
         psnr = psnr_db(original.pixels, recon.pixels)
         rows.append((cfg.label, cfg.factor, cfg.iterations, cfg.modules, relax, psnr))
-    path = _write_csv(
-        os.path.join(out_dir, "psnr.csv"),
-        ["method", "factor", "iters", "modules", "lambda", "psnr_db"],
-        rows,
-    )
-    print(path)
-    return 0
+    header = ["method", "factor", "iters", "modules", "lambda", "psnr_db"]
+    return _write_csv(os.path.join(out_dir, "psnr.csv"), header, rows)
 
 
 def _add_common(p: argparse.ArgumentParser, *, trials=True, relax=True, k_rate=True):
@@ -368,10 +353,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        path = args.func(args)
+        if path is not None:
+            print(path)
     except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

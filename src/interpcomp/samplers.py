@@ -88,7 +88,8 @@ def _interp_axis(values: np.ndarray, grid: GridSpec, kind: InterpKind, axis: int
         w_next[r // 2 + 1 :] = 1.0
     else:
         w_next = np.arange(r) / r
-    fine = vals[..., :, np.newaxis] * (1.0 - w_next) + nxt[..., :, np.newaxis] * w_next
+    fine = vals[..., :, np.newaxis] * (1.0 - w_next)
+    fine += nxt[..., :, np.newaxis] * w_next
     fine = fine.reshape(*vals.shape[:-1], grid.n_fine)
     return np.moveaxis(fine, -1, axis)
 

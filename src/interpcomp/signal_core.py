@@ -43,7 +43,8 @@ class ConfigurationError(ValueError):
 
 def _check_count(value, name: str, least: int) -> None:
     """ConfigurationError naming ``name`` unless ``value`` is an integer >= ``least``."""
-    if not isinstance(value, (int, np.integer)):
+    # a bool is an int subclass, but True is no count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ConfigurationError(f"{name} must be >= {least}, got {value}")
@@ -197,7 +198,7 @@ def _metric_inputs(reference, estimate) -> Tuple[np.ndarray, np.ndarray]:
     est = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)
     if ref.shape != est.shape:
         raise ConfigurationError(f"shape mismatch: {ref.shape} vs {est.shape}")
-    if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(est))):
+    if not (np.isfinite(ref).all() and np.isfinite(est).all()):
         raise ConfigurationError("reference and estimate must be finite")
     return ref, est
 

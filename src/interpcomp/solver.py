@@ -62,6 +62,7 @@ from .signal_core import (
     _check_count,
     _check_values,
     _interior,
+    _metric_inputs,
     _snr_cell,
     per_axis,
 )
@@ -398,15 +399,12 @@ def _band_trace(reference, values, last, errors, fixed, index, grids) -> list:
     ``|d|**2`` as :func:`snr_db` sums it.  The iterates go through in stacks
     of at most ``TRACE_STACK`` band coefficients.
     """
-    ref = np.asarray(getattr(reference, "values", reference), dtype=np.float64)
+    ref, values = _metric_inputs(reference, values)
     shape = tuple([g.n_fine for g in grids])
-    if not ref.shape == values.shape == shape:
+    if ref.shape != shape:  # a cropped estimate, scored against a reference of its shape
         raise ConfigurationError(
-            f"shape mismatch: a traced solve scores the grid {shape}, "
-            f"got a reference of {ref.shape} and an estimate of {values.shape}"
+            f"shape mismatch: a traced solve scores the grid {shape}, got {ref.shape}"
         )
-    if not np.all(np.isfinite(ref)):
-        raise ConfigurationError("reference and estimate must be finite")
     interior = _interior(shape)
     r = ref[interior]
     d = r - values[interior]

@@ -162,6 +162,27 @@ class TestNoiseCoeff:
     def test_unsupported_combination(self):
         assert noise_tolerance_coeff(LI, 1, 1.0, 2) is None
 
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            ((SH, 0, 0.0, 5), "relax"),
+            ((SH, 0, -1.0, 2.5), "relax"),
+            ((SH, 0, math.nan, 2), "relax"),
+            ((SH, 0, math.inf, 2), "relax"),
+            ((SH, -3, 1.0, 2), "modules"),
+            ((SH, 1.5, 1.0, 2), "modules"),
+            ((SH, 0, 1.0, 2.5), "iteration_k"),
+            ((SH, 0, 1.0, 0), "iteration_k"),
+        ],
+        ids=["relax0", "relax-1", "relax-nan", "relax-inf", "modules-3", "modules1.5",
+             "iteration_k2.5", "iteration_k0"],
+    )
+    def test_bad_input_named(self, args, name):
+        # no ZeroDivisionError, complex or NaN coefficient, and no None as if
+        # the paper printed no coefficient for a count that is not one
+        with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+            noise_tolerance_coeff(*args)
+
 
 class TestOpCounts:
     def test_reference_point(self):

@@ -482,6 +482,25 @@ REJECTED = [
 ]
 
 
+# each CSV-writing subcommand, run small, and the CSV it writes under its output flag
+WRITERS = {
+    "convergence": ("x.csv", []),
+    "noise": ("x.csv", []),
+    "lambda-sweep": ("x.csv", ["--lambda-grid", "0.5,1.0"]),
+    "rate": ("x.csv", []),
+    "image": ("o/psnr.csv", ["--methods", "bilinear,iterative:2"]),
+}
+
+
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_prints_the_written_path(tmp_path, capsys, pgm16, command):
+    written, flags = WRITERS[command]
+    assert run([*tiny_argv(command, pgm16, tmp_path, accelerate=False), *flags]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"{tmp_path / written}\n" and err == ""
+    assert (tmp_path / written).exists()
+
+
 class TestBoundarySweep:
     """Every numeric flag of every subcommand, set in turn to -1, 0, nan and inf.
 

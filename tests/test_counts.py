@@ -79,3 +79,8 @@ class TestCounts:
 
     def test_numpy_integer_accepted(self, name, call, good):
         assert call(np.int64(good)) == call(good)
+
+    def test_bool_rejected(self, name, call, good):
+        # bool is an int subclass; True must not pass for a count of one
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got True$"):
+            call(True)
