@@ -4,9 +4,11 @@ Each subcommand reproduces one family of experiments as a CSV file with a
 header row and full round-trip float formatting, deterministic for a given
 seed.  Relative output paths resolve against $INTERPCOMP_OUT_DIR when set.
 The trial-running subcommands solve on a grid of ``--dims`` equal axes, each
-of ``--n-coarse`` samples and ``--ticks`` fine ticks per sample.  Each
-subcommand returns the path of the CSV it wrote and :func:`main` prints it;
-``analyze`` prints its table to stdout instead.
+of ``--n-coarse`` samples and ``--ticks`` fine ticks per sample; the trials
+of a configuration run as one batch, in chunks of bounded memory
+(:func:`_mean_traces`).  Each subcommand returns the path of the CSV it
+wrote and :func:`main` prints it; ``analyze`` prints its table to stdout
+instead.
 
 Subcommands: convergence, lambda-sweep, noise, rate, analyze, image.
 """
@@ -35,7 +37,7 @@ from .samplers import InterpKind, sample
 from .signal_core import (
     ConfigurationError, GridSpec, _check_count, add_awgn, gen_bandlimited, psnr_db,
 )
-from .solver import ChebyshevAccel, ReconConfig, ReconOperator, iterate
+from .solver import BATCH_POINTS, ChebyshevAccel, ReconConfig, ReconOperator, iterate
 
 DEFAULT_TRIALS = 50
 DEFAULT_POWER_DB = 34.0
@@ -104,23 +106,32 @@ def _mean_traces(args, series, noise_db=None) -> list:
     The gain runs from the mean initial SNR to the trace's last value.
     Every configuration is built and checked (:func:`_configs`) before the
     first trial.  A trial's signal and samples are made once per grid and
-    shared by every configuration on that grid.
+    shared by every configuration on that grid.  The trials of a
+    configuration run as one batch, in chunks: one :func:`iterate` call per
+    chunk of at most ``BATCH_POINTS`` fine-grid points of trials, or of one
+    trial where a trial alone is larger, so memory does not grow with
+    ``--trials``.  A batch gives the cells of one solve per trial, bitwise.
     """
     configs = _configs(args, InterpKind(args.kind), series)
     inits, traces = [[] for _ in configs], [[] for _ in configs]
-    for t in range(args.trials):
-        seed = args.seed + t
-        trials = {}
-        for i, cfg in enumerate(configs):
-            grid = cfg.operator.grid
-            if grid not in trials:
-                x = gen_bandlimited(seed, grid, DEFAULT_POWER_DB)
-                observed = add_awgn(x, noise_db, seed + 10_000_019) if noise_db is not None else x
-                trials[grid] = x, sample(observed)
-            x, samples = trials[grid]
-            rep = iterate(samples, cfg, reference=x)
-            inits[i].append(rep.snr_initial_db)
-            traces[i].append(rep.snr_trace_db)
+    for grid in dict.fromkeys(cfg.operator.grid for cfg in configs):
+        size = max(1, BATCH_POINTS // math.prod([g.n_fine for g in grid]))
+        for start in range(args.seed, args.seed + args.trials, size):
+            seeds = range(start, min(start + size, args.seed + args.trials))
+            xs = [gen_bandlimited(seed, grid, DEFAULT_POWER_DB) for seed in seeds]
+            samples = [
+                sample(x if noise_db is None else add_awgn(x, noise_db, seed + 10_000_019))
+                for x, seed in zip(xs, seeds)
+            ]
+            for i, cfg in enumerate(configs):
+                if cfg.operator.grid == grid:
+                    # the reports hold the chunk's estimates; keep only their cells
+                    init, trace = zip(*[
+                        (rep.snr_initial_db, rep.snr_trace_db)
+                        for rep in iterate(samples, cfg, reference=xs)
+                    ])
+                    inits[i] += init
+                    traces[i] += trace
     means = [(float(np.mean(a)), np.mean(np.asarray(b), axis=0)) for a, b in zip(inits, traces)]
     return [
         (cfg, trace, (float(trace[-1]) - init) / args.iterations)

@@ -79,7 +79,6 @@ def _interp_axis(values: np.ndarray, grid: GridSpec, kind: InterpKind, axis: int
     """Interpolate coarse values along one axis onto the fine grid (circular)."""
     r = grid.ticks_per_sample
     vals = np.moveaxis(np.asarray(values, dtype=np.float64), axis, -1)
-    nxt = np.roll(vals, -1, axis=-1)
     if kind is InterpKind.SAMPLE_AND_HOLD:
         # one block of R ticks per sample: first half holds s[n], the midway
         # tick averages s[n] and s[n+1], the rest holds s[n+1]
@@ -89,7 +88,9 @@ def _interp_axis(values: np.ndarray, grid: GridSpec, kind: InterpKind, axis: int
     else:
         w_next = np.arange(r) / r
     fine = vals[..., :, np.newaxis] * (1.0 - w_next)
-    fine += nxt[..., :, np.newaxis] * w_next
+    # each sample's block adds the next sample's share; the last wraps to the first
+    fine[..., :-1, :] += vals[..., 1:, np.newaxis] * w_next
+    fine[..., -1:, :] += vals[..., :1, np.newaxis] * w_next
     fine = fine.reshape(*vals.shape[:-1], grid.n_fine)
     return np.moveaxis(fine, -1, axis)
 

@@ -43,6 +43,13 @@ residual: the interior error energy of every earlier iterate follows from
 its band coefficients and that residual's, through a small matrix per axis,
 the discrete prolate concentration kernel (:func:`_axis_gram`,
 :func:`_band_trace`).
+
+:func:`iterate` also solves a list of samples on one grid as one batch, on
+a leading trial axis: a solve of B trials makes one batched coarse
+``rfftn``, one batched inverse and, when traced, one batched residual
+transform, and computes the error factors, which depend on the
+configuration alone, once.  Its estimates and SNR cells are bitwise those
+of B single solves; a single solve is a batch of one.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import islice
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -79,9 +86,13 @@ __all__ = [
 
 # fixed_point_oracle builds a dense matrix; keep instances small
 ORACLE_MAX_FINE = 512
-# band coefficients per stack of traced iterates: a long traced run's memory
-# stays that of a few stacks
-TRACE_STACK = 1 << 16
+# the points of one array of a batched solve: fine-grid points per chunk of
+# trials (cli._mean_traces) and band coefficients per stack of traced
+# iterates, so that a run's memory stays that of a few such arrays, whatever
+# its trial or iteration count.  2**16 points is 512 KiB of float64: a 2-D
+# trial of 256 x 256 points runs alone, since two of them in one batch ran
+# slower than two batches of one (their arrays leave the cache)
+BATCH_POINTS = 1 << 16
 
 
 class SingularSystemError(ValueError):
@@ -327,6 +338,17 @@ def _outer(vectors) -> np.ndarray:
     return reduce(np.multiply, np.ix_(*vectors))
 
 
+def _gather(spectrum: np.ndarray, index) -> np.ndarray:
+    """``spectrum`` at ``np.ix_(*index)`` on its last axes, in C order whatever its leading axes.
+
+    Indexing behind a leading slice lays the leading axes out innermost.
+    numpy picks the loop of a matrix product or a sum from the strides, and
+    another loop may round differently, so the gather is made C-contiguous:
+    then each trial's band products run as in a solve of that trial alone.
+    """
+    return np.ascontiguousarray(spectrum[(Ellipsis,) + np.ix_(*index)])
+
+
 def _band_observation(op: ReconOperator, values: np.ndarray):
     """The band's per-axis index into the fine grid's ``rfftn`` output, T there and G̃ there.
 
@@ -334,29 +356,32 @@ def _band_observation(op: ReconOperator, values: np.ndarray):
     ``np.ix_(*index)``.  T, the band of the samples' trigonometric
     interpolant, is read from one ``rfftn`` of the coarse values: a fine bin
     k reads coarse bin k mod ``n_coarse`` on each axis (on a non-last axis,
-    fine bin n-j reads coarse bin ``n_coarse``-j).
+    fine bin n-j reads coarse bin ``n_coarse``-j).  ``values`` may carry
+    leading (trial) axes, which T keeps; G̃ depends on the operator alone.
     """
     ndim = len(op.grid)
     index, weight, gain = zip(
         *[_axis_band(g, op.kind, op.modules, axis == ndim - 1) for axis, g in enumerate(op.grid)]
     )
-    coarse = np.fft.rfftn(values, axes=tuple(range(ndim)))
-    fixed = coarse[np.ix_(*[k % g.n_coarse for k, g in zip(index, op.grid)])]
+    coarse = np.fft.rfftn(values, axes=tuple(range(values.ndim - ndim, values.ndim)))
+    fixed = _gather(coarse, [k % g.n_coarse for k, g in zip(index, op.grid)])
     return index, fixed * _outer(weight), _outer(gain)
 
 
 def _band_inverse(band: np.ndarray, index, shape: tuple, crop: tuple) -> np.ndarray:
     """The leading ``crop`` corner of ``irfftn`` of the band zero-filled to ``shape``, bitwise.
 
-    ``band`` sits at ``index``, as from :func:`_band_observation`.  A non-last
-    axis is transformed only on the band's lines, as all others stay zero; the
-    last axis holds rfft bins 0..B, which ``irfft`` zero-pads itself.
+    ``band`` sits at ``index``, as from :func:`_band_observation`, after any
+    leading (trial) axes, each transformed apart.  A non-last axis is
+    transformed only on the band's lines, as all others stay zero; the last
+    axis holds rfft bins 0..B, which ``irfft`` zero-pads itself.
     """
-    for axis, (k, n, keep) in enumerate(zip(index[:-1], shape, crop)):
-        lead = (slice(None),) * axis
+    lead = band.ndim - len(shape)
+    for axis, (k, n, keep) in enumerate(zip(index[:-1], shape, crop), start=lead):
+        before = (slice(None),) * axis
         full = np.zeros(band.shape[:axis] + (n,) + band.shape[axis + 1 :], dtype=np.complex128)
-        full[lead + (k,)] = band
-        band = np.fft.ifft(full, axis=axis)[lead + (slice(keep),)]
+        full[before + (k,)] = band
+        band = np.fft.ifft(full, axis=axis)[before + (slice(keep),)]
     return np.fft.irfft(band, n=shape[-1], axis=-1)[..., : crop[-1]]
 
 
@@ -378,65 +403,99 @@ def _error_factors(q: np.ndarray, rho: float):
 
 
 def _along_axes(mats, stack: np.ndarray) -> np.ndarray:
-    """Each row of ``stack`` with ``mats[i]`` applied along its axis i: ``M_y δ M_xᵀ`` in 2-D."""
-    for axis, m in enumerate(mats, start=1):
+    """``stack`` with ``mats[i]`` applied along the i-th of its last axes: ``M_y δ M_xᵀ`` in 2-D.
+
+    Every leading axis is a stack axis, so each matrix product runs on the
+    same slices, of the same strides, however many trials and iterates.
+    """
+    for axis, m in zip(range(-len(mats), 0), mats):
         stack = (m @ stack.swapaxes(axis, -2)).swapaxes(axis, -2)
     return stack
 
 
-def _band_trace(reference, values, last, errors, fixed, index, grids) -> list:
-    """``snr_db(reference, v_j)`` for every iterate v_j, from its band; ``values`` is the last, v_K.
+def _residual(reference, values, index):
+    """Per trial, for :func:`_band_trace`: the reference's interior energy, |d|**2 and D.
 
-    ``errors`` yields each iterate's factor e_j and ``last`` is e_K.  With
-    d = reference - v_K on the interior, iterate j's error there is
-    ``d - Re z_j``, where z_j has the band ``δ_j = (e_K - e_j)·T``
-    (:func:`_axis_gram`).  So its energy is
+    d = reference - values on the interior, zero-filled outside it, and D is
+    its band; one batched forward transform gives every trial's D.  Its
+    fine-grid arrays are freed on return, before the stacks of iterates.
+    """
+    ref, values = _metric_inputs(reference, values)
+    trials = len(ref)
+    interior = (slice(None),) + _interior(ref.shape[1:])
+    r = ref[interior]
+    placed = np.zeros(ref.shape)
+    d = np.subtract(r, values[interior], out=placed[interior])
+    energy = (r * r).reshape(trials, -1).sum(axis=1).tolist()
+    floor = (d * d).reshape(trials, -1).sum(axis=1)
+    return energy, floor, _gather(np.fft.rfftn(placed, axes=tuple(range(1, ref.ndim))), index)
+
+
+def _band_trace(reference, values, last, errors, fixed, index, grids) -> list:
+    """``snr_db(reference, v_j)`` for every iterate v_j of each trial, from its band.
+
+    ``reference``, ``values`` (the last iterate, v_K) and ``fixed`` (T) hold
+    one trial per row of a leading axis; the result holds one list of cells
+    per trial.  ``errors`` yields each iterate's factor e_j and ``last`` is
+    e_K, shared by every trial.  With d = reference - v_K on the interior,
+    iterate j's error there is ``d - Re z_j``, where z_j has the band
+    ``δ_j = (e_K - e_j)·T`` (:func:`_axis_gram`).  So its energy is
     ``|d|**2 - 2 Re(δ_j · w conj(D)) + (conj(δ_j)·(M⁻ δ_j) + Re δ_j·(M⁺ δ_j)) / 2``,
     with D the band of one forward transform of d zero-filled outside the
     interior, and w the product of the axes' weights; the last term is
     ``sum (Re z_j)**2``, by ``(Re z)**2 = (|z|**2 + Re z**2) / 2``.  No term
     needs the reference to be band-limited, and the last iterate's energy is
-    ``|d|**2`` as :func:`snr_db` sums it.  The iterates go through in stacks
-    of at most ``TRACE_STACK`` band coefficients.
+    ``|d|**2`` as :func:`snr_db` sums it.  Each trial's sums and matrix
+    products run on slices laid out as in a solve of that trial alone, so a
+    batch changes no cell.  The iterates go through in stacks of at most
+    ``BATCH_POINTS`` band coefficients over all trials.
     """
-    ref, values = _metric_inputs(reference, values)
-    shape = tuple([g.n_fine for g in grids])
-    if ref.shape != shape:  # a cropped estimate, scored against a reference of its shape
-        raise ConfigurationError(
-            f"shape mismatch: a traced solve scores the grid {shape}, got {ref.shape}"
-        )
-    interior = _interior(shape)
-    r = ref[interior]
-    d = r - values[interior]
-    energy, floor = float(np.sum(r * r)), float(np.sum(d * d))
-    placed = np.zeros(shape)
-    placed[interior] = d
+    energy, floor, residual = _residual(reference, values, index)
+    trials = len(floor)
     weights, minus, plus = zip(
-        *[_axis_gram(g, axis == len(shape) - 1) for axis, g in enumerate(grids)]
+        *[_axis_gram(g, axis == len(grids) - 1) for axis, g in enumerate(grids)]
     )
-    residual = np.fft.rfftn(placed, axes=tuple(range(len(shape))))[np.ix_(*index)]
-    cross = (_outer(weights) * np.conj(residual)).ravel()
-    cells = []
-    size = max(1, TRACE_STACK // fixed.size)
+    # one matrix-vector product per trial: (iterates x band) by the trial's band
+    cross = (_outer(weights) * np.conj(residual)).reshape(trials, -1, 1)
+    cells = [[] for _ in range(trials)]
+    size = max(1, BATCH_POINTS // fixed.size)
     for rows in iter(lambda: list(islice(errors, size)), []):
-        stack = (last - np.stack(rows)) * fixed
+        stack = (last - np.stack(rows)) * fixed[:, np.newaxis]
         quad = np.conj(stack) * _along_axes(minus, stack) + stack * _along_axes(plus, stack)
-        flat = stack.reshape(len(rows), -1)
-        quad = quad.reshape(len(rows), -1).sum(axis=1).real
-        err = floor - 2.0 * (flat @ cross).real + 0.5 * quad
+        flat = stack.reshape(trials, len(rows), -1)
+        quad = quad.reshape(trials, len(rows), -1).sum(axis=-1).real
+        err = floor[:, np.newaxis] - 2.0 * (flat @ cross)[..., 0].real + 0.5 * quad
         if not np.all(np.isfinite(err)):
             # the matmul's overflow can escape np.errstate, as in a threaded BLAS
             raise FloatingPointError("overflow in the traced error energies")
-        cells += [_snr_cell(energy, e) for e in err.tolist()]
+        for trial, power, errs in zip(cells, energy, err.tolist()):
+            trial += [_snr_cell(power, x) for x in errs]
     return cells
 
 
+def _stack(arrays: list) -> np.ndarray:
+    """``arrays`` on a new leading axis; a lone array is a view, not a copy."""
+    return arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
+
+
+class _Reports(list):
+    """The reports of a batched :func:`iterate`, one per samples, in order.
+
+    ``operator_applications`` sums theirs, so the benchmark's tracer reads
+    a batched call as it reads a single one.
+    """
+
+    @property
+    def operator_applications(self) -> int:
+        return sum(rep.operator_applications for rep in self)
+
+
 def iterate(
-    observed: CoarseSamples,
+    observed: Union[CoarseSamples, Sequence[CoarseSamples]],
     cfg: ReconConfig,
-    reference: Optional[DenseSignal] = None,
+    reference=None,
     crop: Optional[Tuple[int, ...]] = None,
-) -> ReconReport:
+) -> Union[ReconReport, List[ReconReport]]:
     """Reconstruct a dense signal from its coarse samples, on any number of axes.
 
     Computes each iterate of the plain relaxed loop, or of the Chebyshev
@@ -448,17 +507,49 @@ def iterate(
     at one more forward transform per solve, whatever the iteration count.
     A run that overflows float64 raises :class:`ConfigurationError`, which
     says whether a band bin does not contract.
+
+    ``observed`` may also be a list or tuple of samples on the operator's
+    grids, with ``reference`` None or a list or tuple of one reference each:
+    the trials are solved as one batch, and a list of one report per
+    samples, in order, is returned, bitwise what one call per samples
+    returns.  A single call is that solve on a batch of one.  A batch of B
+    trials makes one batched coarse ``rfftn``, one batched inverse and, when
+    traced, one batched residual transform; the error factors, which depend
+    on the configuration alone, are computed once.  An overflow in any trial
+    fails the whole batch.
     """
     op = cfg.operator
-    if observed.grid != op.grid:
-        raise ConfigurationError("samples and operator must have the same grids")
+    single = not isinstance(observed, (list, tuple))
+    batch = [observed] if single else list(observed)
+    references = None if reference is None else [reference] if single else reference
+    if not batch:
+        raise ConfigurationError("a batch needs at least one CoarseSamples")
+    for s in batch:
+        if not isinstance(s, CoarseSamples):
+            raise ConfigurationError(f"iterate solves CoarseSamples, got {type(s).__name__}")
+        if s.grid != op.grid:
+            raise ConfigurationError("samples and operator must have the same grids")
+    if references is not None and (
+        not isinstance(references, (list, tuple)) or len(references) != len(batch)
+    ):
+        raise ConfigurationError(
+            f"a batch of {len(batch)} samples needs a list of as many references"
+        )
     shape = tuple([g.n_fine for g in op.grid])
     corner = shape if crop is None else tuple(crop)
     if len(corner) != len(shape) or not all(
         isinstance(c, (int, np.integer)) and 1 <= c <= n for c, n in zip(corner, shape)
     ):
         raise ConfigurationError(f"crop must be an integer in 1..n per axis of {shape}, got {crop}")
-    index, fixed, gain = _band_observation(op, observed.values)
+    if references is not None:
+        references = [np.asarray(getattr(r, "values", r), dtype=np.float64) for r in references]
+        got = next((r.shape for r in references if r.shape != shape), corner)
+        if got != shape:  # a cropped estimate, or a reference of another shape
+            raise ConfigurationError(
+                f"shape mismatch: a traced solve scores the grid {shape}, got {got}"
+            )
+        references = _stack(references)
+    index, fixed, gain = _band_observation(op, _stack([s.values for s in batch]))
     accel = cfg.acceleration
     q = 1.0 - (cfg.relax if accel is None else accel.step) * gain
     worst = float(np.max(np.abs(q)))
@@ -469,14 +560,14 @@ def iterate(
             _error_factors(q, 0.0 if accel is None else accel.rho), cfg.iterations + (accel is None)
         )
 
-    trace = None
+    traces = [None] * len(batch)
     try:
         with np.errstate(over="raise", invalid="raise"):
             for last in factors():
                 pass
             values = _band_inverse((1.0 - last) * fixed, index, shape, corner)
-            if reference is not None:
-                trace = _band_trace(reference, values, last, factors(), fixed, index, op.grid)
+            if references is not None:
+                traces = _band_trace(references, values, last, factors(), fixed, index, op.grid)
     except FloatingPointError:
         if worst < 1.0:  # the samples' own magnitude, not the iteration, overflows
             why = f"the values overflow float64, though max |1 - s*gain| = {worst:.6g} < 1"
@@ -486,17 +577,20 @@ def iterate(
                 f"a band bin does not contract, max |1 - s*gain| = {worst:.6g} >= 1"
             )
         raise ConfigurationError(why) from None
-    if crop is None:
-        estimate = DenseSignal(op.grid, values)
-    else:
-        estimate = _check_values(values, corner, "DenseSignal")
-    return ReconReport(
-        estimate=estimate,
-        operator_applications=0,
-        snr_initial_db=trace.pop(0) if trace is not None and accel is None else None,
-        snr_trace_db=trace,
-        non_contraction=worst >= 1.0,
+    reports = _Reports(
+        ReconReport(
+            estimate=(
+                DenseSignal(op.grid, est) if crop is None
+                else _check_values(est, corner, "DenseSignal")
+            ),
+            operator_applications=0,
+            snr_initial_db=trace.pop(0) if trace is not None and accel is None else None,
+            snr_trace_db=trace,
+            non_contraction=worst >= 1.0,
+        )
+        for est, trace in zip(values, traces)
     )
+    return reports[0] if single else reports
 
 
 def _band_basis(n: int, cutoff: float) -> np.ndarray:

@@ -8,9 +8,10 @@ observation: one pass of G per iteration, and every traced SNR taken from
 the iterate itself.  The loops, the Chebyshev relaxation sequence
 (``chebyshev_lambdas``) and the divergence flag are this module's own and
 share no code with the solve.  ``fine_iterate`` has ``iterate``'s signature
-and report, so a test can swap it in for the solve; it runs the whole grid
-and then cuts a requested crop from it.  ``measured_gain`` measures the
-per-bin gain the closed form must match, by running G on a band-limited
+and reports, so a test can swap it in for the solve; it runs the whole grid
+and then cuts a requested crop from it, and it solves a list of samples as
+a plain loop of single solves (``fine_solve``).  ``measured_gain`` measures
+the per-bin gain the closed form must match, by running G on a band-limited
 impulse.  ``lowpass`` is G's last stage on its own, for tests that filter
 a signal without sampling it.
 """
@@ -19,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from interpcomp import DenseSignal, ReconOperator, ReconReport, snr_db
+from interpcomp import CoarseSamples, DenseSignal, ReconOperator, ReconReport, snr_db
 from interpcomp.solver import _gain_mask
 
 
@@ -98,6 +99,14 @@ def chebyshev_loop(g_obs, apply_g, cfg, snr_of):
 
 
 def fine_iterate(observed, cfg, reference=None, crop=None):
+    """``iterate`` on the fine grid; a list of samples is solved one at a time."""
+    if isinstance(observed, CoarseSamples):
+        return fine_solve(observed, cfg, reference, crop)
+    references = [None] * len(observed) if reference is None else reference
+    return [fine_solve(s, cfg, r, crop) for s, r in zip(observed, references, strict=True)]
+
+
+def fine_solve(observed, cfg, reference=None, crop=None):
     op = cfg.operator
     snr_of = None
     if reference is not None:

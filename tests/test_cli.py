@@ -183,6 +183,99 @@ class TestConvergence:
         assert (tmp_path / "outputs" / "conv.csv").exists()
 
 
+class TestBatches:
+    """Each configuration's trials run as one batch, in chunks of at most BATCH_POINTS points."""
+
+    # 5 trials of 16 x 16 = 256 fine points each in 1-D
+    SMALL = ["--trials", 5, "--iterations", 3, "--n-coarse", 16, "--seed", 2]
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Record (configuration, batch size) of every ``iterate`` call the CLI makes."""
+        calls = []
+        solve = cli.iterate
+
+        def wrapper(observed, cfg, **kwargs):
+            calls.append((cfg, len(observed)))
+            return solve(observed, cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "iterate", wrapper)
+        return calls
+
+    @staticmethod
+    def by_config(calls):
+        """The batch sizes of each configuration's calls, in order."""
+        sizes = {}
+        for cfg, size in calls:
+            sizes.setdefault(cfg, []).append(size)
+        return list(sizes.values())
+
+    @pytest.mark.parametrize(
+        "argv,configs",
+        [
+            (["convergence", "--modules", "0,1,2"], 3),
+            (["noise", "--modules", "0,1"], 2),
+            (["lambda-sweep", "--lambda-grid", "0.5,1.0"], 2),
+            (["rate", "--k-rates", "1,2"], 2),
+        ],
+        ids=["convergence", "noise", "lambda-sweep", "rate"],
+    )
+    @pytest.mark.parametrize(
+        "budget,chunks", [(None, [5]), (2 * 256, [2, 2, 1]), (1, [1] * 5)],
+        ids=["one-chunk", "2+2+1", "one-trial"],
+    )
+    def test_one_solve_per_configuration_and_chunk(
+        self, tmp_path, monkeypatch, argv, configs, budget, chunks
+    ):
+        if budget is not None:
+            monkeypatch.setattr(cli, "BATCH_POINTS", budget)
+        calls = self.recorded(monkeypatch)
+        assert run([*argv, *self.SMALL, "--out", tmp_path / "x.csv"]) == 0
+        assert self.by_config(calls) == [chunks] * configs
+
+    @pytest.mark.parametrize(
+        "argv,points",
+        [
+            (
+                ["convergence", "--dims", 2, "--n-coarse", 8, "--ticks", 4, "--modules", "0,1"],
+                32 * 32,
+            ),
+            (["noise", "--n-coarse", 16], 16 * 16),
+        ],
+        ids=["convergence-2d", "noise"],
+    )
+    def test_chunks_change_no_byte(self, tmp_path, monkeypatch, argv, points):
+        argv = [*argv, "--trials", 5, "--iterations", 4, "--seed", 3]
+        whole = tmp_path / "whole.csv"
+        assert run([*argv, "--out", whole]) == 0
+        for budget in (1, 2 * points):  # one trial per chunk, then 2 + 2 + 1
+            monkeypatch.setattr(cli, "BATCH_POINTS", budget)
+            out = tmp_path / f"{budget}.csv"
+            assert run([*argv, "--out", out]) == 0
+            assert out.read_bytes() == whole.read_bytes(), budget
+
+    def test_defaults_match_one_solve_per_trial(self, tmp_path, monkeypatch):
+        # at its 1-D defaults convergence solves its 50 trials of 2048 points
+        # in chunks of BATCH_POINTS // 2048 trials per configuration, and
+        # writes the bytes that one iterate call per trial writes
+        per_chunk = cli.BATCH_POINTS // 2048
+        chunks = [per_chunk] * (50 // per_chunk) + [50 % per_chunk] * (50 % per_chunk > 0)
+        calls = self.recorded(monkeypatch)
+        batched = tmp_path / "batched.csv"
+        assert run(["convergence", "--out", batched]) == 0
+        assert self.by_config(calls) == [chunks] * 3
+        monkeypatch.undo()
+        solve = cli.iterate
+
+        def per_trial(observed, cfg, reference=None):
+            return [solve(s, cfg, reference=x) for s, x in zip(observed, reference, strict=True)]
+
+        monkeypatch.setattr(cli, "iterate", per_trial)
+        single = tmp_path / "single.csv"
+        assert run(["convergence", "--out", single]) == 0
+        assert batched.read_bytes() == single.read_bytes()
+
+
 class TestLambdaSweep:
     def test_single_point_grid(self, tmp_path):
         out = tmp_path / "l.csv"

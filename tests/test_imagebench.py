@@ -255,10 +255,11 @@ class TestEnlarge:
         for method in ("iterative", "hybrid"):
             calls.clear()
             assert enlarge_dense(img, EnlargeConfig(2, method, iterations=3)).shape == (48, 40)
-            assert calls[0] == ("rfftn", (48, 40), (48, 21))
+            # the solve is a batch of one, on a leading axis of length 1
+            assert calls[0] == ("rfftn", (1, 48, 40), (1, 48, 21))
             assert [c[0] for c in calls[1:]] == ["ifft", "irfft"]
             assert all(np.prod(c[2]) <= 48 * 80 for c in calls[1:])
-            assert calls[-1][2] == (48, 80)
+            assert calls[-1][2] == (1, 48, 80)
         calls.clear()
         enlarge_dense(img, EnlargeConfig(2, "bilinear"))
         assert calls == [("interpolate", (25, 21), (50, 42))]

@@ -416,25 +416,32 @@ class TestSpectralIterate:
         # values once and the estimate's band back to the fine grid once,
         # transforming the columns only on the band's 9 of 33 rfft bins; a
         # traced solve adds one forward transform of the interior residual,
-        # whatever its number of iterates (the start and 10 iterations)
+        # whatever its number of iterates (the start and 10 iterations).  A
+        # single solve is a batch of one, and a batch of B trials makes the
+        # same transforms, each on a stack of B
         grid = (GridSpec(24, 8), GridSpec(16, 4))
-        x = gen_bandlimited(4, grid, 0.0)
-        s = sample(x)
         cfg = ReconConfig(ReconOperator(grid, SH, 1), iterations=10)
-        warm = iterate(s, cfg).estimate.values
+        xs = [gen_bandlimited(seed, grid, 0.0) for seed in (4, 5, 6)]
+        batch = [sample(x) for x in xs]
+        warm = [iterate(s, cfg).estimate.values for s in batch]
         stages = self.stage_calls(monkeypatch)
         transforms = self.transform_calls(monkeypatch)
-        for reference, forward in ((None, []), (x, [("rfftn", (192, 64), (192, 33))])):
-            stages.clear()
-            transforms.clear()
-            rep = iterate(s, cfg, reference=reference)
-            assert stages == []
-            assert transforms[0] == ("rfftn", (24, 16), (24, 9))
-            assert transforms[1:] == [
-                ("ifft", (192, 9), (192, 9)), ("irfft", (192, 9), (192, 64))
-            ] + forward
-            assert rep.operator_applications == 0
-            np.testing.assert_array_equal(rep.estimate.values, warm)
+        for observed, traced, trials in ((batch[0], xs[0], 1), (batch, xs, 3)):
+            forward = [("rfftn", (trials, 192, 64), (trials, 192, 33))]
+            for reference, residual in ((None, []), (traced, forward)):
+                stages.clear()
+                transforms.clear()
+                reps = iterate(observed, cfg, reference=reference)
+                reps = [reps] if trials == 1 else reps
+                assert stages == []
+                assert transforms[0] == ("rfftn", (trials, 24, 16), (trials, 24, 9))
+                assert transforms[1:] == [
+                    ("ifft", (trials, 192, 9), (trials, 192, 9)),
+                    ("irfft", (trials, 192, 9), (trials, 192, 64)),
+                ] + residual
+                assert [rep.operator_applications for rep in reps] == [0] * trials
+                for rep, values in zip(reps, warm):
+                    np.testing.assert_array_equal(rep.estimate.values, values)
 
     def test_cold_solve_runs_no_stage_of_g(self, monkeypatch):
         # the per-bin gain is in closed form, so a solve with an empty cache
@@ -451,8 +458,8 @@ class TestSpectralIterate:
         warm = iterate(s, cfg).estimate.values
         assert stages == []
         assert cold_transforms == transforms == [
-            ("rfftn", (20, 14), (20, 8)), ("ifft", (120, 8), (120, 8)),
-            ("irfft", (120, 8), (120, 56)),
+            ("rfftn", (1, 20, 14), (1, 20, 8)), ("ifft", (1, 120, 8), (1, 120, 8)),
+            ("irfft", (1, 120, 8), (1, 120, 56)),
         ]
         np.testing.assert_array_equal(cold, warm)
 
@@ -566,14 +573,19 @@ class TestBandTrace:
                         assert cell == pytest.approx(ref, abs=self.SNR_TOL_DB), (modules, loop)
 
     def test_stacks_change_no_cell(self, monkeypatch):
-        # a long run goes through in several stacks of iterates
+        # a long run goes through in several stacks of iterates, a batch too:
+        # a stack then holds that many iterates of every trial
         grid = (GridSpec(16, 4), GridSpec(12, 4))
-        x = gen_bandlimited(8, grid, 34.0)
+        xs = [gen_bandlimited(seed, grid, 34.0) for seed in (8, 9, 10)]
         cfg = ReconConfig(ReconOperator(grid, LI, 1), relax=0.7, iterations=30)
-        whole = self.traced(sample(x), cfg, x)
-        for size in (1, 7 * 17 * 7):  # one iterate, seven iterates of the 17 x 7 band
-            monkeypatch.setattr(solver, "TRACE_STACK", size)
-            assert self.traced(sample(x), cfg, x) == pytest.approx(whole, rel=1e-12)
+        wholes = [self.traced(sample(x), cfg, x) for x in xs]
+        # one iterate, and seven iterates of the 17 x 7 band, of one trial or of three
+        for size, trials in ((1, 1), (7 * 17 * 7, 1), (1, 3), (3 * 7 * 17 * 7, 3)):
+            monkeypatch.setattr(solver, "BATCH_POINTS", size)
+            reps = iterate([sample(x) for x in xs[:trials]], cfg, reference=list(xs[:trials]))
+            for rep, whole in zip(reps, wholes):
+                traced = [rep.snr_initial_db] + rep.snr_trace_db
+                assert traced == pytest.approx(whole, rel=1e-12)
 
     def test_constant_signal_is_exact(self, grid):
         # G̃ is 1 at DC, so at relax 1 every iterate is the constant itself
@@ -617,8 +629,80 @@ class TestBandTrace:
             iterate(s, cfg, reference=x)
         index, fixed, _ = solver._band_observation(cfg.operator, s.values)
         huge = np.full(fixed.shape, 1e200)
+        one = x.values[np.newaxis]  # a batch of one trial
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            solver._band_trace(x, x.values, 0.0 * huge, iter([huge]), fixed, index, s.grid)
+            solver._band_trace(one, one, 0.0 * huge, iter([huge]), fixed[np.newaxis], index, s.grid)
+
+
+class TestBatch:
+    """A list of samples solved as one batch, against one solve per trial."""
+
+    LOOPS = [dict(relax=1.0), dict(relax=0.7), dict(acceleration=ChebyshevAccel())]
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec(64, 16), GridSpec(32, 8, 2), (GridSpec(16, 4), GridSpec(12, 4)),
+         (GridSpec(8, 4, 2), GridSpec(12, 4))],
+        ids=["64x16", "32x8-rate2", "16x4-by-12x4", "8x4-rate2-by-12x4"],
+    )
+    def test_bitwise_one_solve_per_trial(self, grid, kind, trials):
+        # every estimate and every SNR cell is bitwise that of the trial's own
+        # solve, traced or not, cropped or not; the references carry noise,
+        # as the noise experiment's do
+        xs = [gen_bandlimited(seed, grid, 34.0) for seed in range(3, 3 + trials)]
+        batch = [sample(add_awgn(x, 10.0, seed)) for seed, x in enumerate(xs)]
+        shape = tuple([g.n_fine for g in batch[0].grid])
+        half = tuple([n // 2 for n in shape])
+        for modules in range(3):
+            for loop in self.LOOPS:
+                cfg = ReconConfig(ReconOperator(grid, kind, modules), iterations=6, **loop)
+                for reference, crop in ((xs, None), (None, None), (None, half)):
+                    reps = iterate(batch, cfg, reference=reference, crop=crop)
+                    assert isinstance(reps, list) and len(reps) == trials
+                    for i, (s, rep) in enumerate(zip(batch, reps)):
+                        ref = None if reference is None else reference[i]
+                        one = iterate(s, cfg, reference=ref, crop=crop)
+                        values = getattr(rep.estimate, "values", rep.estimate)
+                        want = getattr(one.estimate, "values", one.estimate)
+                        assert np.array_equal(values, want), (modules, loop, crop)
+                        assert rep.snr_initial_db == one.snr_initial_db, (modules, loop)
+                        assert rep.snr_trace_db == one.snr_trace_db, (modules, loop)
+                        assert rep.non_contraction == one.non_contraction
+                        assert rep.operator_applications == 0
+
+    def test_mismatch_rejected(self):
+        grid = GridSpec(16, 4)
+        cfg = ReconConfig(ReconOperator(grid, SH, 1), iterations=3)
+        xs = [gen_bandlimited(seed, grid, 0.0) for seed in range(3)]
+        batch = [sample(x) for x in xs]
+        for reference in (xs[:2], xs + xs[:1], xs[0], xs[0].values, iter(xs)):
+            with pytest.raises(ConfigurationError, match="needs a list of as many references"):
+                iterate(batch, cfg, reference=reference)
+        with pytest.raises(ConfigurationError, match="at least one"):
+            iterate([], cfg)
+        other = sample(gen_bandlimited(0, GridSpec(16, 4, 2), 0.0))  # same shape, another band
+        with pytest.raises(ConfigurationError, match="same grids"):
+            iterate([batch[0], other], cfg)
+        for dense in ([batch[0], xs[1]], xs[1]):  # a dense signal is not samples
+            with pytest.raises(ConfigurationError, match="solves CoarseSamples, got DenseSignal"):
+                iterate(dense, cfg)
+        with pytest.raises(ConfigurationError, match="shape mismatch"):
+            iterate(batch, cfg, reference=[xs[0], xs[1], xs[2].values[:-1]])
+        # a tuple serves as a list
+        reps = iterate(tuple(batch), cfg, reference=tuple(xs))
+        assert [r.snr_trace_db for r in reps] == [
+            iterate(s, cfg, reference=x).snr_trace_db for s, x in zip(batch, xs)
+        ]
+
+    def test_overflow_fails_the_batch(self, grid):
+        # one trial of huge power overflows the batch, with a single solve's message
+        xs = [gen_bandlimited(5, grid, 34.0), gen_bandlimited(6, grid, 34.0)]
+        batch = [sample(x) for x in xs]
+        cfg = ReconConfig(ReconOperator(grid, SH, 1), relax=1.95, iterations=8000)
+        with pytest.raises(ConfigurationError, match=r"does not contract, .* = 1\.073"):
+            iterate(batch, cfg, reference=xs)
 
 
 class TestBandInverse:
