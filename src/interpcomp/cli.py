@@ -254,11 +254,9 @@ def cmd_image(args) -> str:
     for cfg, recon in zip(methods, recons):
         tag = cfg.label.replace("(", "_").replace(")", "").replace(",", "_")
         write_pgm(recon, os.path.join(out_dir, f"recon_{tag}.pgm"))
-        err = np.abs(
-            recon.pixels.astype(np.float64) - original.pixels.astype(np.float64)
-        )
+        err = np.abs(recon.pixels.astype(np.int16) - original.pixels)  # exact in int16
         peak = err.max()
-        scaled = np.zeros_like(err) if peak == 0 else err * (255.0 / peak)
+        scaled = err * (255.0 / peak if peak else 0.0)
         write_pgm(
             GrayImage(np.rint(scaled).astype(np.uint8)),
             os.path.join(out_dir, f"err_{tag}.pgm"),

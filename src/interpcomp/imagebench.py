@@ -81,12 +81,34 @@ class GrayImage:
 # end, and no token starts with "#", so backtracking never reads a comment's tail
 _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
 
+# P2 raster bytes by class: ASCII whitespace (the set bytes.split() splits on), and
+# every byte that is neither whitespace nor a digit
+_RASTER_SPACE = np.zeros(256, dtype=bool)
+_RASTER_SPACE[list(b" \t\n\r\x0b\x0c")] = True
+_RASTER_BAD = ~_RASTER_SPACE
+_RASTER_BAD[ord("0") : ord("9") + 1] = False
+
+# row v: the decimal digits of v and a space, padded with zero bytes to 4
+_P2_TOKENS = np.frombuffer(
+    b"".join((b"%d " % v).ljust(4, b"\0") for v in range(256)), dtype=np.uint8
+).reshape(256, 4)
+
 
 def read_pgm(path) -> GrayImage:
     """Read a binary (P5) or ASCII (P2) grayscale netpbm file with maxval 255.
 
+    A P2 raster is parsed as bytes, never one Python object per pixel.  Its
+    tokens are separated by runs of ASCII whitespace (space, tab, newline,
+    carriage return, vertical tab, form feed), and each of the first
+    width*height tokens must be ASCII digits only, leading zeros allowed, of
+    value at most 255; a sign, an underscore, a decimal point or a ``#`` is
+    rejected, since pgm(5) allows comments only up to the maxval.  Whatever
+    follows the last pixel's token is ignored.
+
     Malformed data raises :class:`PgmError` with the byte offset of the
-    fault: a bad header integer reports the offset of its own token.
+    fault: a bad header integer reports the offset of its own token, a
+    non-digit raster byte its own offset, and a raster value above 255 the
+    offset of its token.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -130,31 +152,43 @@ def read_pgm(path) -> GrayImage:
     if magic == b"P5":
         pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
     else:
-        # pgm(5) allows comments only up to the maxval, so the raster is bare tokens
-        tokens = data[pos:].split()
-        if len(tokens) < count:
-            raise PgmError(f"truncated raster: {count} pixels, got {len(tokens)} values", len(data))
-        try:
-            values = np.array(list(map(int, tokens[:count])), dtype=np.int64)
-        except (ValueError, OverflowError):
-            raise PgmError("pixel values must be integers", pos) from None
-        if np.any(values < 0) or np.any(values > 255):
-            raise PgmError("pixel value out of 0..255", pos)
+        raster = np.frombuffer(data, dtype=np.uint8, offset=pos)
+        space = _RASTER_SPACE.take(raster)  # take beats [] indexing 2x here
+        # the maxval token ends at whitespace, so raster[0] is a space and every
+        # token starts at a non-space byte right after a space
+        starts = np.flatnonzero(space[:-1] & ~space[1:]) + 1
+        if len(starts) < count:
+            raise PgmError(f"truncated raster: {count} pixels, got {len(starts)} values", len(data))
+        stop = starts[count] if len(starts) > count else len(raster)  # the pixels' bytes
+        bad = np.flatnonzero(_RASTER_BAD.take(raster[:stop]))
+        if bad.size:
+            raise PgmError("pixel values must be integers", pos + int(bad[0]))
+        # exactly count digit tokens, so fromstring parses each of them in C (it
+        # would also read "3x" as 3, "+5" as 5, and past the end with a count)
+        values = np.fromstring(data[pos : pos + stop], dtype=np.int64, sep=" ")
+        high = np.flatnonzero(values > 255)  # an overlong token saturates at int64 max
+        if high.size:
+            raise PgmError("pixel value out of 0..255", pos + int(starts[high[0]]))
         pixels = values.astype(np.uint8)
     return GrayImage(pixels.reshape(height, width))
 
 
 def write_pgm(img: GrayImage, path, ascii_format: bool = False) -> None:
-    """Write an image as P5 (default) or P2; round-trips bit exactly."""
+    """Write an image as P5 (default) or P2; round-trips bit exactly.
+
+    A P2 raster has one line per image row, its values in decimal without
+    leading zeros, separated by single spaces, each line ending in a newline.
+    It is formatted by gathering each pixel's digits from a byte table, not
+    one Python string per pixel.
+    """
     header = f"{'P2' if ascii_format else 'P5'}\n{img.width} {img.height}\n255\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if ascii_format:
-            lines = "\n".join(
-                " ".join(str(v) for v in row) for row in img.pixels.tolist()
-            )
-            fh.write(lines.encode("ascii"))
-            fh.write(b"\n")
+            tokens = _P2_TOKENS.take(img.pixels, axis=0)  # (height, width, 4)
+            ends = tokens[:, -1]
+            ends[ends == ord(" ")] = ord("\n")  # each row's last separator
+            fh.write(tokens[tokens != 0].tobytes())
         else:
             fh.write(img.pixels.tobytes())
 

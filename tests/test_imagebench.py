@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
 
 from interpcomp import (
     CoarseSamples,
@@ -77,21 +80,95 @@ class TestPgmIO:
             read_pgm(path)
         assert "truncated" in str(err.value)
 
-    @pytest.mark.parametrize("token", [b"ab", b"1.5", b"#"])
+    @pytest.mark.parametrize("token", [b"ab", b"1.5", b"#", b"+5", b"-0", b"1_0"])
     def test_non_integer_p2_value(self, tmp_path, token):
-        # pgm(5) allows comments only in the header, so "#" in the raster is an error
+        # pgm(5) allows comments only in the header, so "#" in the raster is an
+        # error; a sign or an underscore, which int() accepts, is not a digit
+        raw = b"P2\n2 2\n255\n0 1 " + token + b" 3\n"
         path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P2\n2 2\n255\n0 1 " + token + b" 3\n")
+        path.write_bytes(raw)
         with pytest.raises(PgmError) as err:
             read_pgm(path)
         assert "integers" in str(err.value)
+        first_bad = re.search(rb"[^0-9]", token).start()
+        assert err.value.offset == raw.index(token) + first_bad
 
     def test_p2_value_out_of_range(self, tmp_path):
+        raw = b"P2\n2 2\n255\n0 1 256 3\n"
         path = tmp_path / "big.pgm"
-        path.write_bytes(b"P2\n2 2\n255\n0 1 256 3\n")
+        path.write_bytes(raw)
         with pytest.raises(PgmError) as err:
             read_pgm(path)
         assert "0..255" in str(err.value)
+        assert err.value.offset == raw.index(b"256")
+
+    def test_p2_overlong_value_out_of_range(self, tmp_path):
+        # a value past int64 is out of range at its own token, not a wrapped pixel
+        raw = b"P2\n2 2\n255\n0 1 3 " + b"9" * 25 + b"\n"
+        path = tmp_path / "big.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(PgmError) as err:
+            read_pgm(path)
+        assert "0..255" in str(err.value)
+        assert err.value.offset == raw.index(b"999")
+
+    def test_p2_leading_zeros(self, tmp_path):
+        path = tmp_path / "zeros.pgm"
+        path.write_bytes(b"P2\n2 2\n255\n007 0255 00 0000000000000000000000001\n")
+        assert np.array_equal(read_pgm(path).pixels, [[7, 255], [0, 1]])
+
+    @pytest.mark.parametrize("sep", [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+    def test_p2_each_whitespace_separates(self, tmp_path, sep):
+        path = tmp_path / "sep.pgm"
+        path.write_bytes(b"P2\n2 2\n255" + sep + sep.join([b"9", b"8", b"70", b"255"]) + sep)
+        assert np.array_equal(read_pgm(path).pixels, [[9, 8], [70, 255]])
+
+    @pytest.mark.parametrize("lead", [b"", b" \t\r\n\x0b\x0c  "])
+    def test_p2_whitespace_runs(self, tmp_path, lead):
+        # the raster may start right after the maxval's one separator, or after a run
+        path = tmp_path / "runs.pgm"
+        path.write_bytes(b"P2\n2 2\n255\n" + lead + b"1  \t 2\r\n\n3\x0b\x0c 4")
+        assert np.array_equal(read_pgm(path).pixels, [[1, 2], [3, 4]])
+
+    def test_p2_trailing_data_ignored(self, tmp_path):
+        # only the width*height pixel tokens are parsed; pgm(5) allows no more
+        path = tmp_path / "tail.pgm"
+        path.write_bytes(b"P2\n2 2\n255\n1 2\n3 4\n# not a pixel +5 1_0 -0 x")
+        assert np.array_equal(read_pgm(path).pixels, [[1, 2], [3, 4]])
+
+    def test_p2_short_raster_reads_no_made_up_values(self, tmp_path):
+        # 15 values are enough bytes for 16 pixels; none may be invented for the 16th
+        path = tmp_path / "short.pgm"
+        path.write_bytes(b"P2\n4 4\n255\n" + b" ".join(b"%d" % v for v in range(15)))
+        with pytest.raises(PgmError) as err:
+            read_pgm(path)
+        assert "truncated raster: 16 pixels, got 15 values" in str(err.value)
+        assert err.value.offset == path.stat().st_size
+
+    def test_p2_p5_identical_300x200(self, tmp_path):
+        img = GrayImage(np.random.default_rng(20).integers(0, 256, (200, 300), dtype=np.uint8))
+        write_pgm(img, tmp_path / "b.pgm")
+        write_pgm(img, tmp_path / "a.pgm", ascii_format=True)
+        ascii_back = read_pgm(tmp_path / "a.pgm").pixels
+        assert np.array_equal(ascii_back, read_pgm(tmp_path / "b.pgm").pixels)
+        assert np.array_equal(ascii_back, img.pixels)
+
+    @given(
+        hnp.arrays(
+            np.uint8,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=24),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_p2_writer_matches_text_join(self, tmp_path_factory, pixels):
+        # the string join is the slow reference for the byte-table writer
+        img = GrayImage(pixels)
+        path = tmp_path_factory.mktemp("p2") / "w.pgm"
+        write_pgm(img, path, ascii_format=True)
+        text = "\n".join(" ".join(str(v) for v in row) for row in pixels.tolist()) + "\n"
+        header = f"P2\n{img.width} {img.height}\n255\n"
+        assert path.read_bytes() == (header + text).encode("ascii")
+        assert np.array_equal(read_pgm(path).pixels, pixels)
 
     def test_nonpositive_size_p2(self, tmp_path):
         path = tmp_path / "neg.pgm"
