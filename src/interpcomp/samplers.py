@@ -1,6 +1,7 @@
 """The sampling operator: coarse samples out of a dense signal, and their
 re-interpolation with Sample-and-Hold or Linear Interpolation, on one axis
-or separably on several.
+or separably on several.  Each interpolator is defined once, by its taps
+in ``_TAPS``, which the band solve's per-bin gain reads too.
 
 Both interpolators are zero phase on the fine grid.  The hold window is
 centered on each sample; since ``ticks_per_sample`` is even, the window
@@ -41,10 +42,25 @@ class InterpKind(enum.Enum):
         return 1 if self is InterpKind.SAMPLE_AND_HOLD else 2
 
 
+# h[t] for t = 0..r, r ticks per sample; h[-t] = h[t] and h is 0 beyond r.  Each
+# kernel interpolates, h[0] = 1 and h[r] = 0, and h[t] + h[r - t] = 1
+_TAPS = {
+    InterpKind.SAMPLE_AND_HOLD: lambda r: np.repeat([1.0, 0.5, 0.0], [r // 2, 1, r // 2]),
+    # (r - t) / r, not 1 - t / r: the next sample's share h[r - t] is then t / r exactly
+    InterpKind.LINEAR: lambda r: np.arange(r, -1, -1) / r,
+}
+
+
 def _check_kind(kind) -> None:
-    # the interpolators branch on the hold alone, so any other value would run linear
+    # the tap table is keyed by InterpKind, so a value such as "sh" has no kernel
     if not isinstance(kind, InterpKind):
         raise ConfigurationError(f"kind must be an InterpKind, got {kind!r}")
+
+
+def _response(kind: InterpKind, r: int, f: np.ndarray) -> np.ndarray:
+    """The kernel's response H(f) = h[0] + 2 sum_{t=1..r} h[t] cos(2 pi f t), f in cycles/tick."""
+    h = _TAPS[kind](r)
+    return h[0] + 2.0 * np.cos(2.0 * np.pi * np.multiply.outer(f, np.arange(1, r + 1))) @ h[1:]
 
 
 @dataclass(frozen=True)
@@ -77,22 +93,12 @@ def sample(x: DenseSignal) -> CoarseSamples:
 
 def _interp_axis(values: np.ndarray, grid: GridSpec, kind: InterpKind, axis: int) -> np.ndarray:
     """Interpolate coarse values along one axis onto the fine grid (circular)."""
-    r = grid.ticks_per_sample
     vals = np.moveaxis(np.asarray(values, dtype=np.float64), axis, -1)
-    if kind is InterpKind.SAMPLE_AND_HOLD:
-        # one block of R ticks per sample: first half holds s[n], the midway
-        # tick averages s[n] and s[n+1], the rest holds s[n+1]
-        w_next = np.zeros(r)
-        w_next[r // 2] = 0.5
-        w_next[r // 2 + 1 :] = 1.0
-    else:
-        w_next = np.arange(r) / r
+    # tick t of block n: h[R - t] of s[n+1] (the last block wraps) and h[t] of s[n]
+    w_next = _TAPS[kind](grid.ticks_per_sample)[:0:-1]
     fine = vals[..., :, np.newaxis] * (1.0 - w_next)
-    # each sample's block adds the next sample's share; the last wraps to the first
-    fine[..., :-1, :] += vals[..., 1:, np.newaxis] * w_next
-    fine[..., -1:, :] += vals[..., :1, np.newaxis] * w_next
-    fine = fine.reshape(*vals.shape[:-1], grid.n_fine)
-    return np.moveaxis(fine, -1, axis)
+    fine += np.roll(vals, -1, axis=-1)[..., np.newaxis] * w_next
+    return np.moveaxis(fine.reshape(*vals.shape[:-1], grid.n_fine), -1, axis)
 
 
 def interpolate(s: CoarseSamples, kind: InterpKind) -> DenseSignal:

@@ -61,7 +61,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .samplers import CoarseSamples, InterpKind, _check_kind, interpolate, lattice, sample
+from .samplers import CoarseSamples, InterpKind, _check_kind, _response, interpolate, lattice, sample
 from .signal_core import (
     ConfigurationError,
     DenseSignal,
@@ -107,11 +107,11 @@ class ReconOperator:
     ``1 + 2*sum_{m=1..N} cos(2*pi*m*t/T)`` (N = ``modules``, an integer; none at 0),
     phase-anchored so that fine tick 0 is a coarse sample position, shifts
     the spectral replicas created by sampling back into the baseband, so the
-    lowpass at the band edge turns the per-bin distortion into the partial
-    sinc sum ``H_N(f) = sum_{|m|<=N} sinc^p(f*T - m)``, or the product of the
-    per-axis sums.  :func:`iterate` uses that gain in closed form
-    (:func:`_axis_band`); :meth:`apply_values` runs G on the fine grid, as the
-    operator of :func:`fixed_point_oracle` and as the tests' reference.
+    lowpass at the band edge turns the per-bin distortion into a partial sum
+    of the kernel's response over 2N+1 replicas (sinc^p terms as R -> inf),
+    or the product of the per-axis sums.  :func:`iterate` uses that gain
+    (:func:`_axis_band`); :meth:`apply_values` runs G on the fine grid, as
+    the operator of :func:`fixed_point_oracle` and as the tests' reference.
 
     ``grid`` is a lone GridSpec or one GridSpec per axis, stored as a tuple;
     the lowpass cuts at each axis's band edge.
@@ -269,26 +269,20 @@ def _axis_band(grid: GridSpec, kind: InterpKind, modules: int, last: bool):
     The last axis holds rfft bins 0..B; any other axis holds full-FFT bins,
     so its band is the signed bins 0..B and -B..-1, the latter at n+k.  At
     signed bin k, with f = (k + m*n_coarse)/n_fine, G's gain before the
-    lowpass is ``raw(k) = sum over |m| <= modules of kernel(f)``: sampling
-    folds bins ``n_coarse`` apart together, the interpolator scales each by
-    its kernel's DFT, and the mixer's m-th harmonic shifts bin k + m*n_coarse
-    back onto k.  The kernel term is ``sin(pi f R) cot(pi f) / R`` for the
-    centred hold with half-weight ends and ``(sin(pi f R) / (R sin(pi f)))**2``
-    for the triangle.  T's weight is ``R * mask(|k|)`` and the gain
+    lowpass is ``raw(k) = sum over |m| <= modules of H(f) / R``: sampling
+    folds bins ``n_coarse`` apart together and scales them by 1/R, the
+    interpolator scales each by its kernel's response H
+    (:func:`samplers._response`), and the mixer's m-th harmonic shifts bin
+    k + m*n_coarse back onto k.  T's weight is ``R * mask(|k|)`` and the gain
     ``mask(|k|) * raw(k)``, except at the coarse Nyquist bin 2|k| = n_coarse
     (only at ``rate_multiple`` 1 with even ``n_coarse``), where the mirror
     bin undoes the mask's halving and the gain is raw(k).
     """
     n, r = grid.n_fine, grid.ticks_per_sample
-    mask = _gain_mask(n, grid.band_edge)
     k = _band_bins(grid, last)
     f = (k[:, np.newaxis] + grid.n_coarse * np.arange(-modules, modules + 1)) / n
-    hold = kind is InterpKind.SAMPLE_AND_HOLD
-    den = r * (np.tan(np.pi * f) if hold else np.sin(np.pi * f))
-    # every term is 1 at f = 0, the only f at which den vanishes
-    term = np.divide(np.sin(np.pi * f * r), den, out=np.ones_like(f), where=f != 0)
-    raw = np.sum(term if hold else term * term, axis=1)
-    mask = mask[np.abs(k)]
+    raw = np.sum(_response(kind, r, f), axis=1) / r
+    mask = _gain_mask(n, grid.band_edge)[np.abs(k)]
     out = k % n, r * mask, np.where(2 * np.abs(k) == grid.n_coarse, raw, mask * raw)
     for a in out:
         a.setflags(write=False)
@@ -537,9 +531,9 @@ def iterate(
         )
     shape = tuple([g.n_fine for g in op.grid])
     corner = shape if crop is None else tuple(crop)
-    if len(corner) != len(shape) or not all(
-        isinstance(c, (int, np.integer)) and 1 <= c <= n for c, n in zip(corner, shape)
-    ):
+    for c in corner:
+        _check_count(c, "crop", 1)
+    if len(corner) != len(shape) or any(c > n for c, n in zip(corner, shape)):
         raise ConfigurationError(f"crop must be an integer in 1..n per axis of {shape}, got {crop}")
     if references is not None:
         references = [np.asarray(getattr(r, "values", r), dtype=np.float64) for r in references]

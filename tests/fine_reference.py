@@ -1,26 +1,32 @@
 """The fine-grid reference for :func:`interpcomp.iterate` and its per-bin gain.
 
 ``iterate`` computes each iterate per DFT bin in closed form, from a
-closed-form per-bin gain, and never runs G itself.  ``fine_iterate`` runs
-the explicit plain and Chebyshev loops on the fine grid instead, with
-``op.apply_values`` as G and ``op.observation(samples)`` as the
-observation: one pass of G per iteration, and every traced SNR taken from
-the iterate itself.  The loops, the Chebyshev relaxation sequence
-(``chebyshev_lambdas``) and the divergence flag are this module's own and
-share no code with the solve.  ``fine_iterate`` has ``iterate``'s signature
-and reports, so a test can swap it in for the solve; it runs the whole grid
-and then cuts a requested crop from it, and it solves a list of samples as
-a plain loop of single solves (``fine_solve``).  ``measured_gain`` measures
-the per-bin gain the closed form must match, by running G on a band-limited
-impulse.  ``lowpass`` is G's last stage on its own, for tests that filter
-a signal without sampling it.
+per-bin gain that sums the interpolation kernel's frequency response, and
+never runs G itself.  ``fine_iterate`` runs the explicit plain and
+Chebyshev loops on the fine grid instead, with ``op.apply_values`` as G and
+``op.observation(samples)`` as the observation: one pass of G per
+iteration, and every traced SNR taken from the iterate itself.  The loops,
+the Chebyshev relaxation sequence (``chebyshev_lambdas``) and the
+divergence flag are this module's own and share no code with the solve.
+``fine_iterate`` has ``iterate``'s signature and reports, so a test can
+swap it in for the solve; it runs the whole grid and then cuts a requested
+crop from it, and it solves a list of samples as a plain loop of single
+solves (``fine_solve``).  ``measured_gain`` measures the per-bin gain the
+solve must match, by running G on a band-limited impulse.  G interpolates
+with the same kernel taps as the solve's gain reads, so a wrong tap would
+pass that check: ``closed_form_gain`` gives the gain from the two kernels'
+closed-form transforms instead, written out apart from the tap table.
+``lowpass`` is G's last stage on its own, for tests that filter a signal
+without sampling it.
 """
 
 from functools import reduce
 
 import numpy as np
 
-from interpcomp import CoarseSamples, DenseSignal, ReconOperator, ReconReport, snr_db
+from interpcomp import (
+    CoarseSamples, DenseSignal, InterpKind, ReconOperator, ReconReport, snr_db
+)
 from interpcomp.solver import _gain_mask
 
 
@@ -35,6 +41,27 @@ def measured_gain(grid, kind, modules):
     impulse = np.fft.irfft(mask, grid.n_fine)
     response = np.fft.rfft(ReconOperator(grid, kind, modules).apply_values(impulse))
     return response[band] / mask[band]
+
+
+def closed_form_gain(grid, kind, modules):
+    """G's gain on the rfft bins its lowpass passes, on one axis, from the kernels' closed forms.
+
+    At bin k, with f = (k + m*n_coarse)/n_fine, the gain before the lowpass
+    sums over |m| <= modules the kernel's transform over R: ``sin(pi f R)
+    cot(pi f) / R`` for the centred hold with half-weight ends and
+    ``(sin(pi f R) / (R sin(pi f)))**2`` for the triangle, each 1 at f = 0.
+    The lowpass scales bin k by its mask, except at the coarse Nyquist bin
+    2k = n_coarse, whose mirror bin undoes the mask's halving.
+    """
+    mask = _gain_mask(grid.n_fine, grid.band_edge)
+    k = np.flatnonzero(mask)
+    r = grid.ticks_per_sample
+    f = (k[:, np.newaxis] + grid.n_coarse * np.arange(-modules, modules + 1)) / grid.n_fine
+    hold = kind is InterpKind.SAMPLE_AND_HOLD
+    den = r * (np.tan(np.pi * f) if hold else np.sin(np.pi * f))
+    term = np.divide(np.sin(np.pi * f * r), den, out=np.ones_like(f), where=f != 0)
+    raw = np.sum(term if hold else term * term, axis=1)
+    return np.where(2 * k == grid.n_coarse, raw, mask[k] * raw)
 
 
 def lowpass(x):

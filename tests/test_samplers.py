@@ -12,7 +12,7 @@ from interpcomp import (
     interpolate,
     sample,
 )
-from interpcomp.samplers import _interp_axis
+from interpcomp.samplers import _TAPS, _interp_axis, _response
 
 SH = InterpKind.SAMPLE_AND_HOLD
 LI = InterpKind.LINEAR
@@ -49,7 +49,7 @@ class TestInterpolate:
 
     @pytest.mark.parametrize("kind", ["sh", "bogus", None])
     def test_kind_must_be_an_interp_kind(self, kind):
-        # the interpolators branch on the hold alone: "sh" would run linear
+        # the kernels are keyed by InterpKind: "sh" names none
         s = CoarseSamples(GridSpec(4, 4), np.array([0.0, 1.0, 0.0, 1.0]))
         with pytest.raises(ConfigurationError, match=f"kind must be an InterpKind, got {kind!r}"):
             interpolate(s, kind)
@@ -104,6 +104,66 @@ class TestInterpolate:
         gains = spec_y[sel] / spec_x[sel]
         target = np.sinc(ft[sel]) ** p
         assert np.max(np.abs(gains - target) / np.abs(target)) < 0.01
+
+
+def reference_w_next(kind, r):
+    """The next sample's share at ticks 0..R-1 of a block, as the interpolator wrote it by hand."""
+    if kind is SH:
+        # first half holds s[n], the midway tick averages s[n] and s[n+1], the rest holds s[n+1]
+        w_next = np.zeros(r)
+        w_next[r // 2] = 0.5
+        w_next[r // 2 + 1 :] = 1.0
+        return w_next
+    return np.arange(r) / r
+
+
+def reference_interp_axis(values, kind, r, axis):
+    """Interpolation along one axis from the hand-written rows, circular."""
+    w_next = reference_w_next(kind, r)
+    vals = np.moveaxis(values, axis, -1)[..., np.newaxis]
+    fine = vals * (1.0 - w_next) + np.roll(vals, -1, axis=-2) * w_next
+    return np.moveaxis(fine.reshape(*vals.shape[:-2], -1), -1, axis)
+
+
+class TestKernelTable:
+    """The tap table against the hand-written weights, and the kernels' interpolation property."""
+
+    @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
+    @pytest.mark.parametrize("r", [2, 4, 6, 10, 16])
+    def test_interpolate_matches_hand_written_weights_1d(self, kind, r, rng):
+        # at R = 6 and 10, 1 - (R - t)/R is not t/R in float64
+        grid = GridSpec(7, r)
+        values = rng.standard_normal(grid.n_coarse)
+        out = interpolate(CoarseSamples(grid, values), kind).values
+        assert np.array_equal(out, reference_interp_axis(values, kind, r, 0))
+
+    @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
+    @pytest.mark.parametrize("r", [2, 4, 6, 10, 16])
+    def test_interpolate_matches_hand_written_weights_2d(self, kind, r, rng):
+        gy, gx = GridSpec(5, r), GridSpec(4, 10 if r == 6 else 6)
+        values = rng.standard_normal((gy.n_coarse, gx.n_coarse))
+        out = interpolate(CoarseSamples((gy, gx), values), kind).values
+        # last axis first, as interpolate runs
+        rows = reference_interp_axis(values, kind, gx.ticks_per_sample, 1)
+        assert np.array_equal(out, reference_interp_axis(rows, kind, r, 0))
+
+    @pytest.mark.parametrize("kind", list(InterpKind))
+    @pytest.mark.parametrize("r", [2, 4, 6, 8, 16])
+    def test_aliases_sum_to_r(self, kind, r):
+        # Poisson summation: the R aliases of an interpolating kernel's
+        # response sum to R h[0] = R, so the modules drive the gain to 1
+        f = np.linspace(-0.5, 0.5, 64)
+        aliases = _response(kind, r, f[:, np.newaxis] + np.arange(r) / r)
+        assert np.max(np.abs(aliases.sum(axis=1) - r)) <= 1e-13 * r
+
+    @pytest.mark.parametrize("kind", list(InterpKind))
+    @pytest.mark.parametrize("r", [2, 4, 6, 8, 16])
+    def test_taps_interpolate(self, kind, r):
+        h = _TAPS[kind](r)
+        assert h.shape == (r + 1,)
+        assert h[0] == 1.0 and h[r] == 0.0
+        # _interp_axis gives s[n] the rest of s[n+1]'s share h[R - t], which is h[t]
+        assert np.allclose(h + h[::-1], 1.0, rtol=0.0, atol=1e-15)
 
 
 class TestInterpolate2d:

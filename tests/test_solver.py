@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from interpcomp import (
     snr_db,
 )
 from interpcomp import samplers, solver
-from fine_reference import chebyshev_lambdas, fine_iterate, lowpass, measured_gain
+from fine_reference import (
+    chebyshev_lambdas, closed_form_gain, fine_iterate, lowpass, measured_gain
+)
 from interpcomp.samplers import CoarseSamples, interpolate
 
 SH = InterpKind.SAMPLE_AND_HOLD
@@ -740,34 +743,58 @@ class TestBandInverse:
             assert np.array_equal(iterate(s, cfg, crop=crop).estimate, whole[corner])
 
     def test_crop_outside_the_grid_rejected(self):
-        # a crop is one integer in 1..n per axis, or a ConfigurationError naming it
+        # a crop is one count in 1..n per axis, or a ConfigurationError naming it;
+        # each entry follows the rule of every count, so a bool is no crop
+        bounds = "crop must be an integer in 1..n per axis"
         for grid, crops in (
-            (GridSpec(16, 4), [(0,), (-1,), (10, 10), (10.5,)]),
-            ((GridSpec(8, 4), GridSpec(6, 4)), [(33, 24), (32,), (-1, 24)]),
+            (GridSpec(16, 4), [
+                ((0,), "crop must be >= 1, got 0"),
+                ((-1,), "crop must be >= 1, got -1"),
+                ((10, 10), bounds),
+                ((10.5,), "crop must be an integer, got 10.5"),
+                ((True,), "crop must be an integer, got True"),
+            ]),
+            ((GridSpec(8, 4), GridSpec(6, 4)), [
+                ((33, 24), bounds),
+                ((32,), bounds),
+                ((-1, 24), "crop must be >= 1, got -1"),
+            ]),
         ):
             s = sample(gen_bandlimited(3, grid, 0.0))
             cfg = ReconConfig(ReconOperator(grid, SH, 0))
-            for crop in crops:
-                with pytest.raises(ConfigurationError, match="crop must be an integer"):
+            for crop, message in crops:
+                with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
                     iterate(s, cfg, crop=crop)
 
 
 class TestBandGain:
-    """The closed-form per-bin gain against G measured on the fine grid."""
+    """The solve's per-bin gain against G on the fine grid and against the kernels' closed forms."""
 
-    @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
-    @pytest.mark.parametrize("n_coarse", [8, 9, 16, 33])
-    def test_matches_measured_gain(self, kind, n_coarse):
+    @staticmethod
+    def sweep(kind, n_coarse, reference):
+        """Every grid and module count of the sweep: the band gain, its reference and the case."""
         for ticks in range(2, 17, 2):
             for rate in (1, 2, 3):
                 grid = GridSpec(n_coarse, ticks, rate)
                 for modules in range(min(2, ticks // 2) + 1):
-                    measured = measured_gain(grid, kind, modules)
+                    expected = reference(grid, kind, modules)
                     for last in (True, False):
                         index, weight, gain = solver._axis_band(grid, kind, modules, last)
                         signed = np.where(index > grid.n_fine // 2, grid.n_fine - index, index)
-                        err = np.max(np.abs(gain - measured[signed]))
-                        assert err <= 1e-13 * np.max(np.abs(measured)), (grid, modules, last)
+                        yield gain, expected[signed], (grid, modules, last)
+
+    @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
+    @pytest.mark.parametrize("n_coarse", [8, 9, 16, 33])
+    def test_matches_measured_gain(self, kind, n_coarse):
+        for gain, measured, case in self.sweep(kind, n_coarse, measured_gain):
+            err = np.max(np.abs(gain - measured))
+            assert err <= 1e-13 * np.max(np.abs(measured)), case
+
+    @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
+    @pytest.mark.parametrize("n_coarse", [8, 9, 16, 33])
+    def test_matches_closed_form(self, kind, n_coarse):
+        for gain, closed, case in self.sweep(kind, n_coarse, closed_form_gain):
+            assert np.all(np.abs(gain - closed) <= 1e-13 * np.abs(closed)), case
 
     def test_read_only(self):
         for array in solver._axis_band(GridSpec(16, 4), SH, 1, False):
