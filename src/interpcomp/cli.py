@@ -271,7 +271,7 @@ def cmd_image(args) -> str:
 
 def _add_common(p: argparse.ArgumentParser, *, trials=True, relax=True, k_rate=True):
     """The configuration flags; ``trials`` adds those of the trial-running subcommands."""
-    p.add_argument("--kind", default="sh", choices=["sh", "li"], help="interpolator")
+    p.add_argument("--kind", default="sh", choices=[k.value for k in InterpKind], help="interpolator")
     if relax:
         p.add_argument("--lambda", dest="relax", type=float, default=1.0, help="relaxation parameter")
     if k_rate:

@@ -59,12 +59,11 @@ class GrayImage:
     def __post_init__(self):
         arr = np.asarray(self.pixels)
         if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
-            raise ConfigurationError(
-                f"GrayImage needs at least 2x2 pixels, got shape {arr.shape}"
-            )
+            raise ConfigurationError(f"GrayImage needs at least 2x2 pixels, got shape {arr.shape}")
         if arr.dtype != np.uint8:
-            if not np.all((arr >= 0) & (arr <= 255)):  # NaN fails too
-                raise ConfigurationError("pixel values must be within 0..255")
+            # NaN, a fraction and a bool fail too, rather than truncate to a pixel
+            if arr.dtype == bool or not np.all((arr >= 0) & (arr <= 255) & (np.rint(arr) == arr)):
+                raise ConfigurationError("pixel values must be integers within 0..255")
             arr = arr.astype(np.uint8)
         object.__setattr__(self, "pixels", arr)
 
@@ -260,12 +259,7 @@ def enlarge_dense(low: GrayImage, cfg: EnlargeConfig) -> np.ndarray:
     if bilinear:
         return interpolate(samples, InterpKind.LINEAR).values[: crop[0], : crop[1]]
     op = ReconOperator(grids, InterpKind.SAMPLE_AND_HOLD, cfg.modules)
-    run = ReconConfig(
-        op,
-        relax=cfg.relax,
-        iterations=cfg.iterations,
-        acceleration=cfg.acceleration,
-    )
+    run = ReconConfig(op, cfg.relax, cfg.iterations, cfg.acceleration)
     return iterate(samples, run, crop=crop).estimate
 
 

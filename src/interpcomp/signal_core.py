@@ -89,9 +89,16 @@ def per_axis(grid) -> tuple:
     return (grid,) if isinstance(grid, GridSpec) else tuple(grid)
 
 
+def _real(values) -> np.ndarray:
+    """``values`` as float64; ConfigurationError if complex, not a dropped imaginary part."""
+    if np.iscomplexobj(values):
+        raise ConfigurationError("values must be real, got complex values")
+    return np.asarray(values, dtype=np.float64)
+
+
 def _check_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     """``values`` as float64, checked to have exactly ``shape`` and no NaN or inf."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _real(values)
     if arr.shape != shape:
         raise ConfigurationError(f"{what}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -194,8 +201,7 @@ def snr_db(reference, estimate) -> float:
 
 def _metric_inputs(reference, estimate) -> Tuple[np.ndarray, np.ndarray]:
     """The values of ``reference`` and ``estimate`` as float64, checked to match and be finite."""
-    ref = np.asarray(getattr(reference, "values", reference), dtype=np.float64)
-    est = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)
+    ref, est = [_real(getattr(x, "values", x)) for x in (reference, estimate)]
     if ref.shape != est.shape:
         raise ConfigurationError(f"shape mismatch: {ref.shape} vs {est.shape}")
     if not (np.isfinite(ref).all() and np.isfinite(est).all()):

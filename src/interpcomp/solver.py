@@ -70,6 +70,7 @@ from .signal_core import (
     _check_values,
     _interior,
     _metric_inputs,
+    _real,
     _snr_cell,
     per_axis,
 )
@@ -151,7 +152,7 @@ class ReconOperator:
             out = out * along(np.tile(period, self.grid[axis].n_coarse), axis)
         for axis in axes:
             n = out.shape[axis]
-            mask = along(_gain_mask(n, self.grid[axis].band_edge), axis)
+            mask = along(_gain_mask(self.grid[axis]), axis)
             out = np.fft.irfft(np.fft.rfft(out, axis=axis) * mask, n=n, axis=axis)
         return out
 
@@ -240,25 +241,30 @@ class ReconReport:
     non_contraction: bool = False
 
 
-# the lowpass weight of a bin exactly on the band edge: 0.5 makes the lowpass
-# self-adjoint and treats the folded band edge symmetrically
+# the lowpass weight of the coarse-Nyquist pair ±n_coarse/2, the band edge at
+# rate_multiple 1 only: the samples' Nyquist term splits evenly between the pair
 EDGE_WEIGHT = 0.5
 
 
 @lru_cache(maxsize=64)
-def _gain_mask(n: int, cutoff: float) -> np.ndarray:
-    """The ideal lowpass on the rfft bins of ``n`` points: 1 below ``cutoff``, 0 above."""
-    freqs = np.fft.rfftfreq(n)
-    mask = np.zeros(freqs.size)
-    mask[freqs < cutoff - 1e-12] = 1.0
-    mask[np.abs(freqs - cutoff) <= 1e-12] = EDGE_WEIGHT
+def _gain_mask(grid: GridSpec) -> np.ndarray:
+    """The band on the rfft bins of ``grid.n_fine`` points: the one rule every band helper reads.
+
+    Bin k passes whole when ``2 * rate_multiple * k < n_coarse``.  The
+    coarse-Nyquist bin 2k = n_coarse takes ``EDGE_WEIGHT`` at rate 1, where
+    it is the band edge.  Every other bin is cut, the edge bin at a higher
+    rate among them.
+    """
+    twice = 2 * grid.rate_multiple * np.arange(grid.n_fine // 2 + 1)
+    mask = np.where(twice < grid.n_coarse, 1.0, 0.0)
+    mask[(twice == grid.n_coarse) & (grid.rate_multiple == 1)] = EDGE_WEIGHT
     mask.setflags(write=False)
     return mask
 
 
 def _band_bins(grid: GridSpec, last: bool) -> np.ndarray:
     """One axis's signed band bins: 0..B on the last (rfft) axis, 0..B and -B..-1 on another."""
-    top = np.count_nonzero(_gain_mask(grid.n_fine, grid.band_edge)) - 1
+    top = np.count_nonzero(_gain_mask(grid)) - 1
     return np.arange(top + 1) if last else np.concatenate([np.arange(top + 1), np.arange(-top, 0)])
 
 
@@ -273,17 +279,16 @@ def _axis_band(grid: GridSpec, kind: InterpKind, modules: int, last: bool):
     folds bins ``n_coarse`` apart together and scales them by 1/R, the
     interpolator scales each by its kernel's response H
     (:func:`samplers._response`), and the mixer's m-th harmonic shifts bin
-    k + m*n_coarse back onto k.  T's weight is ``R * mask(|k|)`` and the gain
-    ``mask(|k|) * raw(k)``, except at the coarse Nyquist bin 2|k| = n_coarse
-    (only at ``rate_multiple`` 1 with even ``n_coarse``), where the mirror
-    bin undoes the mask's halving and the gain is raw(k).
+    k + m*n_coarse back onto k.  The band is :func:`_gain_mask`'s; T's
+    weight is ``R * mask(|k|)`` and the gain is raw(k) on every band bin: the
+    mask is 1 there but at the coarse-Nyquist pair, where the mirror bin
+    folds the halves back together.
     """
     n, r = grid.n_fine, grid.ticks_per_sample
     k = _band_bins(grid, last)
     f = (k[:, np.newaxis] + grid.n_coarse * np.arange(-modules, modules + 1)) / n
     raw = np.sum(_response(kind, r, f), axis=1) / r
-    mask = _gain_mask(n, grid.band_edge)[np.abs(k)]
-    out = k % n, r * mask, np.where(2 * np.abs(k) == grid.n_coarse, raw, mask * raw)
+    out = k % n, r * _gain_mask(grid)[np.abs(k)], raw
     for a in out:
         a.setflags(write=False)
     return out
@@ -506,11 +511,8 @@ def iterate(
     grids, with ``reference`` None or a list or tuple of one reference each:
     the trials are solved as one batch, and a list of one report per
     samples, in order, is returned, bitwise what one call per samples
-    returns.  A single call is that solve on a batch of one.  A batch of B
-    trials makes one batched coarse ``rfftn``, one batched inverse and, when
-    traced, one batched residual transform; the error factors, which depend
-    on the configuration alone, are computed once.  An overflow in any trial
-    fails the whole batch.
+    returns (the module docstring says what a batch shares).  An overflow
+    in any trial fails the whole batch.
     """
     op = cfg.operator
     single = not isinstance(observed, (list, tuple))
@@ -536,7 +538,7 @@ def iterate(
     if len(corner) != len(shape) or any(c > n for c, n in zip(corner, shape)):
         raise ConfigurationError(f"crop must be an integer in 1..n per axis of {shape}, got {crop}")
     if references is not None:
-        references = [np.asarray(getattr(r, "values", r), dtype=np.float64) for r in references]
+        references = [_real(getattr(r, "values", r)) for r in references]
         got = next((r.shape for r in references if r.shape != shape), corner)
         if got != shape:  # a cropped estimate, or a reference of another shape
             raise ConfigurationError(
@@ -587,13 +589,12 @@ def iterate(
     return reports[0] if single else reports
 
 
-def _band_basis(n: int, cutoff: float) -> np.ndarray:
-    """Orthonormal real basis of the open passband (bins strictly below cutoff)."""
+def _band_basis(grid: GridSpec) -> np.ndarray:
+    """Orthonormal basis of the band: DC and a cos/sin pair per weight-1 :func:`_gain_mask` bin."""
+    n = grid.n_fine
     cols = [np.full(n, 1.0 / np.sqrt(n))]
     i = np.arange(n)
-    for j in range(1, n // 2 + 1):
-        if j / n >= cutoff - 1e-12:
-            break
+    for j in np.flatnonzero(_gain_mask(grid) == 1.0)[1:].tolist():
         cols.append(np.sqrt(2.0 / n) * np.cos(2.0 * np.pi * j * i / n))
         cols.append(np.sqrt(2.0 / n) * np.sin(2.0 * np.pi * j * i / n))
     return np.stack(cols, axis=1)
@@ -613,11 +614,8 @@ def fixed_point_oracle(observed: CoarseSamples, op: ReconOperator) -> DenseSigna
         raise ConfigurationError(
             f"oracle instances are limited to n_fine <= {ORACLE_MAX_FINE}, got {n}"
         )
-    gmat = np.empty((n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        gmat[:, j] = op.apply_values(eye[:, j])
-    basis = _band_basis(n, op.grid[0].band_edge)
+    gmat = np.stack([op.apply_values(unit) for unit in np.eye(n)], axis=1)
+    basis = _band_basis(op.grid[0])
     reduced = basis.T @ gmat @ basis
     rhs = basis.T @ op.observation(observed)
     cond = np.linalg.cond(reduced)

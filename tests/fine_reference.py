@@ -36,7 +36,7 @@ def measured_gain(grid, kind, modules):
     G is run on the band-limited impulse (the lowpass mask as a spectrum)
     and the spectra are divided.
     """
-    mask = _gain_mask(grid.n_fine, grid.band_edge)
+    mask = _gain_mask(grid)
     band = mask > 0
     impulse = np.fft.irfft(mask, grid.n_fine)
     response = np.fft.rfft(ReconOperator(grid, kind, modules).apply_values(impulse))
@@ -53,7 +53,7 @@ def closed_form_gain(grid, kind, modules):
     The lowpass scales bin k by its mask, except at the coarse Nyquist bin
     2k = n_coarse, whose mirror bin undoes the mask's halving.
     """
-    mask = _gain_mask(grid.n_fine, grid.band_edge)
+    mask = _gain_mask(grid)
     k = np.flatnonzero(mask)
     r = grid.ticks_per_sample
     f = (k[:, np.newaxis] + grid.n_coarse * np.arange(-modules, modules + 1)) / grid.n_fine
@@ -73,7 +73,7 @@ def lowpass(x):
     out = x.values
     for axis in reversed(range(out.ndim)):
         n = out.shape[axis]
-        mask = _gain_mask(n, x.grid[axis].band_edge)
+        mask = _gain_mask(x.grid[axis])
         shape = [1] * out.ndim
         shape[axis] = mask.size
         out = np.fft.irfft(np.fft.rfft(out, axis=axis) * mask.reshape(shape), n=n, axis=axis)

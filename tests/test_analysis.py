@@ -78,6 +78,21 @@ class TestDistortionGain:
             assert 3.9 < coarse / fine < 4.1
         assert errors[-1] < 1e-4
 
+    @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
+    @pytest.mark.parametrize("rate", [2, 4])
+    def test_discrete_gain_tracks_the_band_at_every_rate(self, kind, rate):
+        # over the signal band |fT| < 1/(2k), G's per-bin gain follows the
+        # continuous sum up to the fine grid's O(1/R^2) error, the band's last
+        # bin included: no lowpass weight scales it at k >= 2
+        n_coarse = 128
+        for ticks in (16, 32):
+            for modules in range(3):
+                gain = _axis_band(GridSpec(n_coarse, ticks, rate), kind, modules, True)[2]
+                ft = np.arange(gain.size) / n_coarse
+                assert ft[-1] < 0.5 / rate
+                err = np.max(np.abs(gain - distortion_gain(kind, modules, ft)))
+                assert err < 1e-2, (ticks, modules, err)
+
 
 class TestContractionFactor:
     def test_reference_values(self):

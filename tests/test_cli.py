@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from interpcomp import GridSpec, cli
+from interpcomp import GridSpec, InterpKind, cli
 from interpcomp.cli import build_parser, main
 from interpcomp.imagebench import GrayImage, read_pgm, synthetic_scene, write_pgm
 
@@ -516,6 +516,19 @@ def test_options_pinned():
         for name, p in sub.choices.items()
     }
     assert options == OPTIONS
+
+
+def test_kind_choices_follow_the_enum():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    choices = {
+        name: action.choices
+        for name, p in sub.choices.items()
+        for action in p._actions
+        if "--kind" in action.option_strings
+    }
+    assert sorted(choices) == ["analyze", "convergence", "lambda-sweep", "noise", "rate"]
+    for kinds in choices.values():
+        assert kinds == [k.value for k in InterpKind]
 
 
 # the numeric flags of each subcommand

@@ -230,6 +230,16 @@ class TestGrayImage:
         with pytest.raises(ConfigurationError, match="0..255"):
             GrayImage(np.array([[0.0, bad], [1.0, 2.0]]))
 
+    @pytest.mark.parametrize(
+        "pixels",
+        [np.array([[0.0, 3.7], [1.0, 2.0]]), np.full((2, 2), True)],
+        ids=["fraction", "bool"],
+    )
+    def test_non_integral_pixels_rejected(self, pixels):
+        # neither is truncated to a pixel value: 3.7 is no 8-bit level, True is no count
+        with pytest.raises(ConfigurationError, match="integers within 0..255"):
+            GrayImage(pixels)
+
     def test_float_pixels_inside_range_converted(self):
         img = GrayImage(np.array([[0.0, 255.0], [1.0, 2.0]]))
         assert img.pixels.dtype == np.uint8

@@ -37,6 +37,11 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError):
             GridSpec(**kwargs)
 
+    def test_complex_values_rejected(self):
+        # numpy would drop the imaginary part with only a ComplexWarning
+        with pytest.raises(ConfigurationError, match="must be real"):
+            DenseSignal(GridSpec(4, 2), np.ones(8) + 1j)
+
     def test_signal_length_checked(self, grid):
         with pytest.raises(ConfigurationError):
             DenseSignal(grid, np.zeros(grid.n_fine - 1))
@@ -231,6 +236,12 @@ class TestMetricInputs:
         x = gen_bandlimited(0, GridSpec(16, 4), 3075.0)
         with pytest.raises(ConfigurationError, match="energy overflows float64"):
             metric(x, x.values * 0.5)
+
+    def test_complex_rejected(self, metric):
+        x = gen_bandlimited(0, GridSpec(16, 4), 0.0).values
+        for ref, est in ((x, x + 0j), (x + 0j, x)):
+            with pytest.raises(ConfigurationError, match="must be real"):
+                metric(ref, est)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, metric, bad):

@@ -84,6 +84,14 @@ class TestIterate:
             )
             assert math.isinf(rep.snr_trace_db[0])
 
+    def test_complex_reference_rejected(self, grid):
+        # the traced solve scores the reference as real, so an imaginary part is an error
+        x = gen_bandlimited(3, grid, 0.0)
+        cfg = ReconConfig(ReconOperator(grid, SH, 0))
+        for observed, reference in ((sample(x), x.values + 0j), ([sample(x)], [x.values + 0j])):
+            with pytest.raises(ConfigurationError, match="must be real"):
+                iterate(observed, cfg, reference=reference)
+
     def test_reduction_to_standard_method(self, grid):
         # zero modules must run the standard relaxed iteration: a from-scratch
         # transcription (no compensator anywhere) reproduces the fine-grid

@@ -112,14 +112,16 @@ class TestGainMask:
         [
             (GridSpec(8, 4), 4, 4),
             (GridSpec(9, 2), 5, None),
-            # rate 2: the edge bin 4 is not the coarse Nyquist bin 8
-            (GridSpec(16, 8, 2), 4, 4),
+            # rate 2: the edge bin 4 is not the coarse Nyquist bin 8, so it is cut
+            (GridSpec(16, 8, 2), 4, None),
+            # rate 2 with no edge bin: 2*2*k = 18 has no integer k
+            (GridSpec(18, 4, 2), 5, None),
             (GridSpec(33, 16, 3), 6, None),
         ],
-        ids=["8x4", "9x2-odd", "16x8-rate2", "33x16-rate3-odd"],
+        ids=["8x4", "9x2-odd", "16x8-rate2", "18x4-rate2-no-edge", "33x16-rate3-odd"],
     )
     def test_one_below_edge_weight_on_it_zero_above(self, grid, ones, edge):
-        mask = _gain_mask(grid.n_fine, grid.band_edge)
+        mask = _gain_mask(grid)
         expected = np.zeros(grid.n_fine // 2 + 1)
         expected[:ones] = 1.0
         if edge is not None:
