@@ -14,8 +14,9 @@ is fixed by the grids, the interpolator and the module count.  ``iterate``
 is the one reconstruction solve: it computes each iterate per DFT bin in
 closed form, from the operator's per-bin gain and the band of the samples'
 trigonometric interpolant.  Its fine-grid work is one inverse transform
-for the estimate and, when it traces the SNR of every iterate, one forward
-transform of the estimate's residual.
+for the estimate.  When it traces the SNR of every iterate, it scores each
+iterate from band coefficients, after three fine transforms of the
+reference, whatever the iteration count.
 """
 
 from .signal_core import (

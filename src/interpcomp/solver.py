@@ -37,19 +37,21 @@ polynomial in ``q = 1 - s·G̃`` (``s`` the relaxation parameter, or
 three-term recursion for Chebyshev ("Acceleration of the frame algorithm",
 IEEE Trans. Signal Process., 1993).  So the solve never runs G: one inverse
 transform of the estimate's band, which computes only the leading corner of
-the grid asked for (:func:`_band_inverse`), is its only fine-grid work.  A
-traced solve adds one forward transform of the estimate's interior
-residual: the interior error energy of every earlier iterate follows from
-its band coefficients and that residual's, through a small matrix per axis,
-the discrete prolate concentration kernel (:func:`_axis_gram`,
-:func:`_band_trace`).
+the grid asked for (:func:`_band_inverse`), is its only fine-grid work.
 
-:func:`iterate` also solves a list of samples on one grid as one batch, on
-a leading trial axis: a solve of B trials makes one batched coarse
-``rfftn``, one batched inverse and, when traced, one batched residual
-transform, and computes the error factors, which depend on the
-configuration alone, once.  Its estimates and SNR cells are bitwise those
-of B single solves; a single solve is a batch of one.
+The SNR trace scores every iterate from band coefficients alone, with no
+estimate (:func:`_traces`).  Per trial it transforms the reference once, to
+its band R, and takes the reference's out-of-band remainder o, the reference
+less the inverse transform of R.  Iterate j's error is then o + b_j, where
+b_j is the inverse transform of the band ``B_j = (R - T) + e_j·T``, so its
+interior energy is o's, a cross term with the band of o's interior and a
+quadratic form of B_j through a small matrix per axis, the discrete prolate
+concentration kernel (:func:`_axis_gram`).  No term needs the reference to be
+band-limited.  The trials of a chunk sit on a leading batch axis, and one
+coarse ``rfftn`` and the reference's three fine transforms serve every
+configuration on the grid: a configuration then costs band arithmetic alone,
+and its cells are bitwise those of a call with one trial and that
+configuration alone.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import islice
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,7 +71,6 @@ from .signal_core import (
     _check_count,
     _check_values,
     _interior,
-    _metric_inputs,
     _real,
     _snr_cell,
     per_axis,
@@ -221,11 +222,11 @@ class ReconReport:
     ``snr_trace_db[j]`` is the SNR of the estimate after iteration ``j+1``;
     ``snr_initial_db`` is the SNR of the starting estimate (the simply
     filtered reconstruction), or None when no reference was supplied or the
-    run was Chebyshev-accelerated.  Each is :func:`snr_db` of that iterate,
-    computed from its band coefficients with no inverse transform of its own:
-    the last is exactly ``snr_db(reference, estimate)``, and an earlier one
-    agrees with ``snr_db`` to rounding (to 1e-6 dB, as tested, below
-    150 dB).  ``non_contraction`` is the exact per-bin criterion: it is set
+    run was Chebyshev-accelerated.  Each is :func:`snr_db` of that iterate
+    to rounding, scoring the exact iterate: it is computed from the band
+    coefficients (:func:`_traces`), not from a float64 estimate (to 1e-6 dB
+    of a long-double transcription, as tested, below 150 dB).
+    ``non_contraction`` is the exact per-bin criterion: it is set
     when some band bin does not contract, that is when ``max |q| >= 1`` over
     the band, with ``q = 1 - s*G̃`` as in :func:`_error_factors`.  It depends
     on the configuration alone.
@@ -349,22 +350,23 @@ def _gather(spectrum: np.ndarray, index) -> np.ndarray:
 
 
 def _band_observation(op: ReconOperator, values: np.ndarray):
-    """The band's per-axis index into the fine grid's ``rfftn`` output, T there and G̃ there.
+    """The band's per-axis index into the fine grid's ``rfftn`` output, and T there.
 
     ``T * G̃`` is the band of ``rfftn(op.observation(samples))``, at
     ``np.ix_(*index)``.  T, the band of the samples' trigonometric
     interpolant, is read from one ``rfftn`` of the coarse values: a fine bin
     k reads coarse bin k mod ``n_coarse`` on each axis (on a non-last axis,
     fine bin n-j reads coarse bin ``n_coarse``-j).  ``values`` may carry
-    leading (trial) axes, which T keeps; G̃ depends on the operator alone.
+    leading (trial) axes, which T keeps; neither the index nor T depends on
+    the interpolator or the module count.
     """
     ndim = len(op.grid)
-    index, weight, gain = zip(
+    index, weight, _ = zip(
         *[_axis_band(g, op.kind, op.modules, axis == ndim - 1) for axis, g in enumerate(op.grid)]
     )
     coarse = np.fft.rfftn(values, axes=tuple(range(values.ndim - ndim, values.ndim)))
     fixed = _gather(coarse, [k % g.n_coarse for k, g in zip(index, op.grid)])
-    return index, fixed * _outer(weight), _outer(gain)
+    return index, fixed * _outer(weight)
 
 
 def _band_inverse(band: np.ndarray, index, shape: tuple, crop: tuple) -> np.ndarray:
@@ -401,6 +403,33 @@ def _error_factors(q: np.ndarray, rho: float):
         prev, cur = cur, q * cur if lam == 1.0 else lam * q * cur + (1.0 - lam) * prev
 
 
+def _factors(cfg: ReconConfig):
+    """``q = 1 - s*G̃`` on the band, and the error factor of every traced iterate of ``cfg``.
+
+    s is the relaxation, or ``2/(A+B)`` under Chebyshev.  The factors end at
+    e_K; the plain loop's start, e = q, comes first.
+    """
+    op, accel = cfg.operator, cfg.acceleration
+    last = len(op.grid) - 1
+    gain = _outer([_axis_band(g, op.kind, op.modules, a == last)[2] for a, g in enumerate(op.grid)])
+    q = 1.0 - (cfg.relax if accel is None else accel.step) * gain
+    rho = 0.0 if accel is None else accel.rho
+    return q, islice(_error_factors(q, rho), cfg.iterations + (accel is None))
+
+
+def _overflow(cfg: ReconConfig) -> ConfigurationError:
+    """The error of a run of ``cfg`` that overflows float64, saying whether a band bin contracts."""
+    worst = float(np.max(np.abs(_factors(cfg)[0])))
+    if worst < 1.0:  # the samples' own magnitude, not the iteration, overflows
+        return ConfigurationError(
+            f"the values overflow float64, though max |1 - s*gain| = {worst:.6g} < 1"
+        )
+    return ConfigurationError(
+        f"the iterates overflow float64 within {cfg.iterations} iterations: "
+        f"a band bin does not contract, max |1 - s*gain| = {worst:.6g} >= 1"
+    )
+
+
 def _along_axes(mats, stack: np.ndarray) -> np.ndarray:
     """``stack`` with ``mats[i]`` applied along the i-th of its last axes: ``M_y δ M_xᵀ`` in 2-D.
 
@@ -412,181 +441,149 @@ def _along_axes(mats, stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _residual(reference, values, index):
-    """Per trial, for :func:`_band_trace`: the reference's interior energy, |d|**2 and D.
-
-    d = reference - values on the interior, zero-filled outside it, and D is
-    its band; one batched forward transform gives every trial's D.  Its
-    fine-grid arrays are freed on return, before the stacks of iterates.
-    """
-    ref, values = _metric_inputs(reference, values)
-    trials = len(ref)
-    interior = (slice(None),) + _interior(ref.shape[1:])
-    r = ref[interior]
-    placed = np.zeros(ref.shape)
-    d = np.subtract(r, values[interior], out=placed[interior])
-    energy = (r * r).reshape(trials, -1).sum(axis=1).tolist()
-    floor = (d * d).reshape(trials, -1).sum(axis=1)
-    return energy, floor, _gather(np.fft.rfftn(placed, axes=tuple(range(1, ref.ndim))), index)
-
-
-def _band_trace(reference, values, last, errors, fixed, index, grids) -> list:
-    """``snr_db(reference, v_j)`` for every iterate v_j of each trial, from its band.
-
-    ``reference``, ``values`` (the last iterate, v_K) and ``fixed`` (T) hold
-    one trial per row of a leading axis; the result holds one list of cells
-    per trial.  ``errors`` yields each iterate's factor e_j and ``last`` is
-    e_K, shared by every trial.  With d = reference - v_K on the interior,
-    iterate j's error there is ``d - Re z_j``, where z_j has the band
-    ``δ_j = (e_K - e_j)·T`` (:func:`_axis_gram`).  So its energy is
-    ``|d|**2 - 2 Re(δ_j · w conj(D)) + (conj(δ_j)·(M⁻ δ_j) + Re δ_j·(M⁺ δ_j)) / 2``,
-    with D the band of one forward transform of d zero-filled outside the
-    interior, and w the product of the axes' weights; the last term is
-    ``sum (Re z_j)**2``, by ``(Re z)**2 = (|z|**2 + Re z**2) / 2``.  No term
-    needs the reference to be band-limited, and the last iterate's energy is
-    ``|d|**2`` as :func:`snr_db` sums it.  Each trial's sums and matrix
-    products run on slices laid out as in a solve of that trial alone, so a
-    batch changes no cell.  The iterates go through in stacks of at most
-    ``BATCH_POINTS`` band coefficients over all trials.
-    """
-    energy, floor, residual = _residual(reference, values, index)
-    trials = len(floor)
-    weights, minus, plus = zip(
-        *[_axis_gram(g, axis == len(grids) - 1) for axis, g in enumerate(grids)]
-    )
-    # one matrix-vector product per trial: (iterates x band) by the trial's band
-    cross = (_outer(weights) * np.conj(residual)).reshape(trials, -1, 1)
-    cells = [[] for _ in range(trials)]
-    size = max(1, BATCH_POINTS // fixed.size)
-    for rows in iter(lambda: list(islice(errors, size)), []):
-        stack = (last - np.stack(rows)) * fixed[:, np.newaxis]
-        quad = np.conj(stack) * _along_axes(minus, stack) + stack * _along_axes(plus, stack)
-        flat = stack.reshape(trials, len(rows), -1)
-        quad = quad.reshape(trials, len(rows), -1).sum(axis=-1).real
-        err = floor[:, np.newaxis] - 2.0 * (flat @ cross)[..., 0].real + 0.5 * quad
-        if not np.all(np.isfinite(err)):
-            # the matmul's overflow can escape np.errstate, as in a threaded BLAS
-            raise FloatingPointError("overflow in the traced error energies")
-        for trial, power, errs in zip(cells, energy, err.tolist()):
-            trial += [_snr_cell(power, x) for x in errs]
-    return cells
-
-
 def _stack(arrays: list) -> np.ndarray:
     """``arrays`` on a new leading axis; a lone array is a view, not a copy."""
     return arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
 
 
-class _Reports(list):
-    """The reports of a batched :func:`iterate`, one per samples, in order.
+def _reference(refs: np.ndarray, index, shape: tuple):
+    """Per trial, for :func:`_traces`: the reference's interior energy and band R, and o's.
 
-    ``operator_applications`` sums theirs, so the benchmark's tracer reads
-    a batched call as it reads a single one.
+    o is the reference less the inverse transform of R; its interior energy
+    and the band O of its interior, zero-filled, are returned after R.  The
+    fine-grid arrays are freed on return, before the stacks of iterates.
     """
+    trials, axes = len(refs), tuple(range(1, refs.ndim))
+    interior = (slice(None),) + _interior(shape)
+    band = _gather(np.fft.rfftn(refs, axes=axes), index)
+    r = refs[interior]
+    placed = np.zeros(refs.shape)
+    o = np.subtract(r, _band_inverse(band, index, shape, shape)[interior], out=placed[interior])
+    energy = (r * r).reshape(trials, -1).sum(axis=1).tolist()
+    floor = (o * o).reshape(trials, -1).sum(axis=1)
+    return energy, floor, band, _gather(np.fft.rfftn(placed, axes=axes), index)
 
-    @property
-    def operator_applications(self) -> int:
-        return sum(rep.operator_applications for rep in self)
+
+def _traces(batch: Sequence[CoarseSamples], configs: Sequence[ReconConfig], references) -> list:
+    """The initial cell and the trace of every trial, for every configuration on one grid.
+
+    Trial i of ``batch`` is scored against ``references[i]``, which has the
+    grid's shape.  Returns one pair ``(initial cells, traces)`` per
+    configuration, each with one entry per trial: :func:`snr_db` of the plain
+    loop's start (None under Chebyshev), and the list of :func:`snr_db` of
+    every iterate, each scoring the exact iterate to rounding.  With R the
+    reference's band, o the reference less the inverse transform of R, and O
+    the band of o's interior, zero-filled, iterate j's interior error is
+    o + b_j, where b_j has the band ``B_j = (R - T) + e_j·T``.  So its energy
+    is ``|o|**2 + 2 Re(B_j · w conj(O)) + (conj(B_j)·(M⁻ B_j) + Re B_j·(M⁺ B_j)) / 2``,
+    with w the product of the axes' weights (:func:`_axis_gram`); the last
+    term is ``sum (Re z_j)**2``, by ``(Re z)**2 = (|z|**2 + Re z**2) / 2``.
+    R, o and O are computed once for all configurations, and a
+    configuration adds no transform.  Each trial's sums and matrix products
+    run on slices laid out as in a call with that trial alone, so neither
+    the batch nor the other configurations change a cell.  The iterates go
+    through in stacks of at most ``BATCH_POINTS`` band coefficients over all
+    trials.  An overflow raises the :class:`ConfigurationError` of
+    :func:`iterate` for the configuration it occurred in.
+    """
+    grid = configs[0].operator.grid
+    shape = tuple([g.n_fine for g in grid])
+    refs = [_real(getattr(r, "values", r)) for r in references]
+    got = next((r.shape for r in refs if r.shape != shape), shape)
+    if got != shape:
+        raise ConfigurationError(
+            f"shape mismatch: a traced solve scores the grid {shape}, got {got}"
+        )
+    refs = _stack(refs)
+    if not np.isfinite(refs).all():
+        raise ConfigurationError("reference and estimate must be finite")  # as snr_db says it
+    trials = len(refs)
+    weights, minus, plus = zip(
+        *[_axis_gram(g, axis == len(grid) - 1) for axis, g in enumerate(grid)]
+    )
+    index, fixed = _band_observation(configs[0].operator, _stack([s.values for s in batch]))
+    size = max(1, BATCH_POINTS // fixed.size)
+    out, cfg = [], configs[0]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            energy, floor, band, rest = _reference(refs, index, shape)
+            # one matrix-vector product per trial: (iterates x band) by the trial's band
+            cross = (_outer(weights) * np.conj(rest)).reshape(trials, -1, 1)
+            gap = (band - fixed)[:, np.newaxis]
+            for cfg in configs:
+                cells = [[] for _ in range(trials)]
+                _, factors = _factors(cfg)
+                for rows in iter(lambda: list(islice(factors, size)), []):
+                    stack = gap + np.stack(rows) * fixed[:, np.newaxis]
+                    quad = np.conj(stack) * _along_axes(minus, stack)
+                    quad += stack * _along_axes(plus, stack)
+                    flat = stack.reshape(trials, len(rows), -1)
+                    quad = quad.reshape(trials, len(rows), -1).sum(axis=-1).real
+                    err = floor[:, np.newaxis] + 2.0 * (flat @ cross)[..., 0].real + 0.5 * quad
+                    if not np.all(np.isfinite(err)):
+                        # the matmul's overflow can escape np.errstate, as in a threaded BLAS
+                        raise FloatingPointError("overflow in the traced error energies")
+                    for trial, power, errs in zip(cells, energy, err.tolist()):
+                        trial += [_snr_cell(power, x) for x in errs]
+                start = cfg.acceleration is None
+                out.append(([c[0] if start else None for c in cells], [c[start:] for c in cells]))
+    except FloatingPointError:
+        raise _overflow(cfg) from None
+    return out
 
 
 def iterate(
-    observed: Union[CoarseSamples, Sequence[CoarseSamples]],
+    observed: CoarseSamples,
     cfg: ReconConfig,
     reference=None,
     crop: Optional[Tuple[int, ...]] = None,
-) -> Union[ReconReport, List[ReconReport]]:
+) -> ReconReport:
     """Reconstruct a dense signal from its coarse samples, on any number of axes.
 
     Computes each iterate of the plain relaxed loop, or of the Chebyshev
     recursion when ``cfg.acceleration`` is set, per band bin in closed form
     (see the module docstring).  One inverse transform returns the estimate,
     or only its leading ``crop`` corner (one size in 1..n per axis).  With a
-    reference, which must have the grid's shape and takes no crop, every
-    iterate's SNR is traced from its band coefficients (:func:`_band_trace`),
-    at one more forward transform per solve, whatever the iteration count.
-    A run that overflows float64 raises :class:`ConfigurationError`, which
-    says whether a band bin does not contract.
-
-    ``observed`` may also be a list or tuple of samples on the operator's
-    grids, with ``reference`` None or a list or tuple of one reference each:
-    the trials are solved as one batch, and a list of one report per
-    samples, in order, is returned, bitwise what one call per samples
-    returns (the module docstring says what a batch shares).  An overflow
-    in any trial fails the whole batch.
+    reference of the grid's shape, every iterate's SNR on the whole grid is
+    traced from band coefficients (:func:`_traces`), at a fixed number of
+    transforms whatever the iteration count.  A run that overflows float64
+    raises :class:`ConfigurationError`, which says whether a band bin does
+    not contract.
     """
     op = cfg.operator
-    single = not isinstance(observed, (list, tuple))
-    batch = [observed] if single else list(observed)
-    references = None if reference is None else [reference] if single else reference
-    if not batch:
-        raise ConfigurationError("a batch needs at least one CoarseSamples")
-    for s in batch:
-        if not isinstance(s, CoarseSamples):
-            raise ConfigurationError(f"iterate solves CoarseSamples, got {type(s).__name__}")
-        if s.grid != op.grid:
-            raise ConfigurationError("samples and operator must have the same grids")
-    if references is not None and (
-        not isinstance(references, (list, tuple)) or len(references) != len(batch)
-    ):
-        raise ConfigurationError(
-            f"a batch of {len(batch)} samples needs a list of as many references"
-        )
+    if not isinstance(observed, CoarseSamples):
+        raise ConfigurationError(f"iterate solves CoarseSamples, got {type(observed).__name__}")
+    if observed.grid != op.grid:
+        raise ConfigurationError("samples and operator must have the same grids")
     shape = tuple([g.n_fine for g in op.grid])
     corner = shape if crop is None else tuple(crop)
     for c in corner:
         _check_count(c, "crop", 1)
     if len(corner) != len(shape) or any(c > n for c, n in zip(corner, shape)):
         raise ConfigurationError(f"crop must be an integer in 1..n per axis of {shape}, got {crop}")
-    if references is not None:
-        references = [_real(getattr(r, "values", r)) for r in references]
-        got = next((r.shape for r in references if r.shape != shape), corner)
-        if got != shape:  # a cropped estimate, or a reference of another shape
-            raise ConfigurationError(
-                f"shape mismatch: a traced solve scores the grid {shape}, got {got}"
-            )
-        references = _stack(references)
-    index, fixed, gain = _band_observation(op, _stack([s.values for s in batch]))
-    accel = cfg.acceleration
-    q = 1.0 - (cfg.relax if accel is None else accel.step) * gain
-    worst = float(np.max(np.abs(q)))
-
-    def factors():
-        # the plain loop's start, e = q, is reported apart from the trace
-        return islice(
-            _error_factors(q, 0.0 if accel is None else accel.rho), cfg.iterations + (accel is None)
-        )
-
-    traces = [None] * len(batch)
+    index, fixed = _band_observation(op, observed.values[np.newaxis])
+    q, factors = _factors(cfg)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for last in factors():
+            for last in factors:
                 pass
-            values = _band_inverse((1.0 - last) * fixed, index, shape, corner)
-            if references is not None:
-                traces = _band_trace(references, values, last, factors(), fixed, index, op.grid)
+            est = _band_inverse((1.0 - last) * fixed, index, shape, corner)[0]
     except FloatingPointError:
-        if worst < 1.0:  # the samples' own magnitude, not the iteration, overflows
-            why = f"the values overflow float64, though max |1 - s*gain| = {worst:.6g} < 1"
-        else:
-            why = (
-                f"the iterates overflow float64 within {cfg.iterations} iterations: "
-                f"a band bin does not contract, max |1 - s*gain| = {worst:.6g} >= 1"
-            )
-        raise ConfigurationError(why) from None
-    reports = _Reports(
-        ReconReport(
-            estimate=(
-                DenseSignal(op.grid, est) if crop is None
-                else _check_values(est, corner, "DenseSignal")
-            ),
-            operator_applications=0,
-            snr_initial_db=trace.pop(0) if trace is not None and accel is None else None,
-            snr_trace_db=trace,
-            non_contraction=worst >= 1.0,
-        )
-        for est, trace in zip(values, traces)
+        raise _overflow(cfg) from None
+    init = trace = None
+    if reference is not None:
+        [(inits, traces)] = _traces([observed], [cfg], [reference])
+        init, trace = inits[0], traces[0]
+    return ReconReport(
+        estimate=(
+            DenseSignal(op.grid, est) if crop is None
+            else _check_values(est, corner, "DenseSignal")
+        ),
+        operator_applications=0,
+        snr_initial_db=init,
+        snr_trace_db=trace,
+        non_contraction=float(np.max(np.abs(q))) >= 1.0,
     )
-    return reports[0] if single else reports
 
 
 def _band_basis(grid: GridSpec) -> np.ndarray:

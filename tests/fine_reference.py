@@ -2,16 +2,17 @@
 
 ``iterate`` computes each iterate per DFT bin in closed form, from a
 per-bin gain that sums the interpolation kernel's frequency response, and
-never runs G itself.  ``fine_iterate`` runs the explicit plain and
+never runs G itself.  ``fine_solve`` runs the explicit plain and
 Chebyshev loops on the fine grid instead, with ``op.apply_values`` as G and
 ``op.observation(samples)`` as the observation: one pass of G per
 iteration, and every traced SNR taken from the iterate itself.  The loops,
 the Chebyshev relaxation sequence (``chebyshev_lambdas``) and the
 divergence flag are this module's own and share no code with the solve.
-``fine_iterate`` has ``iterate``'s signature and reports, so a test can
+``fine_solve`` has ``iterate``'s signature and reports, so a test can
 swap it in for the solve; it runs the whole grid and then cuts a requested
-crop from it, and it solves a list of samples as a plain loop of single
-solves (``fine_solve``).  ``measured_gain`` measures the per-bin gain the
+crop from it.  ``fine_traces`` has the signature and result of the CLI's
+scorer, ``solver._traces``, as a plain loop of ``fine_solve`` over
+configurations and trials.  ``measured_gain`` measures the per-bin gain the
 solve must match, by running G on a band-limited impulse.  G interpolates
 with the same kernel taps as the solve's gain reads, so a wrong tap would
 pass that check: ``closed_form_gain`` gives the gain from the two kernels'
@@ -24,9 +25,7 @@ from functools import reduce
 
 import numpy as np
 
-from interpcomp import (
-    CoarseSamples, DenseSignal, InterpKind, ReconOperator, ReconReport, snr_db
-)
+from interpcomp import DenseSignal, InterpKind, ReconOperator, ReconReport, snr_db
 from interpcomp.solver import _gain_mask
 
 
@@ -125,15 +124,17 @@ def chebyshev_loop(g_obs, apply_g, cfg, snr_of):
     return x_cur, None, trace
 
 
-def fine_iterate(observed, cfg, reference=None, crop=None):
-    """``iterate`` on the fine grid; a list of samples is solved one at a time."""
-    if isinstance(observed, CoarseSamples):
-        return fine_solve(observed, cfg, reference, crop)
-    references = [None] * len(observed) if reference is None else reference
-    return [fine_solve(s, cfg, r, crop) for s, r in zip(observed, references, strict=True)]
+def fine_traces(batch, configs, references):
+    """``solver._traces`` on the fine grid: one :func:`fine_solve` per configuration and trial."""
+    out = []
+    for cfg in configs:
+        reps = [fine_solve(s, cfg, x) for s, x in zip(batch, references, strict=True)]
+        out.append(([r.snr_initial_db for r in reps], [r.snr_trace_db for r in reps]))
+    return out
 
 
 def fine_solve(observed, cfg, reference=None, crop=None):
+    """``iterate`` on the fine grid."""
     op = cfg.operator
     snr_of = None
     if reference is not None:

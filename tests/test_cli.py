@@ -111,13 +111,13 @@ class TestConvergence:
         # the last value is bad; it must stop the run before the first trial,
         # not after the trials of the values before it
         calls = []
-        solve = cli.iterate
+        score = cli._traces
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return solve(*args, **kwargs)
+            return score(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "iterate", counted)
+        monkeypatch.setattr(cli, "_traces", counted)
         out = tmp_path / "x.csv"
         assert run([*argv, "--trials", 1, "--n-coarse", 32, "--out", out]) == 2
         assert len(calls) == 0
@@ -184,39 +184,31 @@ class TestConvergence:
 
 
 class TestBatches:
-    """Each configuration's trials run as one batch, in chunks of at most BATCH_POINTS points."""
+    """The trials run in chunks of at most BATCH_POINTS points, each scored in one call per grid."""
 
     # 5 trials of 16 x 16 = 256 fine points each in 1-D
     SMALL = ["--trials", 5, "--iterations", 3, "--n-coarse", 16, "--seed", 2]
 
     @staticmethod
     def recorded(monkeypatch):
-        """Record (configuration, batch size) of every ``iterate`` call the CLI makes."""
+        """Record (configurations, batch size) of every ``_traces`` call the CLI makes."""
         calls = []
-        solve = cli.iterate
+        score = cli._traces
 
-        def wrapper(observed, cfg, **kwargs):
-            calls.append((cfg, len(observed)))
-            return solve(observed, cfg, **kwargs)
+        def wrapper(batch, configs, references):
+            calls.append((list(configs), len(batch)))
+            return score(batch, configs, references)
 
-        monkeypatch.setattr(cli, "iterate", wrapper)
+        monkeypatch.setattr(cli, "_traces", wrapper)
         return calls
 
-    @staticmethod
-    def by_config(calls):
-        """The batch sizes of each configuration's calls, in order."""
-        sizes = {}
-        for cfg, size in calls:
-            sizes.setdefault(cfg, []).append(size)
-        return list(sizes.values())
-
     @pytest.mark.parametrize(
-        "argv,configs",
+        "argv,per_grid",
         [
-            (["convergence", "--modules", "0,1,2"], 3),
-            (["noise", "--modules", "0,1"], 2),
-            (["lambda-sweep", "--lambda-grid", "0.5,1.0"], 2),
-            (["rate", "--k-rates", "1,2"], 2),
+            (["convergence", "--modules", "0,1,2"], [3]),
+            (["noise", "--modules", "0,1"], [2]),
+            (["lambda-sweep", "--lambda-grid", "0.5,1.0"], [2]),
+            (["rate", "--k-rates", "1,2"], [1, 1]),  # two rates, two grids
         ],
         ids=["convergence", "noise", "lambda-sweep", "rate"],
     )
@@ -225,13 +217,19 @@ class TestBatches:
         ids=["one-chunk", "2+2+1", "one-trial"],
     )
     def test_one_solve_per_configuration_and_chunk(
-        self, tmp_path, monkeypatch, argv, configs, budget, chunks
+        self, tmp_path, monkeypatch, argv, per_grid, budget, chunks
     ):
+        # one call per grid and chunk, carrying every configuration on that grid
         if budget is not None:
             monkeypatch.setattr(cli, "BATCH_POINTS", budget)
         calls = self.recorded(monkeypatch)
         assert run([*argv, *self.SMALL, "--out", tmp_path / "x.csv"]) == 0
-        assert self.by_config(calls) == [chunks] * configs
+        assert [(len(configs), size) for configs, size in calls] == [
+            (n, size) for n in per_grid for size in chunks
+        ]
+        for configs, _ in calls:
+            assert len({cfg.operator.grid for cfg in configs}) == 1
+        assert len({cfg for configs, _ in calls for cfg in configs}) == sum(per_grid)
 
     @pytest.mark.parametrize(
         "argv,points",
@@ -254,23 +252,49 @@ class TestBatches:
             assert run([*argv, "--out", out]) == 0
             assert out.read_bytes() == whole.read_bytes(), budget
 
+    @pytest.mark.parametrize(
+        "command,flag,lists",
+        [
+            ("convergence", "--modules", ["0,1,2", "1", "2,0"]),
+            ("noise", "--modules", ["0,1,2", "2"]),
+            ("lambda-sweep", "--lambda-grid", ["0.5,1.0,1.5", "1.0", "1.5,0.5"]),
+        ],
+        ids=["convergence", "noise", "lambda-sweep"],
+    )
+    def test_configurations_sharing_a_call_change_no_cell(self, tmp_path, command, flag, lists):
+        # a configuration's cells are bitwise the same whichever others share its calls
+        def rows(values):
+            out = tmp_path / f"{values}.csv"
+            assert run([command, flag, values, *self.SMALL, "--out", out]) == 0
+            return [tuple(row.items()) for row in read_rows(out)]
+
+        whole = rows(lists[0])
+        for values in lists[1:]:
+            part = rows(values)
+            assert part and set(part) <= set(whole), values
+
     def test_defaults_match_one_solve_per_trial(self, tmp_path, monkeypatch):
-        # at its 1-D defaults convergence solves its 50 trials of 2048 points
-        # in chunks of BATCH_POINTS // 2048 trials per configuration, and
-        # writes the bytes that one iterate call per trial writes
+        # at its 1-D defaults convergence scores its 50 trials of 2048 points
+        # in chunks of BATCH_POINTS // 2048 trials, each for all 3 module
+        # counts, and writes the bytes that one call per trial and
+        # configuration writes
         per_chunk = cli.BATCH_POINTS // 2048
         chunks = [per_chunk] * (50 // per_chunk) + [50 % per_chunk] * (50 % per_chunk > 0)
         calls = self.recorded(monkeypatch)
         batched = tmp_path / "batched.csv"
         assert run(["convergence", "--out", batched]) == 0
-        assert self.by_config(calls) == [chunks] * 3
+        assert [(len(configs), size) for configs, size in calls] == [(3, n) for n in chunks]
         monkeypatch.undo()
-        solve = cli.iterate
+        score = cli._traces
 
-        def per_trial(observed, cfg, reference=None):
-            return [solve(s, cfg, reference=x) for s, x in zip(observed, reference, strict=True)]
+        def per_trial(batch, configs, references):
+            out = []
+            for cfg in configs:
+                cells = [score([s], [cfg], [x])[0] for s, x in zip(batch, references, strict=True)]
+                out.append(([init for (init,), _ in cells], [trace for _, (trace,) in cells]))
+            return out
 
-        monkeypatch.setattr(cli, "iterate", per_trial)
+        monkeypatch.setattr(cli, "_traces", per_trial)
         single = tmp_path / "single.csv"
         assert run(["convergence", "--out", single]) == 0
         assert batched.read_bytes() == single.read_bytes()

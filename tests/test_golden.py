@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from fine_reference import fine_iterate
+from fine_reference import fine_solve, fine_traces
 from interpcomp import cli, imagebench
 from interpcomp.cli import main
 from interpcomp.imagebench import synthetic_scene, write_pgm
@@ -108,9 +108,20 @@ def test_snr_cells_match_fine_reference(case, tmp_path, monkeypatch):
     (tmp_path / "band").mkdir()
     (tmp_path / "fine").mkdir()
     got = produce(case, tmp_path / "band")
-    monkeypatch.setattr(cli, "iterate", fine_iterate)
-    monkeypatch.setattr(imagebench, "iterate", fine_iterate)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "_traces", counted("_traces", fine_traces))
+    monkeypatch.setattr(imagebench, "iterate", counted("iterate", fine_solve))
     want = produce(case, tmp_path / "fine")
+    # a patch of a name the program no longer calls would check nothing
+    assert calls and set(calls) == {"iterate" if case.startswith("image") else "_traces"}
     assert sorted(got) == sorted(want)
     for name in want:
         if not name.endswith(".csv"):
