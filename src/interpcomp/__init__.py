@@ -11,7 +11,7 @@ GridSpec for 1-D, or a tuple such as ``(grid_y, grid_x)`` for an image.  The
 multi-axis operators are the 1-D ones applied along each axis in turn.  The
 lowpass always cuts at each axis's band edge, so the reconstruction operator
 is fixed by the grids, the interpolator and the module count.  ``iterate``
-is the one reconstruction solve: it computes each iterate per DFT bin in
+is the reconstruction solve: it computes each iterate per DFT bin in
 closed form, from the operator's per-bin gain and the band of the samples'
 trigonometric interpolant.  Its fine-grid work is one inverse transform
 for the estimate.  When it traces the SNR of every iterate, it scores each

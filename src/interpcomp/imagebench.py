@@ -3,18 +3,14 @@
 Low-resolution pixels are treated as rectangular-lattice samples at the
 Nyquist rate of the target grid (one sampling interval = ``factor`` output
 pixels), so the enlargement fine grid coincides with the output resolution.
-Images are mirror-extended before the periodic reconstruction and cropped
-afterwards, which suppresses wrap-around ringing at the borders; pixel math
-stays in floating point throughout and is clamped/rounded only on output.
+The periodic reconstruction runs on the image's 2x mirror extension, which
+suppresses wrap-around ringing at the borders, and keeps the image's span;
+pixel math stays in floating point and is clamped/rounded only on output.
 
-The iterative and hybrid methods solve with
-:func:`~interpcomp.solver.iterate`, which computes each iterate per band
-DFT bin in closed form, since G is diagonal in the DFT on the band.  It
-starts from the spectrum of the low-resolution pixels and never
-interpolates on the fine grid; with no reference to trace, its only
-fine-grid work is the inverse FFT that returns the enlarged image, on the
-band's columns and the crop's rows only.  Bilinear interpolates the image
-padded by one mirrored row and column, all of the extension the crop reads.
+The iterative and hybrid methods solve as :func:`~interpcomp.solver.iterate`
+does, per band bin in closed form, by cosine transforms of the image itself
+(:func:`~interpcomp.solver._cosine_solve`), never building the extension.
+Bilinear interpolates the image padded by one mirrored row and column.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ import numpy as np
 
 from .samplers import CoarseSamples, InterpKind, interpolate
 from .signal_core import ConfigurationError, GridSpec, _check_count
-from .solver import ChebyshevAccel, ReconConfig, ReconOperator, _check_relax, iterate
+from .solver import ChebyshevAccel, ReconConfig, ReconOperator, _check_relax, _cosine_solve
 
 __all__ = [
     "PgmError",
@@ -247,20 +243,15 @@ class EnlargeConfig:
 def enlarge_dense(low: GrayImage, cfg: EnlargeConfig) -> np.ndarray:
     """Float-valued enlargement (no clamping); shape (h*factor, w*factor)."""
     pixels = low.pixels.astype(np.float64)
-    # the solve runs on the 2x mirror extension; bilinear's crop reads samples
-    # 0..n of it, and a 2-pixel axis is padded to the 4 samples of a grid
-    bilinear = cfg.method == "bilinear"
-    ext = np.pad(
-        pixels, [(0, max(1, 4 - n) if bilinear else n) for n in pixels.shape], mode="symmetric"
-    )
-    grids = (GridSpec(ext.shape[0], cfg.factor), GridSpec(ext.shape[1], cfg.factor))
-    samples = CoarseSamples(grids, ext)
-    crop = (low.height * cfg.factor, low.width * cfg.factor)
-    if bilinear:
-        return interpolate(samples, InterpKind.LINEAR).values[: crop[0], : crop[1]]
+    if cfg.method == "bilinear":
+        # samples 0..n of the mirror extension; a 2-pixel axis pads to a grid's 4
+        ext = np.pad(pixels, [(0, max(1, 4 - n)) for n in pixels.shape], mode="symmetric")
+        grids = tuple([GridSpec(n, cfg.factor) for n in ext.shape])
+        full = interpolate(CoarseSamples(grids, ext), InterpKind.LINEAR).values
+        return full[: low.height * cfg.factor, : low.width * cfg.factor]
+    grids = tuple([GridSpec(2 * n, cfg.factor) for n in pixels.shape])
     op = ReconOperator(grids, InterpKind.SAMPLE_AND_HOLD, cfg.modules)
-    run = ReconConfig(op, cfg.relax, cfg.iterations, cfg.acceleration)
-    return iterate(samples, run, crop=crop).estimate
+    return _cosine_solve(pixels, ReconConfig(op, cfg.relax, cfg.iterations, cfg.acceleration))
 
 
 def enlarge(low: GrayImage, cfg: EnlargeConfig) -> GrayImage:

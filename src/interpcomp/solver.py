@@ -35,9 +35,10 @@ observation is T·G̃, and iterate j is ``(1 - e_j)·T``, with ``e_j`` a
 polynomial in ``q = 1 - s·G̃`` (``s`` the relaxation parameter, or
 ``2/(A+B)`` under Chebyshev): ``q**(j+1)`` for the plain loop, Gröchenig's
 three-term recursion for Chebyshev ("Acceleration of the frame algorithm",
-IEEE Trans. Signal Process., 1993).  So the solve never runs G: one inverse
-transform of the estimate's band, which computes only the leading corner of
-the grid asked for (:func:`_band_inverse`), is its only fine-grid work.
+IEEE Trans. Signal Process., 1993).  So the solve never runs G: its only
+fine-grid work is one inverse transform of the band (:func:`_band_inverse`).
+On an image's even mirror extension the band is real and even, and
+:func:`_cosine_solve` runs the same solve as cosine transforms of the image.
 
 The SNR trace scores every iterate from band coefficients alone, with no
 estimate (:func:`_traces`).  Per trial it transforms the reference once, to
@@ -217,8 +218,7 @@ class ReconConfig:
 class ReconReport:
     """Outcome of one reconstruction run.
 
-    ``estimate`` is the dense signal or, for a solve given a ``crop``, the
-    values of that leading corner of the grid as a finite float64 array.
+    ``estimate`` is the dense signal.
     ``snr_trace_db[j]`` is the SNR of the estimate after iteration ``j+1``;
     ``snr_initial_db`` is the SNR of the starting estimate (the simply
     filtered reconstruction), or None when no reference was supplied or the
@@ -369,8 +369,8 @@ def _band_observation(op: ReconOperator, values: np.ndarray):
     return index, fixed * _outer(weight)
 
 
-def _band_inverse(band: np.ndarray, index, shape: tuple, crop: tuple) -> np.ndarray:
-    """The leading ``crop`` corner of ``irfftn`` of the band zero-filled to ``shape``, bitwise.
+def _band_inverse(band: np.ndarray, index, shape: tuple) -> np.ndarray:
+    """``irfftn`` of the band zero-filled to ``shape``, bitwise.
 
     ``band`` sits at ``index``, as from :func:`_band_observation`, after any
     leading (trial) axes, each transformed apart.  A non-last axis is
@@ -378,12 +378,11 @@ def _band_inverse(band: np.ndarray, index, shape: tuple, crop: tuple) -> np.ndar
     axis holds rfft bins 0..B, which ``irfft`` zero-pads itself.
     """
     lead = band.ndim - len(shape)
-    for axis, (k, n, keep) in enumerate(zip(index[:-1], shape, crop), start=lead):
-        before = (slice(None),) * axis
+    for axis, (k, n) in enumerate(zip(index[:-1], shape), start=lead):
         full = np.zeros(band.shape[:axis] + (n,) + band.shape[axis + 1 :], dtype=np.complex128)
-        full[before + (k,)] = band
-        band = np.fft.ifft(full, axis=axis)[before + (slice(keep),)]
-    return np.fft.irfft(band, n=shape[-1], axis=-1)[..., : crop[-1]]
+        full[(slice(None),) * axis + (k,)] = band
+        band = np.fft.ifft(full, axis=axis)
+    return np.fft.irfft(band, n=shape[-1], axis=-1)
 
 
 def _error_factors(q: np.ndarray, rho: float):
@@ -403,16 +402,18 @@ def _error_factors(q: np.ndarray, rho: float):
         prev, cur = cur, q * cur if lam == 1.0 else lam * q * cur + (1.0 - lam) * prev
 
 
-def _factors(cfg: ReconConfig):
+def _factors(cfg: ReconConfig, gains=None):
     """``q = 1 - s*G̃`` on the band, and the error factor of every traced iterate of ``cfg``.
 
-    s is the relaxation, or ``2/(A+B)`` under Chebyshev.  The factors end at
-    e_K; the plain loop's start, e = q, comes first.
+    s is the relaxation, or ``2/(A+B)`` under Chebyshev, and G̃ the outer
+    product of the per-axis ``gains``, by default the band's.  The factors
+    end at e_K; the plain loop's start, e = q, comes first.
     """
     op, accel = cfg.operator, cfg.acceleration
     last = len(op.grid) - 1
-    gain = _outer([_axis_band(g, op.kind, op.modules, a == last)[2] for a, g in enumerate(op.grid)])
-    q = 1.0 - (cfg.relax if accel is None else accel.step) * gain
+    if gains is None:
+        gains = [_axis_band(g, op.kind, op.modules, a == last)[2] for a, g in enumerate(op.grid)]
+    q = 1.0 - (cfg.relax if accel is None else accel.step) * _outer(gains)
     rho = 0.0 if accel is None else accel.rho
     return q, islice(_error_factors(q, rho), cfg.iterations + (accel is None))
 
@@ -458,7 +459,7 @@ def _reference(refs: np.ndarray, index, shape: tuple):
     band = _gather(np.fft.rfftn(refs, axes=axes), index)
     r = refs[interior]
     placed = np.zeros(refs.shape)
-    o = np.subtract(r, _band_inverse(band, index, shape, shape)[interior], out=placed[interior])
+    o = np.subtract(r, _band_inverse(band, index, shape)[interior], out=placed[interior])
     energy = (r * r).reshape(trials, -1).sum(axis=1).tolist()
     floor = (o * o).reshape(trials, -1).sum(axis=1)
     return energy, floor, band, _gather(np.fft.rfftn(placed, axes=axes), index)
@@ -532,18 +533,13 @@ def _traces(batch: Sequence[CoarseSamples], configs: Sequence[ReconConfig], refe
     return out
 
 
-def iterate(
-    observed: CoarseSamples,
-    cfg: ReconConfig,
-    reference=None,
-    crop: Optional[Tuple[int, ...]] = None,
-) -> ReconReport:
+def iterate(observed: CoarseSamples, cfg: ReconConfig, reference=None) -> ReconReport:
     """Reconstruct a dense signal from its coarse samples, on any number of axes.
 
     Computes each iterate of the plain relaxed loop, or of the Chebyshev
     recursion when ``cfg.acceleration`` is set, per band bin in closed form
-    (see the module docstring).  One inverse transform returns the estimate,
-    or only its leading ``crop`` corner (one size in 1..n per axis).  With a
+    (see the module docstring).  One inverse transform returns the estimate;
+    :func:`_cosine_solve` is this solve on an image's mirror extension.  With a
     reference of the grid's shape, every iterate's SNR on the whole grid is
     traced from band coefficients (:func:`_traces`), at a fixed number of
     transforms whatever the iteration count.  A run that overflows float64
@@ -556,18 +552,13 @@ def iterate(
     if observed.grid != op.grid:
         raise ConfigurationError("samples and operator must have the same grids")
     shape = tuple([g.n_fine for g in op.grid])
-    corner = shape if crop is None else tuple(crop)
-    for c in corner:
-        _check_count(c, "crop", 1)
-    if len(corner) != len(shape) or any(c > n for c, n in zip(corner, shape)):
-        raise ConfigurationError(f"crop must be an integer in 1..n per axis of {shape}, got {crop}")
     index, fixed = _band_observation(op, observed.values[np.newaxis])
     q, factors = _factors(cfg)
     try:
         with np.errstate(over="raise", invalid="raise"):
             for last in factors:
                 pass
-            est = _band_inverse((1.0 - last) * fixed, index, shape, corner)[0]
+            est = _band_inverse((1.0 - last) * fixed, index, shape)[0]
     except FloatingPointError:
         raise _overflow(cfg) from None
     init = trace = None
@@ -575,15 +566,47 @@ def iterate(
         [(inits, traces)] = _traces([observed], [cfg], [reference])
         init, trace = inits[0], traces[0]
     return ReconReport(
-        estimate=(
-            DenseSignal(op.grid, est) if crop is None
-            else _check_values(est, corner, "DenseSignal")
-        ),
+        estimate=DenseSignal(op.grid, est),
         operator_applications=0,
         snr_initial_db=init,
         snr_trace_db=trace,
         non_contraction=float(np.max(np.abs(q))) >= 1.0,
     )
+
+
+def _cosine_solve(values: np.ndarray, cfg: ReconConfig) -> np.ndarray:
+    """:func:`iterate`'s estimate on the even mirror extension of ``values``, on their own span.
+
+    ``cfg`` is on the extension's grids, of 2n coarse samples per n values.
+    Its DFT at bin k is ``2 exp(i pi k/2n) C_k``, C the values' DCT-II
+    (Makhoul, IEEE Trans. ASSP, 1980), and 0 at k = n.  G̃ is real and even,
+    so with M = nR the estimate at tick t is ``irfft`` of length 2M of the
+    real band ``(1 - e_K)·T`` at t + R/2.  Each transform runs on contiguous
+    lines, last axis first, the axes rotating between them.  An overflow
+    raises :func:`iterate`'s error.
+    """
+    op = cfg.operator
+    band = _check_values(values, tuple([g.n_coarse // 2 for g in op.grid]), "the cosine solve")
+    # per axis: band bins 0..n-1, with T's weight R and the gain G̃
+    bands = [[a[: g.n_coarse // 2] for a in _axis_band(g, op.kind, op.modules, True)]
+             for g in op.grid]
+    for g, (k, weight, _) in zip(reversed(op.grid), reversed(bands)):
+        line = np.fft.rfft(np.concatenate([band, band[..., ::-1]], axis=-1), axis=-1)[..., : k.size]
+        line = weight * (np.exp(-1j * np.pi * k / g.n_coarse) * line).real
+        band = np.ascontiguousarray(np.moveaxis(line, -1, 0))
+    _, factors = _factors(cfg, [gain for _, _, gain in bands])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for last in factors:
+                pass
+            band = (1.0 - last) * band
+            for g in reversed(op.grid):
+                r, m = g.ticks_per_sample, g.n_fine // 2
+                line = np.fft.irfft(band, 2 * m, axis=-1)[..., r // 2 : r // 2 + m]
+                band = np.ascontiguousarray(np.moveaxis(line, -1, 0))
+    except FloatingPointError:
+        raise _overflow(cfg) from None
+    return _check_values(band, tuple([g.n_fine // 2 for g in op.grid]), "the cosine solve")
 
 
 def _band_basis(grid: GridSpec) -> np.ndarray:

@@ -9,8 +9,10 @@ iteration, and every traced SNR taken from the iterate itself.  The loops,
 the Chebyshev relaxation sequence (``chebyshev_lambdas``) and the
 divergence flag are this module's own and share no code with the solve.
 ``fine_solve`` has ``iterate``'s signature and reports, so a test can
-swap it in for the solve; it runs the whole grid and then cuts a requested
-crop from it.  ``fine_traces`` has the signature and result of the CLI's
+swap it in for the solve.  ``fine_cosine_solve`` has the signature and
+result of the image solve, ``solver._cosine_solve``: ``on_extension`` builds
+the mirror extension, runs a solve on it and cuts the image's span from it.
+``fine_traces`` has the signature and result of the CLI's
 scorer, ``solver._traces``, as a plain loop of ``fine_solve`` over
 configurations and trials.  ``measured_gain`` measures the per-bin gain the
 solve must match, by running G on a band-limited impulse.  G interpolates
@@ -26,6 +28,7 @@ from functools import reduce
 import numpy as np
 
 from interpcomp import DenseSignal, InterpKind, ReconOperator, ReconReport, snr_db
+from interpcomp.samplers import CoarseSamples
 from interpcomp.solver import _gain_mask
 
 
@@ -133,7 +136,20 @@ def fine_traces(batch, configs, references):
     return out
 
 
-def fine_solve(observed, cfg, reference=None, crop=None):
+def on_extension(solve, values, cfg):
+    """``solve`` of the even mirror extension of ``values``, cut to their span."""
+    ext = np.pad(values, [(0, n) for n in values.shape], mode="symmetric")
+    grids = cfg.operator.grid
+    estimate = solve(CoarseSamples(grids, ext), cfg).estimate.values
+    return estimate[tuple(slice(n * g.ticks_per_sample) for n, g in zip(values.shape, grids))]
+
+
+def fine_cosine_solve(values, cfg):
+    """``solver._cosine_solve`` on the fine grid."""
+    return on_extension(fine_solve, values, cfg)
+
+
+def fine_solve(observed, cfg, reference=None):
     """``iterate`` on the fine grid."""
     op = cfg.operator
     snr_of = None
@@ -146,9 +162,8 @@ def fine_solve(observed, cfg, reference=None, crop=None):
     accel = cfg.acceleration
     step = cfg.relax if accel is None else 2.0 / (accel.a + accel.b)
     passes = cfg.iterations if accel is None else cfg.iterations - 1
-    estimate = DenseSignal(op.grid, xk)
     return ReconReport(
-        estimate=estimate if crop is None else estimate.values[tuple(slice(n) for n in crop)],
+        estimate=DenseSignal(op.grid, xk),
         operator_applications=1 + passes,  # the observation is one pass
         snr_initial_db=init_snr,
         snr_trace_db=trace,

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -493,6 +494,22 @@ class TestImage:
         ) == 0
         rows = read_rows(out_dir / "psnr.csv")
         assert [r["lambda"] for r in rows] == ["", "0.6666666666666666"]
+
+    def test_overflowing_hybrid_exit_code(self, tmp_path, capsys):
+        # lambda 1.99 with one module does not contract, and 2000 iterations
+        # overflow float64: exit 2 with the factor named, and no warning
+        src = tmp_path / "scene.pgm"
+        write_pgm(synthetic_scene(64, 64, seed=2), src, ascii_format=True)
+        out_dir = tmp_path / "bench"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                ["image", src, "--methods", "hybrid:2000:1", "--lambda", 1.99,
+                 "--out-dir", out_dir]
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "does not contract, max |1 - s*gain| = 3.4775 >= 1" in err
 
     def test_bad_method_token_exit_code(self, tmp_path, capsys):
         src = tmp_path / "scene.pgm"

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from fine_reference import fine_solve, fine_traces
+from fine_reference import fine_cosine_solve, fine_traces
 from interpcomp import cli, imagebench
 from interpcomp.cli import main
 from interpcomp.imagebench import synthetic_scene, write_pgm
@@ -118,10 +118,10 @@ def test_snr_cells_match_fine_reference(case, tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cli, "_traces", counted("_traces", fine_traces))
-    monkeypatch.setattr(imagebench, "iterate", counted("iterate", fine_solve))
+    monkeypatch.setattr(imagebench, "_cosine_solve", counted("_cosine_solve", fine_cosine_solve))
     want = produce(case, tmp_path / "fine")
     # a patch of a name the program no longer calls would check nothing
-    assert calls and set(calls) == {"iterate" if case.startswith("image") else "_traces"}
+    assert calls and set(calls) == {"_cosine_solve" if case.startswith("image") else "_traces"}
     assert sorted(got) == sorted(want)
     for name in want:
         if not name.endswith(".csv"):

@@ -23,7 +23,7 @@ from interpcomp import (
 )
 from interpcomp import samplers, solver
 from fine_reference import (
-    chebyshev_lambdas, closed_form_gain, fine_solve, lowpass, measured_gain
+    chebyshev_lambdas, closed_form_gain, fine_solve, lowpass, measured_gain, on_extension
 )
 from interpcomp.samplers import CoarseSamples, interpolate
 
@@ -656,14 +656,9 @@ class TestBandTrace:
     def test_reference_of_another_shape_rejected(self, grid):
         x = gen_bandlimited(8, grid, 0.0)
         cfg = ReconConfig(ReconOperator(grid, SH, 0))
-        half = (grid.n_fine // 2,)
-        for reference, crop in ((x.values[:-1], None), (x.values[: half[0]], half)):
+        for reference in (x.values[:-1], x.values[: grid.n_fine // 2]):
             with pytest.raises(ConfigurationError, match="shape mismatch"):
-                iterate(sample(x), cfg, reference=reference, crop=crop)
-        # the trace reads no estimate, so a crop leaves it scoring the whole grid
-        cropped = iterate(sample(x), cfg, reference=x, crop=half)
-        assert cropped.estimate.shape == half
-        assert cropped.snr_trace_db == iterate(sample(x), cfg, reference=x).snr_trace_db
+                iterate(sample(x), cfg, reference=reference)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_reference_rejected(self, grid, bad):
@@ -748,7 +743,7 @@ class TestBatch:
 
 
 class TestBandInverse:
-    """The pruned inverse against ``irfftn`` of the zero-filled band, then cropped."""
+    """The pruned inverse against ``irfftn`` of the zero-filled band."""
 
     @pytest.mark.parametrize(
         "grid",
@@ -775,35 +770,45 @@ class TestBandInverse:
         spectrum = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
         spectrum[np.ix_(*index)] = band
         full = np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape))))
-        whole = iterate(s, cfg).estimate.values
-        for crop in (shape, tuple([n // 2 for n in shape]), tuple([n - 3 for n in shape])):
-            corner = tuple([slice(n) for n in crop])
-            assert np.array_equal(solver._band_inverse(band, index, shape, crop), full[corner])
-            assert np.array_equal(iterate(s, cfg, crop=crop).estimate, whole[corner])
+        assert np.array_equal(solver._band_inverse(band, index, shape), full)
+        est = iterate(s, cfg).estimate.values
+        assert np.max(np.abs(est - full)) <= 1e-12 * np.max(np.abs(full))
 
-    def test_crop_outside_the_grid_rejected(self):
-        # a crop is one count in 1..n per axis, or a ConfigurationError naming it;
-        # each entry follows the rule of every count, so a bool is no crop
-        bounds = "crop must be an integer in 1..n per axis"
-        for grid, crops in (
-            (GridSpec(16, 4), [
-                ((0,), "crop must be >= 1, got 0"),
-                ((-1,), "crop must be >= 1, got -1"),
-                ((10, 10), bounds),
-                ((10.5,), "crop must be an integer, got 10.5"),
-                ((True,), "crop must be an integer, got True"),
-            ]),
-            ((GridSpec(8, 4), GridSpec(6, 4)), [
-                ((33, 24), bounds),
-                ((32,), bounds),
-                ((-1, 24), "crop must be >= 1, got -1"),
-            ]),
-        ):
-            s = sample(gen_bandlimited(3, grid, 0.0))
-            cfg = ReconConfig(ReconOperator(grid, SH, 0))
-            for crop, message in crops:
-                with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
-                    iterate(s, cfg, crop=crop)
+
+class TestCosineSolve:
+    """The image solve against ``iterate`` on the explicit mirror extension, cut to the image."""
+
+    @staticmethod
+    def configs(grids, factor):
+        for modules in (0, factor // 2):
+            op = ReconOperator(grids, SH, modules)
+            for relax in (0.5, 1.5):
+                yield ReconConfig(op, relax, iterations=3)
+            yield ReconConfig(op, iterations=4, acceleration=ChebyshevAccel(0.8, 1.6))
+
+    @pytest.mark.parametrize("factor", [2, 4, 6])
+    @pytest.mark.parametrize("shape", [(37, 29), (2, 3), (3, 2), (9, 16), (23,)])
+    def test_matches_iterate_on_the_extension(self, shape, factor, rng):
+        values = rng.uniform(0.0, 255.0, shape)
+        grids = tuple([GridSpec(2 * n, factor) for n in shape])
+        for cfg in self.configs(grids, factor):
+            got, want = solver._cosine_solve(values, cfg), on_extension(iterate, values, cfg)
+            assert got.shape == want.shape == tuple([n * factor for n in shape])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), cfg
+
+    def test_overflow_named_as_by_iterate(self, rng):
+        values = rng.uniform(0.0, 255.0, (6, 5))
+        grids = tuple([GridSpec(2 * n, 2) for n in values.shape])
+        cfg = ReconConfig(ReconOperator(grids, SH, 1), relax=1.99, iterations=2000)
+        with pytest.raises(ConfigurationError) as want:
+            on_extension(iterate, values, cfg)
+        with pytest.raises(ConfigurationError, match=re.escape(str(want.value))):
+            solver._cosine_solve(values, cfg)
+
+    def test_grid_of_another_size_rejected(self):
+        cfg = ReconConfig(ReconOperator((GridSpec(8, 2), GridSpec(10, 2)), SH, 0))
+        with pytest.raises(ConfigurationError, match="expected shape"):
+            solver._cosine_solve(np.ones((4, 4)), cfg)
 
 
 class TestBandGain:
