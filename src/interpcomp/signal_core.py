@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -194,7 +194,7 @@ def snr_db(reference, estimate) -> float:
     ref, est = _metric_inputs(reference, estimate)
     interior = _interior(ref.shape)
     r = ref[interior]
-    with _overflow_rejected():
+    with _overflow_rejected(lambda: "the signal or error energy overflows float64"):
         e = r - est[interior]
         return _snr_cell(float(np.sum(r * r)), float(np.sum(e * e)))
 
@@ -210,13 +210,13 @@ def _metric_inputs(reference, estimate) -> Tuple[np.ndarray, np.ndarray]:
 
 
 @contextmanager
-def _overflow_rejected():
-    """Raise ConfigurationError when the energy sums inside overflow float64."""
+def _overflow_rejected(message: Callable[[], str]):
+    """The package's one overflow guard: ConfigurationError(``message()``) if float64 overflows."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError:
-        raise ConfigurationError("the signal or error energy overflows float64") from None
+        raise ConfigurationError(message()) from None
 
 
 def _interior(shape: tuple) -> tuple:
@@ -243,5 +243,5 @@ def psnr_db(reference, estimate) -> float:
     Accepts and checks its inputs as :func:`snr_db` does.
     """
     ref, est = _metric_inputs(reference, estimate)
-    with _overflow_rejected():
+    with _overflow_rejected(lambda: "the signal or error energy overflows float64"):
         return _snr_cell(PEAK * PEAK, float(np.mean((ref - est) ** 2)))

@@ -52,7 +52,8 @@ band-limited.  The trials of a chunk sit on a leading batch axis, and one
 coarse ``rfftn`` and the reference's three fine transforms serve every
 configuration on the grid: a configuration then costs band arithmetic alone,
 and its cells are bitwise those of a call with one trial and that
-configuration alone.
+configuration alone.  A solve that overflows float64 names max |q| over the
+bins it applied (:func:`_solve_guard`): bins 0..n-1 in :func:`_cosine_solve`.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .signal_core import (
     _check_count,
     _check_values,
     _interior,
+    _overflow_rejected,
     _real,
     _snr_cell,
     per_axis,
@@ -229,14 +231,10 @@ class ReconReport:
     ``non_contraction`` is the exact per-bin criterion: it is set
     when some band bin does not contract, that is when ``max |q| >= 1`` over
     the band, with ``q = 1 - s*G̃`` as in :func:`_error_factors`.  It depends
-    on the configuration alone.
-    ``operator_applications`` counts the fine-grid passes of G made by the
-    call; it is 0 for every call, since :func:`iterate` works on DFT
-    coefficients throughout, and is kept for the benchmark's tracer.
+    on the configuration alone, and the error of a run that overflows names it.
     """
 
     estimate: DenseSignal
-    operator_applications: int
     snr_initial_db: Optional[float] = None
     snr_trace_db: Optional[list] = None
     non_contraction: bool = False
@@ -418,17 +416,23 @@ def _factors(cfg: ReconConfig, gains=None):
     return q, islice(_error_factors(q, rho), cfg.iterations + (accel is None))
 
 
-def _overflow(cfg: ReconConfig) -> ConfigurationError:
-    """The error of a run of ``cfg`` that overflows float64, saying whether a band bin contracts."""
-    worst = float(np.max(np.abs(_factors(cfg)[0])))
-    if worst < 1.0:  # the samples' own magnitude, not the iteration, overflows
-        return ConfigurationError(
-            f"the values overflow float64, though max |1 - s*gain| = {worst:.6g} < 1"
+def _last(factors):
+    """The last of the error ``factors``, e_K, holding one at a time."""
+    return reduce(lambda _, e: e, factors)
+
+
+def _solve_guard(cfg: ReconConfig, q: Optional[np.ndarray] = None):
+    """The overflow guard of a solve of ``cfg``: its error names max |q|, by default the band's."""
+    def message():
+        worst = float(np.max(np.abs(_factors(cfg)[0] if q is None else q)))
+        if worst < 1.0:  # the samples' own magnitude, not the iteration, overflows
+            return f"the values overflow float64, though max |1 - s*gain| = {worst:.6g} < 1"
+        return (
+            f"the iterates overflow float64 within {cfg.iterations} iterations: "
+            f"a band bin does not contract, max |1 - s*gain| = {worst:.6g} >= 1"
         )
-    return ConfigurationError(
-        f"the iterates overflow float64 within {cfg.iterations} iterations: "
-        f"a band bin does not contract, max |1 - s*gain| = {worst:.6g} >= 1"
-    )
+
+    return _overflow_rejected(message)
 
 
 def _along_axes(mats, stack: np.ndarray) -> np.ndarray:
@@ -466,17 +470,24 @@ def _reference(refs: np.ndarray, index, shape: tuple):
 
 
 def _traces(batch: Sequence[CoarseSamples], configs: Sequence[ReconConfig], references) -> list:
+    """:func:`_scores` of the trials of ``batch``, from one coarse ``rfftn`` of them all."""
+    index, fixed = _band_observation(configs[0].operator, _stack([s.values for s in batch]))
+    return _scores(index, fixed, configs, references)
+
+
+def _scores(index, fixed: np.ndarray, configs: Sequence[ReconConfig], references) -> list:
     """The initial cell and the trace of every trial, for every configuration on one grid.
 
-    Trial i of ``batch`` is scored against ``references[i]``, which has the
-    grid's shape.  Returns one pair ``(initial cells, traces)`` per
-    configuration, each with one entry per trial: :func:`snr_db` of the plain
-    loop's start (None under Chebyshev), and the list of :func:`snr_db` of
-    every iterate, each scoring the exact iterate to rounding.  With R the
-    reference's band, o the reference less the inverse transform of R, and O
-    the band of o's interior, zero-filled, iterate j's interior error is
-    o + b_j, where b_j has the band ``B_j = (R - T) + e_j·T``.  So its energy
-    is ``|o|**2 + 2 Re(B_j · w conj(O)) + (conj(B_j)·(M⁻ B_j) + Re B_j·(M⁺ B_j)) / 2``,
+    The trials' band T, at ``index``, is ``fixed``; trial i is scored against
+    ``references[i]``, which has the grid's shape.  Returns one pair
+    ``(initial cells, traces)`` per configuration, each with one entry per
+    trial: :func:`snr_db` of the plain loop's start (None under Chebyshev),
+    and the list of :func:`snr_db` of every iterate, each scoring the exact
+    iterate to rounding.  With R the reference's band, o the reference less
+    the inverse transform of R, and O the band of o's interior, zero-filled,
+    iterate j's interior error is o + b_j, where b_j has the band
+    ``B_j = (R - T) + e_j·T``.  So its energy is
+    ``|o|**2 + 2 Re(B_j · w conj(O)) + (conj(B_j)·(M⁻ B_j) + Re B_j·(M⁺ B_j)) / 2``,
     with w the product of the axes' weights (:func:`_axis_gram`); the last
     term is ``sum (Re z_j)**2``, by ``(Re z)**2 = (|z|**2 + Re z**2) / 2``.
     R, o and O are computed once for all configurations, and a
@@ -484,8 +495,8 @@ def _traces(batch: Sequence[CoarseSamples], configs: Sequence[ReconConfig], refe
     run on slices laid out as in a call with that trial alone, so neither
     the batch nor the other configurations change a cell.  The iterates go
     through in stacks of at most ``BATCH_POINTS`` band coefficients over all
-    trials.  An overflow raises the :class:`ConfigurationError` of
-    :func:`iterate` for the configuration it occurred in.
+    trials.  An overflow raises :func:`iterate`'s error for the configuration
+    it occurred in, or for the first while the reference is transformed.
     """
     grid = configs[0].operator.grid
     shape = tuple([g.n_fine for g in grid])
@@ -502,34 +513,31 @@ def _traces(batch: Sequence[CoarseSamples], configs: Sequence[ReconConfig], refe
     weights, minus, plus = zip(
         *[_axis_gram(g, axis == len(grid) - 1) for axis, g in enumerate(grid)]
     )
-    index, fixed = _band_observation(configs[0].operator, _stack([s.values for s in batch]))
     size = max(1, BATCH_POINTS // fixed.size)
-    out, cfg = [], configs[0]
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            energy, floor, band, rest = _reference(refs, index, shape)
-            # one matrix-vector product per trial: (iterates x band) by the trial's band
-            cross = (_outer(weights) * np.conj(rest)).reshape(trials, -1, 1)
-            gap = (band - fixed)[:, np.newaxis]
-            for cfg in configs:
-                cells = [[] for _ in range(trials)]
-                _, factors = _factors(cfg)
-                for rows in iter(lambda: list(islice(factors, size)), []):
-                    stack = gap + np.stack(rows) * fixed[:, np.newaxis]
-                    quad = np.conj(stack) * _along_axes(minus, stack)
-                    quad += stack * _along_axes(plus, stack)
-                    flat = stack.reshape(trials, len(rows), -1)
-                    quad = quad.reshape(trials, len(rows), -1).sum(axis=-1).real
-                    err = floor[:, np.newaxis] + 2.0 * (flat @ cross)[..., 0].real + 0.5 * quad
-                    if not np.all(np.isfinite(err)):
-                        # the matmul's overflow can escape np.errstate, as in a threaded BLAS
-                        raise FloatingPointError("overflow in the traced error energies")
-                    for trial, power, errs in zip(cells, energy, err.tolist()):
-                        trial += [_snr_cell(power, x) for x in errs]
-                start = cfg.acceleration is None
-                out.append(([c[0] if start else None for c in cells], [c[start:] for c in cells]))
-    except FloatingPointError:
-        raise _overflow(cfg) from None
+    with _solve_guard(configs[0]):
+        energy, floor, band, rest = _reference(refs, index, shape)
+        # one matrix-vector product per trial: (iterates x band) by the trial's band
+        cross = (_outer(weights) * np.conj(rest)).reshape(trials, -1, 1)
+        gap = (band - fixed)[:, np.newaxis]
+    out = []
+    for cfg in configs:
+        cells = [[] for _ in range(trials)]
+        q, factors = _factors(cfg)
+        with _solve_guard(cfg, q):
+            for rows in iter(lambda: list(islice(factors, size)), []):
+                stack = gap + np.stack(rows) * fixed[:, np.newaxis]
+                quad = np.conj(stack) * _along_axes(minus, stack)
+                quad += stack * _along_axes(plus, stack)
+                flat = stack.reshape(trials, len(rows), -1)
+                quad = quad.reshape(trials, len(rows), -1).sum(axis=-1).real
+                err = floor[:, np.newaxis] + 2.0 * (flat @ cross)[..., 0].real + 0.5 * quad
+                if not np.all(np.isfinite(err)):
+                    # the matmul's overflow can escape the guard, as in a threaded BLAS
+                    raise FloatingPointError("overflow in the traced error energies")
+                for trial, power, errs in zip(cells, energy, err.tolist()):
+                    trial += [_snr_cell(power, x) for x in errs]
+        start = cfg.acceleration is None
+        out.append(([c[0] if start else None for c in cells], [c[start:] for c in cells]))
     return out
 
 
@@ -554,20 +562,14 @@ def iterate(observed: CoarseSamples, cfg: ReconConfig, reference=None) -> ReconR
     shape = tuple([g.n_fine for g in op.grid])
     index, fixed = _band_observation(op, observed.values[np.newaxis])
     q, factors = _factors(cfg)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for last in factors:
-                pass
-            est = _band_inverse((1.0 - last) * fixed, index, shape)[0]
-    except FloatingPointError:
-        raise _overflow(cfg) from None
+    with _solve_guard(cfg, q):
+        est = _band_inverse((1.0 - _last(factors)) * fixed, index, shape)[0]
     init = trace = None
     if reference is not None:
-        [(inits, traces)] = _traces([observed], [cfg], [reference])
+        [(inits, traces)] = _scores(index, fixed, [cfg], [reference])
         init, trace = inits[0], traces[0]
     return ReconReport(
         estimate=DenseSignal(op.grid, est),
-        operator_applications=0,
         snr_initial_db=init,
         snr_trace_db=trace,
         non_contraction=float(np.max(np.abs(q))) >= 1.0,
@@ -583,7 +585,8 @@ def _cosine_solve(values: np.ndarray, cfg: ReconConfig) -> np.ndarray:
     so with M = nR the estimate at tick t is ``irfft`` of length 2M of the
     real band ``(1 - e_K)·T`` at t + R/2.  Each transform runs on contiguous
     lines, last axis first, the axes rotating between them.  An overflow
-    raises :func:`iterate`'s error.
+    raises :func:`iterate`'s error for the bins 0..n-1 applied: bin n, where G̃
+    is most extreme, holds 0 and is never computed.
     """
     op = cfg.operator
     band = _check_values(values, tuple([g.n_coarse // 2 for g in op.grid]), "the cosine solve")
@@ -594,18 +597,13 @@ def _cosine_solve(values: np.ndarray, cfg: ReconConfig) -> np.ndarray:
         line = np.fft.rfft(np.concatenate([band, band[..., ::-1]], axis=-1), axis=-1)[..., : k.size]
         line = weight * (np.exp(-1j * np.pi * k / g.n_coarse) * line).real
         band = np.ascontiguousarray(np.moveaxis(line, -1, 0))
-    _, factors = _factors(cfg, [gain for _, _, gain in bands])
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for last in factors:
-                pass
-            band = (1.0 - last) * band
-            for g in reversed(op.grid):
-                r, m = g.ticks_per_sample, g.n_fine // 2
-                line = np.fft.irfft(band, 2 * m, axis=-1)[..., r // 2 : r // 2 + m]
-                band = np.ascontiguousarray(np.moveaxis(line, -1, 0))
-    except FloatingPointError:
-        raise _overflow(cfg) from None
+    q, factors = _factors(cfg, [gain for _, _, gain in bands])
+    with _solve_guard(cfg, q):
+        band = (1.0 - _last(factors)) * band
+        for g in reversed(op.grid):
+            r, m = g.ticks_per_sample, g.n_fine // 2
+            line = np.fft.irfft(band, 2 * m, axis=-1)[..., r // 2 : r // 2 + m]
+            band = np.ascontiguousarray(np.moveaxis(line, -1, 0))
     return _check_values(band, tuple([g.n_fine // 2 for g in op.grid]), "the cosine solve")
 
 

@@ -19,8 +19,9 @@ solve must match, by running G on a band-limited impulse.  G interpolates
 with the same kernel taps as the solve's gain reads, so a wrong tap would
 pass that check: ``closed_form_gain`` gives the gain from the two kernels'
 closed-form transforms instead, written out apart from the tap table.
-``lowpass`` is G's last stage on its own, for tests that filter a signal
-without sampling it.
+``cosine_factor`` is the largest error factor that the image solve applies,
+from ``closed_form_gain``.  ``lowpass`` is G's last stage on its own, for
+tests that filter a signal without sampling it.
 """
 
 from functools import reduce
@@ -159,14 +160,28 @@ def fine_solve(observed, cfg, reference=None):
     xk, init_snr, trace = loop(op.observation(observed), op.apply_values, cfg, snr_of)
     # the gain is even in the bin, so the rfft bins of each axis cover the band
     gain = reduce(np.multiply.outer, [measured_gain(g, op.kind, op.modules).real for g in op.grid])
-    accel = cfg.acceleration
-    step = cfg.relax if accel is None else 2.0 / (accel.a + accel.b)
-    passes = cfg.iterations if accel is None else cfg.iterations - 1
     return ReconReport(
         estimate=DenseSignal(op.grid, xk),
-        operator_applications=1 + passes,  # the observation is one pass
         snr_initial_db=init_snr,
         snr_trace_db=trace,
         # a bin contracts in either loop exactly when |1 - step*gain| < 1
-        non_contraction=bool(np.max(np.abs(1.0 - step * gain)) >= 1.0),
+        non_contraction=bool(np.max(np.abs(1.0 - _step(cfg) * gain)) >= 1.0),
     )
+
+
+def _step(cfg):
+    """The relaxation a solve of ``cfg`` steps by: ``relax``, or ``2/(A+B)`` under Chebyshev."""
+    accel = cfg.acceleration
+    return cfg.relax if accel is None else 2.0 / (accel.a + accel.b)
+
+
+def cosine_factor(cfg):
+    """max |1 - s*gain| over the bins 0..n-1 of each of ``cfg``'s 2n-sample extension grids.
+
+    These are the bins the image solve, ``solver._cosine_solve``, applies:
+    the extension's DFT is 0 at its coarse-Nyquist bin n, which it leaves
+    out.  The gain is ``closed_form_gain``'s.
+    """
+    op = cfg.operator
+    gains = [closed_form_gain(g, op.kind, op.modules)[: g.n_coarse // 2] for g in op.grid]
+    return float(np.max(np.abs(1.0 - _step(cfg) * reduce(np.multiply.outer, gains))))

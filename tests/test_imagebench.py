@@ -28,6 +28,7 @@ from interpcomp import (
 from interpcomp import imagebench
 from interpcomp.imagebench import PgmError
 from interpcomp.samplers import interpolate
+from fine_reference import cosine_factor
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +288,22 @@ class TestEnlarge:
             out = enlarge(img, EnlargeConfig(2, method, **kwargs))
             assert out.pixels.shape == (32, 32)
             assert np.all(out.pixels == 77)
+
+    def test_contracting_applied_bins_converge(self):
+        # at relax 0.9 with one module only the extension's coarse-Nyquist
+        # bins fail to contract (max |1 - s*gain| = 1.025 there), and the
+        # cosine solve never computes them: 40000 iterations return, and the
+        # factor the solve applies, which its overflow error would name, is
+        # below 1
+        low = decimate(synthetic_scene(64, 64, 2), 2)
+        out = enlarge(low, EnlargeConfig(2, "hybrid", iterations=40000, modules=1, relax=0.9))
+        assert out.pixels.shape == (64, 64)
+        grids = tuple([GridSpec(2 * n, 2) for n in low.pixels.shape])
+        op = ReconOperator(grids, InterpKind.SAMPLE_AND_HOLD, 1)
+        assert cosine_factor(ReconConfig(op, relax=0.9, iterations=40000)) < 1.0
+        # iterate on the extension's whole band flags it as not contracting
+        ext = CoarseSamples(grids, np.zeros(tuple([g.n_coarse for g in grids])))
+        assert iterate(ext, ReconConfig(op, relax=0.9, iterations=1)).non_contraction
 
     def test_dc_preserved(self, scene256):
         low = decimate(scene256, 2)
