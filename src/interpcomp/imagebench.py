@@ -267,8 +267,14 @@ def synthetic_scene(width: int = 512, height: int = 512, seed: int = 0) -> GrayI
     photographic spectra) plus a handful of soft-edged disks and an
     illumination gradient.  The composition passes through a mild Gaussian
     blur playing the role of a camera PSF, so the spectrum rolls off toward
-    the pixel Nyquist the way scanned photographs do.
+    the pixel Nyquist the way scanned photographs do.  The 1st to 99th
+    percentile of the scene maps onto gray levels 20..235; a scene whose two
+    percentiles coincide, such as a 2x2 one, comes out flat at 128.
+    ``width`` and ``height`` are integers >= 2 and ``seed`` one >= 0.
     """
+    _check_count(width, "width", 2)
+    _check_count(height, "height", 2)
+    _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     fy = np.fft.fftfreq(height)[:, None]
     fx = np.fft.fftfreq(width)[None, :]
@@ -294,5 +300,8 @@ def synthetic_scene(width: int = 512, height: int = 512, seed: int = 0) -> GrayI
     scene = np.real(np.fft.ifft2(np.fft.fft2(scene) * mtf))
 
     lo, hi = np.percentile(scene, [1.0, 99.0])
-    pixels = np.clip((scene - lo) / (hi - lo) * 215.0 + 20.0, 0, 255)
+    if hi > lo:
+        pixels = np.clip((scene - lo) / (hi - lo) * 215.0 + 20.0, 0, 255)
+    else:  # no span to stretch: the middle of 20..235, 127.5, rounds to 128
+        pixels = np.full(scene.shape, 127.5)
     return GrayImage(np.rint(pixels).astype(np.uint8))

@@ -93,12 +93,15 @@ def sample(x: DenseSignal) -> CoarseSamples:
 
 def _interp_axis(values: np.ndarray, grid: GridSpec, kind: InterpKind, axis: int) -> np.ndarray:
     """Interpolate coarse values along one axis onto the fine grid (circular)."""
-    vals = np.moveaxis(np.asarray(values, dtype=np.float64), axis, -1)
-    # tick t of block n: h[R - t] of s[n+1] (the last block wraps) and h[t] of s[n]
-    w_next = _TAPS[kind](grid.ticks_per_sample)[:0:-1]
-    fine = vals[..., :, np.newaxis] * (1.0 - w_next)
-    fine += np.roll(vals, -1, axis=-1)[..., np.newaxis] * w_next
-    return np.moveaxis(fine.reshape(*vals.shape[:-1], grid.n_fine), -1, axis)
+    vals = np.expand_dims(np.asarray(values, dtype=np.float64), axis + 1)
+    # tick t of block n, on a new axis after `axis`: h[t] of s[n] and h[R - t] of
+    # s[n+1], the last block's s[0]; the taps broadcast over the axes behind it
+    w_next = _TAPS[kind](grid.ticks_per_sample)[:0:-1].reshape(-1, *[1] * (vals.ndim - axis - 2))
+    fine = vals * (1.0 - w_next)
+    lead = (slice(None),) * axis
+    fine[lead + (slice(None, -1),)] += vals[lead + (slice(1, None),)] * w_next
+    fine[lead + (slice(-1, None),)] += vals[lead + (slice(None, 1),)] * w_next
+    return fine.reshape(*vals.shape[:axis], grid.n_fine, *vals.shape[axis + 2 :])
 
 
 def interpolate(s: CoarseSamples, kind: InterpKind) -> DenseSignal:

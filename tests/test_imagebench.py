@@ -247,6 +247,34 @@ class TestGrayImage:
         assert img.pixels.tolist() == [[0, 255], [1, 2]]
 
 
+class TestSyntheticScene:
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((0, 4), "width must be >= 2, got 0"),
+            ((1, 4), "width must be >= 2, got 1"),
+            ((4.0, 4), "width must be an integer, got 4.0"),
+            ((True, 4), "width must be an integer, got True"),
+            ((4, 1), "height must be >= 2, got 1"),
+            ((4, 4, -1), "seed must be >= 0, got -1"),
+            ((4, 4, 1.5), "seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_counts_checked(self, args, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            synthetic_scene(*args)
+
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_flat_scene_is_mid_gray(self, seed):
+        # a 2x2 scene's 1st and 99th percentiles coincide: no stretch, no NaN
+        # (a RuntimeWarning fails the test)
+        assert np.array_equal(synthetic_scene(2, 2, seed).pixels, np.full((2, 2), 128, np.uint8))
+
+    def test_numpy_counts_accepted(self):
+        pixels = synthetic_scene(np.int64(6), 3, np.int64(2)).pixels
+        assert pixels.shape == (3, 6) and pixels.min() < pixels.max()
+
+
 class TestDecimate:
     def test_identity(self, scene256):
         assert np.array_equal(decimate(scene256, 1).pixels, scene256.pixels)
@@ -338,7 +366,8 @@ class TestEnlarge:
     def test_enlarge_computes_the_crop(self, monkeypatch):
         # an iterative enlarge transforms the image's lines, each with its
         # mirror image, along one axis after the other, and inverts each axis
-        # onto twice the crop's length: no transform covers the extension's grid;
+        # onto twice the crop's length, the image's rows last, so the result is
+        # never transposed: no transform covers the extension's grid;
         # bilinear interpolates the image padded by one row and column
         img = GrayImage(np.arange(24 * 20, dtype=np.uint8).reshape(24, 20))
         calls = []
@@ -362,11 +391,18 @@ class TestEnlarge:
             assert enlarge_dense(img, EnlargeConfig(2, method, iterations=3)).shape == (48, 40)
             assert calls == [
                 ("rfft", (24, 40), (24, 21)), ("rfft", (20, 48), (20, 25)),
-                ("irfft", (24, 20), (24, 80)), ("irfft", (40, 24), (40, 96)),
+                ("irfft", (20, 24), (20, 96)), ("irfft", (48, 20), (48, 80)),
             ]
         calls.clear()
         enlarge_dense(img, EnlargeConfig(2, "bilinear"))
         assert calls == [("interpolate", (25, 21), (50, 42))]
+
+    @pytest.mark.parametrize("method", ["iterative", "hybrid"])
+    def test_dense_estimate_owns_its_pixels(self, method):
+        # C-contiguous, and not a view of the cosine solve's 2M-wide irfft output
+        img = GrayImage(np.arange(24 * 20, dtype=np.uint8).reshape(24, 20))
+        dense = enlarge_dense(img, EnlargeConfig(2, method, iterations=3))
+        assert dense.flags.c_contiguous and dense.base is None
 
     def test_modules_capped_by_factor(self):
         with pytest.raises(ConfigurationError):

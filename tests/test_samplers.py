@@ -166,6 +166,26 @@ class TestKernelTable:
         assert np.allclose(h + h[::-1], 1.0, rtol=0.0, atol=1e-15)
 
 
+    @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
+    @pytest.mark.parametrize("r", [2, 6])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_interp_axis_matches_a_loop_over_lines(self, kind, r, axis, rng):
+        # tick t of block n is s[n] (1 - h[R - t]) + s[n+1] h[R - t], circular,
+        # along any axis of the array, one line at a time
+        values = rng.standard_normal((5, 4, 6))
+        grid = GridSpec(values.shape[axis], r)
+        w_next = _TAPS[kind](r)[::-1]
+        want = np.empty(values.shape[:axis] + (grid.n_fine,) + values.shape[axis + 1 :])
+        lines, fine = np.moveaxis(values, axis, -1), np.moveaxis(want, axis, -1)
+        for line in np.ndindex(lines.shape[:-1]):
+            s = lines[line]
+            for tick in range(grid.n_fine):
+                n, t = divmod(tick, r)
+                fine[line + (tick,)] = s[n] * (1.0 - w_next[t]) + s[(n + 1) % s.size] * w_next[t]
+        got = _interp_axis(values, grid, kind, axis)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 class TestInterpolate2d:
     def grids(self):
         return GridSpec(8, 4), GridSpec(6, 8)

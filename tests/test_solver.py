@@ -786,7 +786,7 @@ class TestCosineSolve:
             yield ReconConfig(op, iterations=4, acceleration=ChebyshevAccel(0.8, 1.6))
 
     @pytest.mark.parametrize("factor", [2, 4, 6])
-    @pytest.mark.parametrize("shape", [(37, 29), (2, 3), (3, 2), (9, 16), (23,)])
+    @pytest.mark.parametrize("shape", [(37, 29), (2, 3), (3, 2), (9, 16), (23,), (5, 4, 3)])
     def test_matches_iterate_on_the_extension(self, shape, factor, rng):
         values = rng.uniform(0.0, 255.0, shape)
         grids = tuple([GridSpec(2 * n, factor) for n in shape])
@@ -794,6 +794,15 @@ class TestCosineSolve:
             got, want = solver._cosine_solve(values, cfg), on_extension(iterate, values, cfg)
             assert got.shape == want.shape == tuple([n * factor for n in shape])
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), cfg
+
+    @pytest.mark.parametrize("shape", [(7, 5), (23,), (5, 4, 3)])
+    def test_estimate_owns_its_pixels(self, shape, rng):
+        # C-contiguous, and not a view that keeps the irfft's 2M-wide output alive
+        values = rng.uniform(0.0, 255.0, shape)
+        grids = tuple([GridSpec(2 * n, 4) for n in shape])
+        for cfg in self.configs(grids, 4):
+            got = solver._cosine_solve(values, cfg)
+            assert got.flags.c_contiguous and got.base is None, cfg
 
     def test_overflow_named_as_by_iterate(self, rng):
         # iterate's message, naming the factor of the bins the cosine solve
