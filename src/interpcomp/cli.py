@@ -5,10 +5,10 @@ header row and full round-trip float formatting, deterministic for a given
 seed.  Relative output paths resolve against $INTERPCOMP_OUT_DIR when set.
 The trial-running subcommands solve on a grid of ``--dims`` equal axes, each
 of ``--n-coarse`` samples and ``--ticks`` fine ticks per sample; the trials
-run in chunks of bounded memory, each scored for every configuration on its
-grid at once (:func:`_mean_traces`).  Each subcommand returns the path of the
-CSV it wrote and :func:`main` prints it; ``analyze`` prints its table to
-stdout instead.
+run in chunks of bounded memory, each drawn, sampled and scored as one array
+for every configuration on its grid (:func:`_mean_traces`).  Each subcommand
+returns the path of the CSV it wrote and :func:`main` prints it; ``analyze``
+prints its table to stdout instead.
 
 Subcommands: convergence, lambda-sweep, noise, rate, analyze, image.
 """
@@ -33,10 +33,8 @@ from .imagebench import (
     read_pgm,
     write_pgm,
 )
-from .samplers import InterpKind, sample
-from .signal_core import (
-    ConfigurationError, GridSpec, _check_count, add_awgn, gen_bandlimited, psnr_db,
-)
+from .samplers import InterpKind, lattice
+from .signal_core import ConfigurationError, GridSpec, _awgn, _check_count, _draws, psnr_db
 from .solver import BATCH_POINTS, ChebyshevAccel, ReconConfig, ReconOperator, _traces
 
 DEFAULT_TRIALS = 50
@@ -107,11 +105,12 @@ def _mean_traces(args, series, noise_db=None) -> list:
     Every configuration is built and checked (:func:`_configs`) before the
     first trial.  The trials run in chunks of at most ``BATCH_POINTS``
     fine-grid points, or of one trial where a trial alone is larger, so
-    memory does not grow with ``--trials``.  A chunk's signals and samples
-    are made once per grid, and one :func:`solver._traces` call scores them
-    for every configuration on that grid, from one set of transforms of the
-    references.  The cells are bitwise those of one call per trial and
-    configuration.
+    memory does not grow with ``--trials``.  Per grid, a chunk is one array
+    from draw to score: its signals drawn with one transform pair
+    (``signal_core._draws``), the noise added to the whole stack, its lattice
+    slice as the samples, and one :func:`solver._traces` call that checks
+    them once and scores every configuration on the grid.  The cells are
+    bitwise those of one draw and one call per trial and configuration.
     """
     configs = _configs(args, InterpKind(args.kind), series)
     inits, traces = [[] for _ in configs], [[] for _ in configs]
@@ -120,12 +119,12 @@ def _mean_traces(args, series, noise_db=None) -> list:
         size = max(1, BATCH_POINTS // math.prod([g.n_fine for g in grid]))
         for start in range(args.seed, args.seed + args.trials, size):
             seeds = range(start, min(start + size, args.seed + args.trials))
-            xs = [gen_bandlimited(seed, grid, DEFAULT_POWER_DB) for seed in seeds]
-            samples = [
-                sample(x if noise_db is None else add_awgn(x, noise_db, seed + 10_000_019))
-                for x, seed in zip(xs, seeds)
-            ]
-            cells = _traces(samples, [configs[i] for i in on_grid], xs)
+            xs = _draws(seeds, grid, DEFAULT_POWER_DB)
+            noisy = xs if noise_db is None else xs + _awgn(
+                [seed + 10_000_019 for seed in seeds], xs.shape[1:], noise_db
+            )
+            coarse = noisy[(slice(None),) + lattice(grid)]
+            cells = _traces(coarse, [configs[i] for i in on_grid], xs)
             for i, (init, trace) in zip(on_grid, cells):
                 inits[i] += init
                 traces[i] += trace

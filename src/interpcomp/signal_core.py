@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Tuple, Union
 
 import numpy as np
@@ -149,38 +150,57 @@ def gen_bandlimited(seed: int, grid, power_db: float) -> DenseSignal:
     edges: in 1-D it is zero at and above the band edge; on several axes it
     is the classical radially band-limited field, with no content in the
     corners of the rectangular passband used by the reconstruction lowpass.
+    It is the one row of :func:`_draws` of ``[seed]``, bitwise.
     """
-    scale = _db_power(power_db, "power_db")
-    grids = per_axis(grid)
-    shape = tuple(g.n_fine for g in grids)
-    axes = tuple(range(len(grids)))
-    rng = np.random.default_rng(seed)
-    spec = np.fft.rfftn(rng.standard_normal(shape), axes=axes)
+    return DenseSignal(grid, _draws([seed], grid, power_db)[0])
+
+
+@lru_cache(maxsize=64)
+def _draw_cut(grids: tuple) -> np.ndarray:
+    """The ``rfftn`` bins of ``grids``' fine shape that :func:`gen_bandlimited` zeroes."""
     radius_sq = 0.0
     for axis, g in enumerate(grids):
-        freqs = np.fft.rfftfreq(g.n_fine) if axis == axes[-1] else np.fft.fftfreq(g.n_fine)
-        f = freqs / g.band_edge
-        radius_sq = radius_sq + (f * f).reshape([-1 if a == axis else 1 for a in axes])
+        f = (np.fft.rfftfreq if axis == len(grids) - 1 else np.fft.fftfreq)(g.n_fine) / g.band_edge
+        radius_sq = radius_sq + (f * f).reshape([-1 if a == axis else 1 for a in range(len(grids))])
     # the bin exactly on the band edge is zeroed too, which keeps generated
     # signals invariant under the ideal lowpass whatever its edge-bin weight;
     # the 1e-9 slack only absorbs the rounding of that bin's frequency
-    spec[radius_sq >= 1.0 - 1e-9] = 0.0
+    cut = radius_sq >= 1.0 - 1e-9
+    cut.setflags(write=False)
+    return cut
+
+
+def _draws(seeds, grid, power_db: float) -> np.ndarray:
+    """:func:`gen_bandlimited` of each seed, one row each, bitwise, from one rfftn/irfftn pair."""
+    scale = _db_power(power_db, "power_db")
+    grids = per_axis(grid)
+    shape = tuple([g.n_fine for g in grids])
+    axes = tuple(range(1, len(grids) + 1))
+    spec = np.fft.rfftn(_awgn(seeds, shape, 0.0), axes=axes)  # unit-power white noise
+    np.copyto(spec, 0.0, where=_draw_cut(grids))
     x = np.fft.irfftn(spec, s=shape, axes=axes)
-    power = float(np.mean(x * x))
-    if power <= 0.0:
+    powers = np.mean(x * x, axis=axes).tolist()
+    if min(powers) <= 0.0:
         raise ConfigurationError("degenerate draw: filtered signal has zero power")
-    ratio = scale / power
-    if ratio == math.inf:
+    ratios = [scale / power for power in powers]
+    if math.inf in ratios:
         raise ConfigurationError(f"power_db = {power_db} dB overflows the scaled signal")
-    x *= math.sqrt(ratio)
-    return DenseSignal(grid, x)
+    x *= np.sqrt(ratios).reshape((-1,) + (1,) * len(grids))
+    return x
+
+
+def _awgn(seeds, shape: tuple, noise_power_db: float) -> np.ndarray:
+    """:func:`add_awgn`'s noise of every seed, stacked: one row per seed, from its own rng."""
+    noise = np.empty((len(seeds),) + shape)
+    for row, seed in zip(noise, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    noise *= math.sqrt(_db_power(noise_power_db, "noise_power_db"))
+    return noise
 
 
 def add_awgn(x: DenseSignal, noise_power_db: float, seed: int) -> DenseSignal:
-    """Add zero-mean white Gaussian noise of variance ``10**(noise_power_db/10)``."""
-    sigma = math.sqrt(_db_power(noise_power_db, "noise_power_db"))
-    rng = np.random.default_rng(seed)
-    return x.with_values(x.values + sigma * rng.standard_normal(x.values.shape))
+    """Add zero-mean white Gaussian noise of power ``10**(noise_power_db/10)`` (:func:`_awgn`)."""
+    return x.with_values(x.values + _awgn([seed], x.values.shape, noise_power_db)[0])
 
 
 def snr_db(reference, estimate) -> float:

@@ -446,11 +446,6 @@ def _along_axes(mats, stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _stack(arrays: list) -> np.ndarray:
-    """``arrays`` on a new leading axis; a lone array is a view, not a copy."""
-    return arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _reference(refs: np.ndarray, index, shape: tuple):
     """Per trial, for :func:`_traces`: the reference's interior energy and band R, and o's.
 
@@ -469,17 +464,19 @@ def _reference(refs: np.ndarray, index, shape: tuple):
     return energy, floor, band, _gather(np.fft.rfftn(placed, axes=axes), index)
 
 
-def _traces(batch: Sequence[CoarseSamples], configs: Sequence[ReconConfig], references) -> list:
-    """:func:`_scores` of the trials of ``batch``, from one coarse ``rfftn`` of them all."""
-    index, fixed = _band_observation(configs[0].operator, _stack([s.values for s in batch]))
+def _traces(coarse: np.ndarray, configs: Sequence[ReconConfig], references: np.ndarray) -> list:
+    """:func:`_scores` of trial i's ``coarse`` samples in row i, checked as CoarseSamples are."""
+    shape = np.shape(coarse)[:1] + tuple([g.n_coarse for g in configs[0].operator.grid])
+    coarse = _check_values(coarse, shape, "CoarseSamples")
+    index, fixed = _band_observation(configs[0].operator, coarse)
     return _scores(index, fixed, configs, references)
 
 
 def _scores(index, fixed: np.ndarray, configs: Sequence[ReconConfig], references) -> list:
     """The initial cell and the trace of every trial, for every configuration on one grid.
 
-    The trials' band T, at ``index``, is ``fixed``; trial i is scored against
-    ``references[i]``, which has the grid's shape.  Returns one pair
+    Row i of ``fixed`` is trial i's band T, at ``index``, and row i of the
+    real, finite stack ``references`` is its reference.  Returns one pair
     ``(initial cells, traces)`` per configuration, each with one entry per
     trial: :func:`snr_db` of the plain loop's start (None under Chebyshev),
     and the list of :func:`snr_db` of every iterate, each scoring the exact
@@ -500,16 +497,13 @@ def _scores(index, fixed: np.ndarray, configs: Sequence[ReconConfig], references
     """
     grid = configs[0].operator.grid
     shape = tuple([g.n_fine for g in grid])
-    refs = [_real(getattr(r, "values", r)) for r in references]
-    got = next((r.shape for r in refs if r.shape != shape), shape)
-    if got != shape:
+    trials, refs = len(fixed), _real(references)
+    if refs.shape != (trials,) + shape:
         raise ConfigurationError(
-            f"shape mismatch: a traced solve scores the grid {shape}, got {got}"
+            f"shape mismatch: a traced solve needs references {(trials,) + shape}, got {refs.shape}"
         )
-    refs = _stack(refs)
     if not np.isfinite(refs).all():
         raise ConfigurationError("reference and estimate must be finite")  # as snr_db says it
-    trials = len(refs)
     weights, minus, plus = zip(
         *[_axis_gram(g, axis == len(grid) - 1) for axis, g in enumerate(grid)]
     )
@@ -566,8 +560,8 @@ def iterate(observed: CoarseSamples, cfg: ReconConfig, reference=None) -> ReconR
         est = _band_inverse((1.0 - _last(factors)) * fixed, index, shape)[0]
     init = trace = None
     if reference is not None:
-        [(inits, traces)] = _scores(index, fixed, [cfg], [reference])
-        init, trace = inits[0], traces[0]
+        reference = np.asarray(getattr(reference, "values", reference))[np.newaxis]
+        [((init,), (trace,))] = _scores(index, fixed, [cfg], reference)
     return ReconReport(
         estimate=DenseSignal(op.grid, est),
         snr_initial_db=init,

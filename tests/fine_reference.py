@@ -128,11 +128,15 @@ def chebyshev_loop(g_obs, apply_g, cfg, snr_of):
     return x_cur, None, trace
 
 
-def fine_traces(batch, configs, references):
-    """``solver._traces`` on the fine grid: one :func:`fine_solve` per configuration and trial."""
+def fine_traces(coarse, configs, references):
+    """``solver._traces`` on the fine grid: one :func:`fine_solve` per configuration and trial.
+
+    ``coarse`` and ``references`` are stacks, one row per trial, as ``_traces`` takes them.
+    """
     out = []
     for cfg in configs:
-        reps = [fine_solve(s, cfg, x) for s, x in zip(batch, references, strict=True)]
+        rows = zip(coarse, references, strict=True)
+        reps = [fine_solve(CoarseSamples(cfg.operator.grid, s), cfg, x) for s, x in rows]
         out.append(([r.snr_initial_db for r in reps], [r.snr_trace_db for r in reps]))
     return out
 

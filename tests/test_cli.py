@@ -138,13 +138,13 @@ class TestConvergence:
         # every configuration on a grid reads the same trial signals, so they
         # are generated once per (seed, grid), not once per configuration
         seeds = []
-        generate = cli.gen_bandlimited
+        generate = cli._draws
 
-        def counted(seed, *args, **kwargs):
-            seeds.append(seed)
-            return generate(seed, *args, **kwargs)
+        def counted(chunk, *args, **kwargs):
+            seeds.extend(chunk)
+            return generate(chunk, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "gen_bandlimited", counted)
+        monkeypatch.setattr(cli, "_draws", counted)
         out = tmp_path / "x.csv"
         argv = [*argv, "--trials", 3, "--iterations", 2, "--n-coarse", 32, "--seed", 4]
         assert run([*argv, "--out", out]) == 0
@@ -164,13 +164,13 @@ class TestConvergence:
         # --n-coarse and --ticks set each of the --dims axes; a flag not
         # given takes its default for that --dims
         grids = []
-        generate = cli.gen_bandlimited
+        generate = cli._draws
 
-        def recorded(seed, grid, *args, **kwargs):
-            grids.append(grid)
-            return generate(seed, grid, *args, **kwargs)
+        def recorded(seeds, grid, *args, **kwargs):
+            grids.extend([grid] * len(seeds))
+            return generate(seeds, grid, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "gen_bandlimited", recorded)
+        monkeypatch.setattr(cli, "_draws", recorded)
         argv = ["convergence", *flags, "--trials", 1, "--iterations", 1, "--modules", 0]
         assert run([*argv, "--out", tmp_path / "x.csv"]) == 0
         assert grids == [tuple(GridSpec(n, ticks) for n, ticks in axes)]
@@ -196,9 +196,9 @@ class TestBatches:
         calls = []
         score = cli._traces
 
-        def wrapper(batch, configs, references):
-            calls.append((list(configs), len(batch)))
-            return score(batch, configs, references)
+        def wrapper(coarse, configs, references):
+            calls.append((list(configs), len(coarse)))
+            return score(coarse, configs, references)
 
         monkeypatch.setattr(cli, "_traces", wrapper)
         return calls
@@ -288,10 +288,11 @@ class TestBatches:
         monkeypatch.undo()
         score = cli._traces
 
-        def per_trial(batch, configs, references):
+        def per_trial(coarse, configs, references):
             out = []
             for cfg in configs:
-                cells = [score([s], [cfg], [x])[0] for s, x in zip(batch, references, strict=True)]
+                rows = zip(coarse, references, strict=True)
+                cells = [score(s[np.newaxis], [cfg], x[np.newaxis])[0] for s, x in rows]
                 out.append(([init for (init,), _ in cells], [trace for _, (trace,) in cells]))
             return out
 

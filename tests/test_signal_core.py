@@ -15,7 +15,7 @@ from interpcomp import (
     psnr_db,
     snr_db,
 )
-from interpcomp.signal_core import _snr_cell
+from interpcomp.signal_core import _awgn, _draws, _snr_cell
 
 
 class TestGridSpec:
@@ -147,6 +147,83 @@ class TestAddAwgn:
             [add_awgn(x, -20.0, seed=s).values[17] for s in range(trials)]
         )
         assert abs(samples.mean() - x.values[17]) < 3.0 * sigma / math.sqrt(trials)
+
+
+def one_draw(seed, grids, power_db):
+    """A draw of one seed as ``gen_bandlimited`` made it per trial: its own transforms and power."""
+    shape = tuple(g.n_fine for g in grids)
+    axes = tuple(range(len(grids)))
+    spec = np.fft.rfftn(np.random.default_rng(seed).standard_normal(shape), axes=axes)
+    radius_sq = 0.0
+    for axis, g in enumerate(grids):
+        last = axis == len(grids) - 1
+        f = (np.fft.rfftfreq(g.n_fine) if last else np.fft.fftfreq(g.n_fine)) / g.band_edge
+        radius_sq = radius_sq + (f * f).reshape([-1 if a == axis else 1 for a in range(len(grids))])
+    spec[radius_sq >= 1.0 - 1e-9] = 0.0
+    x = np.fft.irfftn(spec, s=shape, axes=axes)
+    x *= math.sqrt(10.0 ** (power_db / 10.0) / float(np.mean(x * x)))
+    return x
+
+
+class TestChunkDraw:
+    """A chunk of trials drawn as one array, row by row bitwise the draw of its seed alone."""
+
+    GRIDS = [
+        (GridSpec(128, 16),),  # the CLI's 1-D default
+        (GridSpec(32, 8),) * 2,  # its 2-D default
+        (GridSpec(32, 8, 2),),
+        (GridSpec(37, 4),),
+        (GridSpec(37, 4), GridSpec(16, 4, 2)),
+    ]
+    # a repeated seed must repeat its row: each row has its own rng
+    SEEDS = [4, 11, 5, 4]
+
+    @pytest.mark.parametrize("grids", GRIDS, ids=["128x16", "32x8-2d", "32x8-rate2", "37x4",
+                                                  "37x4-by-16x4-rate2"])
+    def test_rows_are_the_draws_of_their_seeds(self, grids):
+        grid = grids[0] if len(grids) == 1 else grids
+        chunk = _draws(self.SEEDS, grid, 34.0)
+        assert chunk.shape == (len(self.SEEDS),) + tuple(g.n_fine for g in grids)
+        for seed, row in zip(self.SEEDS, chunk, strict=True):
+            np.testing.assert_array_equal(row, one_draw(seed, grids, 34.0))
+            np.testing.assert_array_equal(row, gen_bandlimited(seed, grid, 34.0).values)
+        assert not np.array_equal(chunk[0], chunk[1])
+        noise = _awgn([s + 7 for s in self.SEEDS], chunk.shape[1:], -20.0)
+        for seed, row, x in zip(self.SEEDS, noise, chunk, strict=True):
+            sigma = math.sqrt(10.0 ** (-20.0 / 10.0))
+            one = x + sigma * np.random.default_rng(seed + 7).standard_normal(x.shape)
+            np.testing.assert_array_equal(x + row, one)
+            np.testing.assert_array_equal(x + row, add_awgn(DenseSignal(grid, x), -20.0, seed + 7).values)
+
+    def test_overflow_in_a_chunk_rejected(self):
+        # at 3077 dB seeds 0 and 5 scale to finite values and seed 1 does not
+        grid = GridSpec(16, 4)
+        assert np.all(np.isfinite(_draws([0, 5], grid, 3077.0)))
+        with pytest.raises(ConfigurationError, match="power_db = 3077.0 dB overflows the scaled"):
+            _draws([0, 1, 5], grid, 3077.0)
+        for db, message in ((4000.0, "4000.0 dB overflows float64"), (-4000.0, "underflows")):
+            with pytest.raises(ConfigurationError, match=message):
+                _draws([0, 5], grid, db)
+        with pytest.raises(ConfigurationError, match="noise_power_db = 3100.0 dB overflows"):
+            _awgn([0, 5], (64,), 3100.0)
+
+    def test_degenerate_draw_in_a_chunk_rejected(self, monkeypatch):
+        # a seed whose normals are all zero filters to zero power
+        real = np.random.default_rng
+
+        class Zeros:
+            def standard_normal(self, size=None, out=None):
+                if out is None:
+                    return np.zeros(size)
+                out[...] = 0.0
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Zeros() if seed == 6 else real(seed))
+        grid = GridSpec(16, 4)
+        assert np.all(np.isfinite(_draws([5, 7], grid, 34.0)))
+        for seeds in ([6], [5, 6, 7]):
+            with pytest.raises(ConfigurationError, match="degenerate draw: filtered signal has zero"):
+                _draws(seeds, grid, 34.0)
 
 
 class TestSnr:

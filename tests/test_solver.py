@@ -32,6 +32,12 @@ SH = InterpKind.SAMPLE_AND_HOLD
 LI = InterpKind.LINEAR
 
 
+def stacked(signals):
+    """The values of ``signals`` (CoarseSamples, DenseSignals or arrays), one row each, as
+    ``solver._traces`` takes its coarse samples and references."""
+    return np.stack([getattr(v, "values", v) for v in signals])
+
+
 class TestApplyOperator:
     def test_constant_passthrough(self, grid):
         op = ReconOperator(grid, SH, 1)
@@ -93,7 +99,7 @@ class TestIterate:
         with pytest.raises(ConfigurationError, match="must be real"):
             iterate(sample(x), cfg, reference=x.values + 0j)
         with pytest.raises(ConfigurationError, match="must be real"):
-            solver._traces([sample(x)], [cfg], [x.values + 0j])
+            solver._traces(stacked([sample(x)]), [cfg], stacked([x.values + 0j]))
 
     def test_reduction_to_standard_method(self, grid):
         # zero modules must run the standard relaxed iteration: a from-scratch
@@ -462,7 +468,7 @@ class TestSpectralIterate:
             np.testing.assert_array_equal(rep.estimate.values, warm)
         for trials, configs in ((1, cfgs[:1]), (1, cfgs), (3, cfgs)):
             transforms.clear()
-            solver._traces(batch[:trials], configs, xs[:trials])
+            solver._traces(stacked(batch[:trials]), configs, stacked(xs[:trials]))
             assert stages == []
             assert transforms == trace(trials)
 
@@ -635,7 +641,8 @@ class TestBandTrace:
         # one iterate, and seven iterates of the 17 x 7 band, of one trial or of three
         for size, trials in ((1, 1), (7 * 17 * 7, 1), (1, 3), (3 * 7 * 17 * 7, 3)):
             monkeypatch.setattr(solver, "BATCH_POINTS", size)
-            [(inits, traces)] = solver._traces([sample(x) for x in xs[:trials]], [cfg], xs[:trials])
+            coarse = stacked([sample(x) for x in xs[:trials]])
+            [(inits, traces)] = solver._traces(coarse, [cfg], stacked(xs[:trials]))
             for init, trace, whole in zip(inits, traces, wholes):
                 assert [init] + trace == pytest.approx(whole, rel=1e-12)
 
@@ -682,7 +689,7 @@ class TestBandTrace:
             # with np.errstate inert, the finiteness check alone must catch it
             monkeypatch.setattr(np, "errstate", lambda **kwargs: contextlib.nullcontext())
             with pytest.raises(ConfigurationError, match=r"does not contract, .* = 1\.073"):
-                solver._traces([s], [cfg], [x])
+                solver._traces(stacked([s]), [cfg], stacked([x]))
 
 
 class TestBatch:
@@ -709,7 +716,8 @@ class TestBatch:
             for modules in range(3)
             for loop in self.LOOPS
         ]
-        for cfg, (inits, traces) in zip(configs, solver._traces(batch, configs, xs), strict=True):
+        cells = solver._traces(stacked(batch), configs, stacked(xs))
+        for cfg, (inits, traces) in zip(configs, cells, strict=True):
             for s, x, init, trace in zip(batch, xs, inits, traces, strict=True):
                 one = iterate(s, cfg, reference=x)
                 assert init == one.snr_initial_db, cfg
@@ -720,8 +728,28 @@ class TestBatch:
         cfg = ReconConfig(ReconOperator(grid, SH, 1), iterations=3)
         xs = [gen_bandlimited(seed, grid, 0.0) for seed in range(3)]
         batch = [sample(x) for x in xs]
-        with pytest.raises(ConfigurationError, match="shape mismatch"):
-            solver._traces(batch, [cfg], [xs[0], xs[1], xs[2].values[:-1]])
+        coarse, refs = stacked(batch), stacked(xs)
+        # rows a tick short, one trial too few or too many, one row alone
+        for bad in (refs[:, :-1], refs[:2], stacked(xs + xs[:1]), refs[0]):
+            with pytest.raises(ConfigurationError, match="shape mismatch"):
+                solver._traces(coarse, [cfg], bad)
+        with pytest.raises(ConfigurationError, match="must be real"):
+            solver._traces(coarse, [cfg], refs + 0j)
+        for bad in (math.nan, math.inf, -math.inf):
+            nonfinite = refs.copy()
+            nonfinite[2, 5] = bad
+            with pytest.raises(ConfigurationError, match="reference and estimate must be finite"):
+                solver._traces(coarse, [cfg], nonfinite)
+        # the coarse stack is checked as CoarseSamples checks one trial's samples
+        for bad in (math.nan, math.inf):
+            nonfinite = coarse.copy()
+            nonfinite[1, 3] = bad
+            with pytest.raises(ConfigurationError, match="CoarseSamples: values must all be finite"):
+                solver._traces(nonfinite, [cfg], refs)
+        with pytest.raises(ConfigurationError, match="CoarseSamples: expected shape"):
+            solver._traces(coarse[:, :-1], [cfg], refs)
+        with pytest.raises(ConfigurationError, match="must be real"):
+            solver._traces(coarse + 0j, [cfg], refs)
         other = sample(gen_bandlimited(0, GridSpec(16, 4, 2), 0.0))  # same shape, another band
         with pytest.raises(ConfigurationError, match="same grids"):
             iterate(other, cfg)
@@ -738,7 +766,7 @@ class TestBatch:
         configs = [ReconConfig(op, iterations=10), ReconConfig(op, relax=1.95, iterations=8000)]
         message = r"within 8000 .* does not contract, .* = 1\.073"
         with pytest.raises(ConfigurationError, match=message):
-            solver._traces(batch, configs, xs)
+            solver._traces(stacked(batch), configs, stacked(xs))
 
 
 class TestBandInverse:
