@@ -4,7 +4,8 @@ Modules cover the sampling/interpolation operators, the reconstruction
 operator G (sample, interpolate, mix with the cosine modules, lowpass), the
 iterative and hybrid reconstruction solve with Chebyshev acceleration,
 closed-form convergence and noise analysis, and grayscale image
-enlargement.
+enlargement.  ``ReconOperator`` configures G; only the tests'
+``fine_reference.py`` runs G on the fine grid, as every solve's slow reference.
 
 Signals, samples and operators take one :class:`GridSpec` per axis: a lone
 GridSpec for 1-D, or a tuple such as ``(grid_y, grid_x)`` for an image.  The
@@ -34,8 +35,6 @@ from .solver import (
     ReconConfig,
     ReconOperator,
     ReconReport,
-    SingularSystemError,
-    fixed_point_oracle,
     iterate,
 )
 from .analysis import (
@@ -45,7 +44,6 @@ from .analysis import (
     lambda_opt_paper,
     noise_tolerance_coeff,
     op_counts,
-    op_counts_2d,
     predicted_gain_db,
 )
 from .imagebench import (

@@ -32,7 +32,6 @@ __all__ = [
     "lambda_opt_minimax",
     "noise_tolerance_coeff",
     "op_counts",
-    "op_counts_2d",
     "predicted_gain_db",
 ]
 
@@ -134,14 +133,6 @@ def op_counts(iterations: int, fft_block: int, hybrid_one_module: bool) -> Tuple
     if hybrid_one_module:
         return iterations * (4 * log2_2n + 4), iterations * (2 * log2_2n + 3)
     return iterations * (4 * log2_2n + 2), iterations * (2 * log2_2n + 1)
-
-
-def op_counts_2d(
-    iterations: int, fft_block: int, image_size: int, hybrid_one_module: bool
-) -> Tuple[int, int]:
-    """2-D cost: the 1-D cost repeated per row and per column, i.e. times 2K."""
-    adds, mults = op_counts(iterations, fft_block, hybrid_one_module)
-    return 2 * image_size * adds, 2 * image_size * mults
 
 
 def predicted_gain_db(r: float) -> float:

@@ -241,9 +241,9 @@ def cmd_image(args) -> str:
     methods = [
         _parse_method(tok, args.factor, args.relax, accel) for tok in args.methods.split(",")
     ]
+    low = decimate(original, args.factor)  # checks the size before any directory is made
     out_dir = _resolve_out(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    low = decimate(original, args.factor)
     write_pgm(low, os.path.join(out_dir, "decimated.pgm"))
     recons = [enlarge(low, cfg) for cfg in methods]  # every method runs before any write
     rows = []

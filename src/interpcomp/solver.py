@@ -9,15 +9,17 @@ coarse samples of an unknown band-limited signal:
   (the hybrid scheme; ``modules=0`` recovers the plain method exactly),
 * a Chebyshev-accelerated variant driven by frame bounds ``(A, B)``.
 
-``g_obs`` is ``G`` applied to the observed samples, which equals ``G``
-applied to any dense signal consistent with them.  The reference signal,
-when supplied, is used only for SNR reporting.
+``G`` is the physical chain of the paper: sample, interpolate, mix with the
+cosine modules, lowpass.  ``g_obs`` is ``G`` applied to the observed
+samples, which equals ``G`` applied to any dense signal consistent with
+them.  The reference signal, when supplied, is used only for SNR reporting.
 
 One operator serves any number of axes: on a lattice (an image has grids
 ``(grid_y, grid_x)``) ``G`` is separable and applies each 1-D stage along
 every axis in turn, last axis first.  ``G`` depends only on the grids, the
-interpolator and the module count; its lowpass cuts at each axis's band
-edge.
+interpolator and the module count (:class:`ReconOperator`); its lowpass cuts
+at each axis's band edge.  No path here runs ``G`` on the fine grid: the
+tests' ``fine_reference.py`` does, as the slow reference of every solve.
 
 :func:`iterate` computes each iterate per DFT bin in closed form.  On
 band-limited input ``G`` is diagonal in the DFT: sampling, interpolation and
@@ -65,7 +67,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .samplers import CoarseSamples, InterpKind, _check_kind, _response, interpolate, lattice, sample
+from .samplers import CoarseSamples, InterpKind, _check_kind, _interp_axis, _response, lattice
 from .signal_core import (
     ConfigurationError,
     DenseSignal,
@@ -89,7 +91,7 @@ __all__ = [
     "fixed_point_oracle",
 ]
 
-# fixed_point_oracle builds a dense matrix; keep instances small
+# fixed_point_oracle solves a dense system on the band; keep instances small
 ORACLE_MAX_FINE = 512
 # the points of one array of a batched solve: fine-grid points per chunk of
 # trials (cli._mean_traces) and band coefficients per stack of traced
@@ -108,15 +110,15 @@ class SingularSystemError(ValueError):
 class ReconOperator:
     """G = lowpass ∘ mix ∘ interpolate ∘ sample, on one axis or separably on several.
 
-    G is the fine-grid model of the reconstruction.  Its mixer
+    The configuration of the reconstruction's fine-grid model G.  Its mixer
     ``1 + 2*sum_{m=1..N} cos(2*pi*m*t/T)`` (N = ``modules``, an integer; none at 0),
     phase-anchored so that fine tick 0 is a coarse sample position, shifts
     the spectral replicas created by sampling back into the baseband, so the
     lowpass at the band edge turns the per-bin distortion into a partial sum
     of the kernel's response over 2N+1 replicas (sinc^p terms as R -> inf),
     or the product of the per-axis sums.  :func:`iterate` uses that gain
-    (:func:`_axis_band`); :meth:`apply_values` runs G on the fine grid, as
-    the operator of :func:`fixed_point_oracle` and as the tests' reference.
+    (:func:`_axis_band`).  Only the tests run G on the fine grid
+    (``fine_reference.apply_g``).
 
     ``grid`` is a lone GridSpec or one GridSpec per axis, stored as a tuple;
     the lowpass cuts at each axis's band edge.
@@ -139,35 +141,6 @@ class ReconOperator:
                 f"{self.modules} modules need ticks_per_sample >= "
                 f"{2 * self.modules} on every axis, got {min_ticks}"
             )
-
-    def apply_values(self, values: np.ndarray) -> np.ndarray:
-        """G on the fine grid: each stage along every axis in turn, last axis first."""
-        out = interpolate(sample(DenseSignal(self.grid, values)), self.kind).values
-        axes = range(out.ndim - 1, -1, -1)
-
-        def along(vector, axis):
-            return vector.reshape((-1,) + (1,) * (out.ndim - 1 - axis))
-
-        for axis in axes if self.modules else ():
-            r = self.grid[axis].ticks_per_sample
-            period = np.ones(r)
-            for harmonic in range(1, self.modules + 1):
-                period += 2.0 * np.cos(2.0 * np.pi * harmonic * np.arange(r) / r)
-            out = out * along(np.tile(period, self.grid[axis].n_coarse), axis)
-        for axis in axes:
-            n = out.shape[axis]
-            mask = along(_gain_mask(self.grid[axis]), axis)
-            out = np.fft.irfft(np.fft.rfft(out, axis=axis) * mask, n=n, axis=axis)
-        return out
-
-    def observation(self, samples: CoarseSamples) -> np.ndarray:
-        """G applied to the samples placed on the lattice of a zero fine array."""
-        # samples of another grid, even of the same shape, belong to another band
-        if samples.grid != self.grid:
-            raise ConfigurationError("samples and operator must have the same grids")
-        placed = np.zeros(tuple([g.n_fine for g in self.grid]))
-        placed[lattice(self.grid)] = samples.values
-        return self.apply_values(placed)
 
 
 @dataclass(frozen=True)
@@ -350,7 +323,7 @@ def _gather(spectrum: np.ndarray, index) -> np.ndarray:
 def _band_observation(op: ReconOperator, values: np.ndarray):
     """The band's per-axis index into the fine grid's ``rfftn`` output, and T there.
 
-    ``T * G̃`` is the band of ``rfftn(op.observation(samples))``, at
+    ``T * G̃`` is the band of the ``rfftn`` of G applied to the samples, at
     ``np.ix_(*index)``.  T, the band of the samples' trigonometric
     interpolant, is read from one ``rfftn`` of the coarse values: a fine bin
     k reads coarse bin k mod ``n_coarse`` on each axis (on a non-last axis,
@@ -624,21 +597,33 @@ def _band_basis(grid: GridSpec) -> np.ndarray:
 def fixed_point_oracle(observed: CoarseSamples, op: ReconOperator) -> DenseSignal:
     """Direct linear-algebra solution of ``G x = G x_obs`` on the passband.
 
-    Builds the dense matrix of G column by column, restricts it to the
-    orthonormal basis of the open passband, and solves.  Verification-only:
-    instances are limited to 1-D operators with ``n_fine <= 512``.
+    Restricts G to the orthonormal basis B of the open passband and solves.
+    G's lowpass leaves every column of B unchanged, so ``Bᵀ·G`` is
+    ``Bᵀ·mix·interpolate·sample``: the oracle interpolates the lattice
+    samples of B's columns and of the observation, mixes them and projects
+    onto B.  It never runs G on the fine grid, as the tests' dense oracle
+    does (``fine_reference.dense_oracle``).  Verification-only: instances are
+    limited to 1-D operators with ``n_fine <= 512``.
     """
     if len(op.grid) != 1:
         raise ConfigurationError("the oracle handles 1-D operators only")
-    n = op.grid[0].n_fine
-    if n > ORACLE_MAX_FINE:
+    grid = op.grid[0]
+    if grid.n_fine > ORACLE_MAX_FINE:
         raise ConfigurationError(
-            f"oracle instances are limited to n_fine <= {ORACLE_MAX_FINE}, got {n}"
+            f"oracle instances are limited to n_fine <= {ORACLE_MAX_FINE}, got {grid.n_fine}"
         )
-    gmat = np.stack([op.apply_values(unit) for unit in np.eye(n)], axis=1)
-    basis = _band_basis(op.grid[0])
-    reduced = basis.T @ gmat @ basis
-    rhs = basis.T @ op.observation(observed)
+    # samples of another grid, even of the same shape, belong to another band
+    if observed.grid != op.grid:
+        raise ConfigurationError("samples and operator must have the same grids")
+    basis = _band_basis(grid)
+    coarse = np.column_stack([basis[lattice(op.grid)], observed.values])
+    # the mixer over one sampling interval, tick 0 on the lattice
+    ticks = np.arange(grid.ticks_per_sample) / grid.ticks_per_sample
+    harmonics = np.arange(1, op.modules + 1)[:, np.newaxis]
+    mixer = 1.0 + 2.0 * np.cos(2.0 * np.pi * harmonics * ticks).sum(axis=0)
+    fine = _interp_axis(coarse, grid, op.kind, axis=0)
+    projected = basis.T @ (np.tile(mixer, grid.n_coarse)[:, np.newaxis] * fine)
+    reduced, rhs = projected[:, :-1], projected[:, -1]
     cond = np.linalg.cond(reduced)
     if not np.isfinite(cond) or cond > 1e10:
         raise SingularSystemError(

@@ -2,12 +2,14 @@
 
 ``iterate`` computes each iterate per DFT bin in closed form, from a
 per-bin gain that sums the interpolation kernel's frequency response, and
-never runs G itself.  ``fine_solve`` runs the explicit plain and
-Chebyshev loops on the fine grid instead, with ``op.apply_values`` as G and
-``op.observation(samples)`` as the observation: one pass of G per
-iteration, and every traced SNR taken from the iterate itself.  The loops,
-the Chebyshev relaxation sequence (``chebyshev_lambdas``) and the
-divergence flag are this module's own and share no code with the solve.
+never runs G itself; no path of the package does.  ``apply_g`` is G on
+the fine grid, the physical chain of the paper (sample, interpolate, mix
+with the cosine modules, lowpass), and ``observation`` is G applied to
+the samples.  ``fine_solve`` runs the explicit plain and Chebyshev loops
+on the fine grid with them: one pass of G per iteration, and every traced
+SNR taken from the iterate itself.  The loops, the Chebyshev relaxation
+sequence (``chebyshev_lambdas``) and the divergence flag are this
+module's own and share no code with the solve.
 ``fine_solve`` has ``iterate``'s signature and reports, so a test can
 swap it in for the solve.  ``fine_cosine_solve`` has the signature and
 result of the image solve, ``solver._cosine_solve``: ``on_extension`` builds
@@ -21,16 +23,65 @@ pass that check: ``closed_form_gain`` gives the gain from the two kernels'
 closed-form transforms instead, written out apart from the tap table.
 ``cosine_factor`` is the largest error factor that the image solve applies,
 from ``closed_form_gain``.  ``lowpass`` is G's last stage on its own, for
-tests that filter a signal without sampling it.
+tests that filter a signal without sampling it.  ``dense_oracle`` is
+``solver.fixed_point_oracle`` from ``band_matrix``, G's dense matrix from
+``apply_g`` restricted to the band.
 """
 
 from functools import reduce
 
 import numpy as np
 
-from interpcomp import DenseSignal, InterpKind, ReconOperator, ReconReport, snr_db
-from interpcomp.samplers import CoarseSamples
-from interpcomp.solver import _gain_mask
+from interpcomp import (
+    ConfigurationError, DenseSignal, InterpKind, ReconOperator, ReconReport, interpolate, sample,
+    snr_db,
+)
+from interpcomp.samplers import CoarseSamples, lattice
+from interpcomp.solver import _band_basis, _gain_mask
+
+
+def apply_g(op, values):
+    """G on the fine grid: each stage along every axis in turn, last axis first."""
+    out = interpolate(sample(DenseSignal(op.grid, values)), op.kind).values
+    axes = range(out.ndim - 1, -1, -1)
+
+    def along(vector, axis):
+        return vector.reshape((-1,) + (1,) * (out.ndim - 1 - axis))
+
+    for axis in axes if op.modules else ():
+        r = op.grid[axis].ticks_per_sample
+        period = np.ones(r)
+        for harmonic in range(1, op.modules + 1):
+            period += 2.0 * np.cos(2.0 * np.pi * harmonic * np.arange(r) / r)
+        out = out * along(np.tile(period, op.grid[axis].n_coarse), axis)
+    for axis in axes:
+        n = out.shape[axis]
+        mask = along(_gain_mask(op.grid[axis]), axis)
+        out = np.fft.irfft(np.fft.rfft(out, axis=axis) * mask, n=n, axis=axis)
+    return out
+
+
+def observation(op, samples):
+    """G applied to the samples placed on the lattice of a zero fine array."""
+    # samples of another grid, even of the same shape, belong to another band
+    if samples.grid != op.grid:
+        raise ConfigurationError("samples and operator must have the same grids")
+    placed = np.zeros(tuple([g.n_fine for g in op.grid]))
+    placed[lattice(op.grid)] = samples.values
+    return apply_g(op, placed)
+
+
+def band_matrix(op):
+    """``Bᵀ·G·B`` of a 1-D operator, B the band basis, G :func:`apply_g` over the unit vectors."""
+    gmat = np.stack([apply_g(op, unit) for unit in np.eye(op.grid[0].n_fine)], axis=1)
+    basis = _band_basis(op.grid[0])
+    return basis.T @ gmat @ basis
+
+
+def dense_oracle(observed, op):
+    """``G x = G x_obs`` on the passband, from :func:`band_matrix`, with no condition check."""
+    basis = _band_basis(op.grid[0])
+    return basis @ np.linalg.solve(band_matrix(op), basis.T @ observation(op, observed))
 
 
 def measured_gain(grid, kind, modules):
@@ -42,7 +93,7 @@ def measured_gain(grid, kind, modules):
     mask = _gain_mask(grid)
     band = mask > 0
     impulse = np.fft.irfft(mask, grid.n_fine)
-    response = np.fft.rfft(ReconOperator(grid, kind, modules).apply_values(impulse))
+    response = np.fft.rfft(apply_g(ReconOperator(grid, kind, modules), impulse))
     return response[band] / mask[band]
 
 
@@ -161,7 +212,7 @@ def fine_solve(observed, cfg, reference=None):
     if reference is not None:
         snr_of = lambda v: snr_db(reference, v)
     loop = plain_loop if cfg.acceleration is None else chebyshev_loop
-    xk, init_snr, trace = loop(op.observation(observed), op.apply_values, cfg, snr_of)
+    xk, init_snr, trace = loop(observation(op, observed), lambda v: apply_g(op, v), cfg, snr_of)
     # the gain is even in the bin, so the rfft bins of each axis cover the band
     gain = reduce(np.multiply.outer, [measured_gain(g, op.kind, op.modules).real for g in op.grid])
     return ReconReport(

@@ -14,7 +14,6 @@ from interpcomp import (
     lambda_opt_paper,
     noise_tolerance_coeff,
     op_counts,
-    op_counts_2d,
     predicted_gain_db,
 )
 from interpcomp.analysis import PAPER_PRINTED_LAMBDA_OPT
@@ -216,10 +215,6 @@ class TestOpCounts:
         conv = op_counts(m, 256, False)
         hyb = op_counts(m, 256, True)
         assert (hyb[0] - conv[0], hyb[1] - conv[1]) == (2 * m, 2 * m)
-
-    def test_2d_scales_by_2k(self):
-        adds, mults = op_counts(3, 512, True)
-        assert op_counts_2d(3, 512, 512, True) == (2 * 512 * adds, 2 * 512 * mults)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigurationError):

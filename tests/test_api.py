@@ -13,12 +13,10 @@ import interpcomp
 PUBLIC_NAMES = [
     "ChebyshevAccel", "CoarseSamples", "ConfigurationError", "DenseSignal",
     "EnlargeConfig", "GrayImage", "GridSpec", "InterpKind", "ReconConfig", "ReconOperator",
-    "ReconReport", "SingularSystemError", "add_awgn", "contraction_factor",
-    "decimate", "distortion_gain", "enlarge", "enlarge_dense",
-    "fixed_point_oracle", "gen_bandlimited", "interpolate", "iterate", "lambda_opt_minimax",
-    "lambda_opt_paper", "noise_tolerance_coeff", "op_counts", "op_counts_2d",
-    "predicted_gain_db", "psnr_db", "read_pgm", "sample", "snr_db",
-    "synthetic_scene", "write_pgm",
+    "ReconReport", "add_awgn", "contraction_factor", "decimate", "distortion_gain", "enlarge",
+    "enlarge_dense", "gen_bandlimited", "interpolate", "iterate", "lambda_opt_minimax",
+    "lambda_opt_paper", "noise_tolerance_coeff", "op_counts", "predicted_gain_db", "psnr_db",
+    "read_pgm", "sample", "snr_db", "synthetic_scene", "write_pgm",
 ]
 
 MODULES = ["analysis", "cli", "imagebench", "samplers", "signal_core", "solver"]
@@ -27,7 +25,7 @@ MODULES = ["analysis", "cli", "imagebench", "samplers", "signal_core", "solver"]
 MODULE_ALL = {
     "analysis": [
         "contraction_factor", "distortion_gain", "lambda_opt_minimax", "lambda_opt_paper",
-        "noise_tolerance_coeff", "op_counts", "op_counts_2d", "predicted_gain_db",
+        "noise_tolerance_coeff", "op_counts", "predicted_gain_db",
     ],
     "cli": [],
     "imagebench": [

@@ -514,6 +514,15 @@ class TestImage:
         err = capsys.readouterr().err
         assert "does not contract, max |1 - s*gain| = 3.33223 >= 1" in err
 
+    def test_indivisible_factor_makes_no_out_dir(self, tmp_path, capsys):
+        # the size check runs before the output directory is made
+        src = tmp_path / "odd.pgm"
+        write_pgm(synthetic_scene(66, 64, 1), src)
+        out_dir = tmp_path / "outdir"
+        assert run(["image", src, "--factor", 4, "--out-dir", out_dir]) == 2
+        assert "not divisible by 4" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_bad_method_token_exit_code(self, tmp_path, capsys):
         src = tmp_path / "scene.pgm"
         write_pgm(synthetic_scene(16, 16, seed=1), src)

@@ -1,7 +1,7 @@
 """The cosine-module compensator: G's mixing stage, and the one-shot modular reconstruction.
 
-The mixer has no function of its own; it is the stage of
-``ReconOperator.apply_values`` between the interpolation and the lowpass.
+The mixer has no function of its own; it is the stage of the tests' fine-grid
+G, ``fine_reference.apply_g``, between the interpolation and the lowpass.
 ``mixed`` reads its output as the input of the lowpass's first transform.
 """
 
@@ -23,6 +23,7 @@ from interpcomp import (
     sample,
     snr_db,
 )
+from fine_reference import apply_g, observation
 
 SH = InterpKind.SAMPLE_AND_HOLD
 LI = InterpKind.LINEAR
@@ -34,7 +35,7 @@ def sinc_sum(ft, modules, p):
 
 def modular_reconstruct(samples, kind, modules):
     """The one-shot modular reconstruction: interpolate, mix, lowpass, as G's observation."""
-    return ReconOperator(samples.grid, kind, modules).observation(samples)
+    return observation(ReconOperator(samples.grid, kind, modules), samples)
 
 
 def mixed(grid, values, modules):
@@ -47,7 +48,7 @@ def mixed(grid, values, modules):
         return rfft(a, *args, **kwargs)
 
     with mock.patch.object(np.fft, "rfft", record):
-        ReconOperator(grid, SH, modules).apply_values(values)
+        apply_g(ReconOperator(grid, SH, modules), values)
     return seen[0]
 
 

@@ -13,9 +13,7 @@ from interpcomp import (
     InterpKind,
     ReconConfig,
     ReconOperator,
-    SingularSystemError,
     add_awgn,
-    fixed_point_oracle,
     gen_bandlimited,
     iterate,
     sample,
@@ -23,10 +21,11 @@ from interpcomp import (
 )
 from interpcomp import samplers, solver
 from fine_reference import (
-    chebyshev_lambdas, closed_form_gain, cosine_factor, fine_solve, lowpass, measured_gain,
-    on_extension,
+    apply_g, band_matrix, chebyshev_lambdas, closed_form_gain, cosine_factor, dense_oracle,
+    fine_solve, lowpass, measured_gain, observation, on_extension,
 )
 from interpcomp.samplers import CoarseSamples, interpolate
+from interpcomp.solver import SingularSystemError, fixed_point_oracle
 
 SH = InterpKind.SAMPLE_AND_HOLD
 LI = InterpKind.LINEAR
@@ -41,7 +40,7 @@ def stacked(signals):
 class TestApplyOperator:
     def test_constant_passthrough(self, grid):
         op = ReconOperator(grid, SH, 1)
-        out = op.apply_values(np.full(grid.n_fine, 2.0))
+        out = apply_g(op, np.full(grid.n_fine, 2.0))
         assert np.max(np.abs(out - 2.0)) < 1e-12
 
     @pytest.mark.parametrize("kind,p", [(SH, 1), (LI, 2)])
@@ -50,7 +49,7 @@ class TestApplyOperator:
         op = ReconOperator(grid, kind, 0)
         t = np.arange(grid.n_fine)
         x = DenseSignal(grid, np.cos(np.pi * t / grid.ticks_per_sample))
-        y = op.apply_values(x.values)
+        y = apply_g(op, x.values)
         m = int(0.1 * grid.n_fine)
         basis = np.stack(
             [x.values[m:-m], np.sin(np.pi * t / grid.ticks_per_sample)[m:-m]], axis=1
@@ -62,8 +61,8 @@ class TestApplyOperator:
         op = ReconOperator(grid, SH, 1)
         a = rng.standard_normal(grid.n_fine)
         b = rng.standard_normal(grid.n_fine)
-        lhs = op.apply_values(1.5 * a - 0.5 * b)
-        rhs = 1.5 * op.apply_values(a) - 0.5 * op.apply_values(b)
+        lhs = apply_g(op, 1.5 * a - 0.5 * b)
+        rhs = 1.5 * apply_g(op, a) - 0.5 * apply_g(op, b)
         assert np.max(np.abs(lhs - rhs)) < 1e-11
 
     def test_modules_must_fit_grid(self):
@@ -154,11 +153,11 @@ class TestIterate:
     def test_update_norm_contraction(self, grid):
         x = gen_bandlimited(4, grid, 34.0)
         op = ReconOperator(grid, SH, 0)
-        g_obs = op.observation(sample(x))
+        g_obs = observation(op, sample(x))
         xk = g_obs.copy()
         prev = None
         for _ in range(10):
-            step = g_obs - op.apply_values(xk)
+            step = g_obs - apply_g(op, xk)
             xk = xk + step
             norm = np.linalg.norm(step)
             if prev is not None and prev > 1e-9:
@@ -178,7 +177,7 @@ class TestIterate:
         with pytest.raises(ConfigurationError):
             iterate(sample(x), ReconConfig(ReconOperator(grid, SH, 0)))
         with pytest.raises(ConfigurationError, match="same grids"):
-            ReconOperator(grid, SH, 0).observation(sample(x))
+            observation(ReconOperator(grid, SH, 0), sample(x))
 
 
 class TestChebyshev:
@@ -202,10 +201,10 @@ class TestChebyshev:
             ReconConfig(op, iterations=6, acceleration=ChebyshevAccel(1.3, 1.3)),
         )
         step = 2.0 / 2.6
-        g_obs = op.observation(s)
+        g_obs = observation(op, s)
         xk = step * g_obs
         for _ in range(5):
-            xk = xk + step * (g_obs - op.apply_values(xk))
+            xk = xk + step * (g_obs - apply_g(op, xk))
         assert np.max(np.abs(rep.estimate.values - xk)) < 1e-12 * np.max(np.abs(xk))
 
     def test_invalid_bounds(self):
@@ -273,8 +272,8 @@ class TestIterate2d:
             op_x = ReconOperator(gx, SH, 1)
             u = gen_bandlimited(1, gy, 0.0).values
             v = gen_bandlimited(2, gx, 0.0).values
-            lhs = op2.apply_values(np.outer(u, v))
-            rhs = np.outer(op_y.apply_values(u), op_x.apply_values(v))
+            lhs = apply_g(op2, np.outer(u, v))
+            rhs = np.outer(apply_g(op_y, u), apply_g(op_x, v))
             assert np.max(np.abs(lhs - rhs)) < 1e-12, (gy, gx)
 
     def test_rank_one_matches_outer_product_at_convergence(self):
@@ -390,13 +389,13 @@ class TestSpectralIterate:
             op = ReconOperator(grid, kind, modules)
             index, fixed = solver._band_observation(op, s.values)
             gain = 1.0 - solver._factors(ReconConfig(op))[0]  # q = 1 - G̃ at relax 1
-            ref = np.fft.rfftn(op.observation(s))[np.ix_(*index)]
+            ref = np.fft.rfftn(observation(op, s))[np.ix_(*index)]
             assert np.max(np.abs(fixed * gain - ref)) <= 1e-12 * np.max(np.abs(ref)), modules
 
     def stage_calls(self, monkeypatch):
-        """Record every call of G and of its interpolation, patched where each is defined.
+        """Record every call of the interpolation, patched where it is defined and where bound.
 
-        ``apply_values`` mixes and lowpasses itself, so its calls count those stages.
+        The package has no fine-grid G left to call: only the tests' ``apply_g`` runs one.
         """
         stages = []
 
@@ -407,10 +406,9 @@ class TestSpectralIterate:
 
             return wrapper
 
-        monkeypatch.setattr(samplers, "_interp_axis", counted("_interp_axis", samplers._interp_axis))
-        monkeypatch.setattr(
-            ReconOperator, "apply_values", counted("apply_values", ReconOperator.apply_values)
-        )
+        interp = counted("_interp_axis", samplers._interp_axis)
+        for owner in (samplers, solver):
+            monkeypatch.setattr(owner, "_interp_axis", interp)
         return stages
 
     def transform_calls(self, monkeypatch):
@@ -912,19 +910,50 @@ class TestFixedPointOracle:
         rms = np.sqrt(np.mean((rep.estimate.values - oracle.values) ** 2))
         assert rms < 1e-9
 
-    def test_singular_system_reported(self):
-        # every real operator is invertible on its passband, so G is faked:
-        # removing the mean of its output sends the constant to zero
-        class MeanFreeOperator(ReconOperator):
-            def apply_values(self, values):
-                out = super().apply_values(values)
-                return out - out.mean()
+    @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec(16, 4), GridSpec(25, 8), GridSpec(32, 8, 2), GridSpec(21, 6, 3),
+         GridSpec(40, 12, 3)],
+        ids=["16x4", "25x8-odd", "32x8-rate2", "21x6-rate3", "40x12-rate3"],
+    )
+    def test_matches_dense_fine_grid_oracle(self, grid, kind, rng, monkeypatch):
+        # the oracle projects interpolated, mixed samples onto the band; the
+        # dense oracle stacks the tests' fine-grid G over the unit vectors.
+        # The solution is T, the band of the samples' trigonometric
+        # interpolant, whatever the kernel and the mixer, so the system the
+        # oracle checks is compared too: it is where they show
+        systems = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda a: systems.append(a) or cond(a))
+        for modules in (0, 1, 2):
+            s = CoarseSamples(grid, rng.standard_normal(grid.n_coarse))
+            op = ReconOperator(grid, kind, modules)
+            got = fixed_point_oracle(s, op).values
+            want = dense_oracle(s, op)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), modules
+            dense = band_matrix(op)
+            assert np.max(np.abs(systems.pop() - dense)) <= 1e-12 * np.max(np.abs(dense)), modules
 
+    def test_samples_on_another_grid_rejected(self):
+        # same shape, other band edge: the observation would cut elsewhere than G
+        grid = GridSpec(16, 4)
+        x = gen_bandlimited(2, GridSpec(16, 4, 2), 0.0)
+        with pytest.raises(ConfigurationError, match="same grids"):
+            fixed_point_oracle(sample(x), ReconOperator(grid, SH, 0))
+
+    def test_singular_system_reported(self, monkeypatch):
+        # every real operator is invertible on its passband, so G is faked:
+        # removing each column's mean after interpolation sends the constant to zero
+        def mean_free(values, grid, kind, axis):
+            out = samplers._interp_axis(values, grid, kind, axis)
+            return out - out.mean(axis=axis, keepdims=True)
+
+        monkeypatch.setattr(solver, "_interp_axis", mean_free)
         grid = GridSpec(16, 4)
         x = gen_bandlimited(3, grid, 0.0)
-        op = MeanFreeOperator(grid, SH, 0)
         with pytest.raises(SingularSystemError):
-            fixed_point_oracle(sample(x), op)
+            fixed_point_oracle(sample(x), ReconOperator(grid, SH, 0))
 
     def test_multi_axis_rejected(self):
         grid = GridSpec(8, 4)
