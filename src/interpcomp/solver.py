@@ -46,15 +46,15 @@ The SNR trace scores every iterate from band coefficients alone, with no
 estimate (:func:`_traces`).  Per trial it transforms the reference once, to
 its band R, and takes the reference's out-of-band remainder o, the reference
 less the inverse transform of R.  Iterate j's error is then o + b_j, where
-b_j is the inverse transform of the band ``B_j = (R - T) + e_j·T``, so its
-interior energy is o's, a cross term with the band of o's interior and a
-quadratic form of B_j through a small matrix per axis, the discrete prolate
-concentration kernel (:func:`_axis_gram`).  No term needs the reference to be
-band-limited.  The trials of a chunk sit on a leading batch axis, and one
-coarse ``rfftn`` and the reference's three fine transforms serve every
-configuration on the grid: a configuration then costs band arithmetic alone,
-and its cells are bitwise those of a call with one trial and that
-configuration alone.  A solve that overflows float64 names max |q| over the
+b_j is the inverse transform of the band ``B_j = (R - T) + e_j·T``.  Folded
+onto k >= 0 (:func:`_fold`), B_j's real coefficients a each weight one cos or
+sin row, so b_j's interior energy is ``a·(G a)``, one real Gram matrix G per
+axis (:func:`_axis_gram`), and its cross term with o is linear in a.  No
+term needs the reference to be band-limited.  The trials of a chunk sit on a
+leading batch axis, and one coarse ``rfftn`` and the reference's three fine
+transforms serve every configuration on the grid: a configuration then costs
+band arithmetic alone, and its cells are bitwise those of a call with one
+trial and that configuration alone.  A solve that overflows float64 names max |q| over the
 bins it applied (:func:`_solve_guard`): bins 0..n-1 in :func:`_cosine_solve`.
 """
 
@@ -145,7 +145,7 @@ class ReconOperator:
 
 @dataclass(frozen=True)
 class ChebyshevAccel:
-    """Frame bounds for the accelerated three-term recursion."""
+    """Frame bounds of the three-term recursion: A + B > 1, or DC (G̃ = 1) never contracts."""
 
     a: float = 1.0
     b: float = 2.0
@@ -155,6 +155,7 @@ class ChebyshevAccel:
             raise ConfigurationError(
                 f"frame bounds require 0 < A <= B < inf, got A={self.a}, B={self.b}"
             )
+        _check_relax(self.step, f"the step 2/(A+B) of frame bounds A={self.a}, B={self.b}")
 
     @property
     def rho(self) -> float:
@@ -166,9 +167,9 @@ class ChebyshevAccel:
         return 2.0 / (self.a + self.b)
 
 
-def _check_relax(relax: float) -> None:
+def _check_relax(relax: float, name: str = "relaxation parameter") -> None:
     if not 0.0 < relax < 2.0:
-        raise ConfigurationError(f"relaxation parameter must lie in (0, 2), got {relax}")
+        raise ConfigurationError(f"{name} must lie in (0, 2), got {relax}")
 
 
 @dataclass(frozen=True)
@@ -254,11 +255,11 @@ def _axis_band(grid: GridSpec, kind: InterpKind, modules: int, last: bool):
     k + m*n_coarse back onto k.  The band is :func:`_gain_mask`'s; T's
     weight is ``R * mask(|k|)`` and the gain is raw(k) on every band bin: the
     mask is 1 there but at the coarse-Nyquist pair, where the mirror bin
-    folds the halves back together.
+    folds the halves back together.  H is even: raw is taken at |k|, even bitwise.
     """
     n, r = grid.n_fine, grid.ticks_per_sample
     k = _band_bins(grid, last)
-    f = (k[:, np.newaxis] + grid.n_coarse * np.arange(-modules, modules + 1)) / n
+    f = (np.abs(k)[:, np.newaxis] + grid.n_coarse * np.arange(-modules, modules + 1)) / n
     raw = np.sum(_response(kind, r, f), axis=1) / r
     out = k % n, r * _gain_mask(grid)[np.abs(k)], raw
     for a in out:
@@ -268,40 +269,57 @@ def _axis_band(grid: GridSpec, kind: InterpKind, modules: int, last: bool):
 
 @lru_cache(maxsize=64)
 def _axis_gram(grid: GridSpec, last: bool):
-    """One axis's inverse-transform weights w and interior kernels M⁻ and M⁺ on its band bins.
+    """One axis's cross weights w and real Gram matrix G on its band's real coefficients.
 
-    ``irfftn`` of band coefficients X, zero elsewhere, is Re z, where on each
-    axis ``z[t] = sum over band bins k of w_k X_k exp(2 pi i k t / n)``: w_k
-    is 1/n, or 2/n at the last axis's bins k > 0.  So over the interior t
-    that :func:`snr_db` scores, ``sum |z|**2 = conj(X)·(M⁻ X)`` and
-    ``sum z**2 = X·(M⁺ X)``, applying each axis's matrix along that axis, with
-    ``M∓[k, k'] = w_k w_k' S(k' ∓ k)`` and ``S(m)`` the sum over the interior
-    of ``exp(2 pi i m t / n)``: the discrete prolate concentration kernel
-    (Slepian, "Prolate spheroidal wave functions, Fourier analysis, and
-    uncertainty V: the discrete case", Bell Syst. Tech. J., 1978).  S is a
-    geometric sum, in closed form; |m| < n, so only m = 0 sums to the
-    interior's length.
+    ``irfftn`` of a band sums one real row ``Re(alpha exp(2 pi i k t / n))``
+    per real coefficient: on the last axis X_k's real and imaginary parts,
+    of rows ``w_k cos`` and ``-w_k sin`` (w_k 1/n, or 2/n at k > 0); on
+    another :func:`_fold`'s U_k and V_k, of rows cos/n and sin/n.  So over
+    the interior t that :func:`snr_db` scores, coefficients a have energy
+    ``a·(G a)``, G along each axis, ``G[i, j] = Re(alpha_i alpha_j S(k_i + k_j)
+    + alpha_i conj(alpha_j) S(k_i - k_j)) / 2``, with ``S(m)`` the interior's
+    sum of ``exp(2 pi i m t / n)``: the discrete prolate concentration kernel
+    (Slepian, Bell Syst. Tech. J., 1978), a geometric sum in closed form.
+    |m| < n, so only m = 0 sums to the interior's length.  The cross term with
+    a band Y is ``a·(w Y).view(np.float64)``, w 1/(2n) at a folded row k > 0:
+    ``X_k conj(Y_k) + X_-k conj(Y_-k) = (U conj(U') + V conj(V')) / 2``.
     """
-    n = grid.n_fine
-    k = _band_bins(grid, last)
-    w = np.where((k > 0) & last, 2.0 / n, 1.0 / n)
+    n, k = grid.n_fine, _band_bins(grid, last)
+    w = np.where(k != 0, 2.0 / n if last else 0.5 / n, 1.0 / n)
+    if last:  # the real and imaginary part of each bin
+        k, alpha = np.repeat(k, 2), np.repeat(w, 2) * np.tile([1.0, 1j], k.size)
+    else:  # cos rows at bins 0..B, sin rows where _fold puts V_B..V_1
+        k, alpha = np.abs(k), np.where(k < 0, -1j / n, 1.0 / n)
     span = _interior((n,))[0]
     lo, size = span.start, span.stop - span.start
 
     def kernel(m):
-        # exp(i pi m (2 lo + size - 1) / n) sin(pi m size / n) / sin(pi m / n);
-        # the integer products are reduced mod 2n, so every angle is in [0, 2 pi)
-        ratio = np.divide(
-            np.sin(np.pi * (m * size % (2 * n)) / n), np.sin(np.pi * m / n),
-            out=np.full(m.shape, float(size)), where=m != 0,
-        )
+        # exp(i pi m (2 lo + size - 1) / n) sin(pi m size / n) / sin(pi m / n), angles mod 2 pi
+        num, den = np.sin(np.pi * (m * size % (2 * n)) / n), np.sin(np.pi * m / n)
+        ratio = np.divide(num, den, out=np.full(m.shape, float(size)), where=m != 0)
         return ratio * np.exp(1j * np.pi * (m * (2 * lo + size - 1) % (2 * n)) / n)
 
-    pair = np.outer(w, w)
-    out = w, pair * kernel(k - k[:, np.newaxis]), pair * kernel(k + k[:, np.newaxis])
+    gram = np.outer(alpha, alpha) * kernel(k + k[:, np.newaxis])
+    gram += np.outer(alpha, np.conj(alpha)) * kernel(k[:, np.newaxis] - k)
+    out = w, 0.25 * (gram + gram.T).real  # symmetric bitwise, not only to rounding
     for a in out:
         a.setflags(write=False)
     return out
+
+
+def _fold(band: np.ndarray, ndim: int) -> np.ndarray:
+    """``band`` with each non-last of its last ``ndim`` axes' signed bins folded onto k >= 0.
+
+    Bins 0..B, -B..-1 become U_0..U_B, ``U_k = X_k + X_-k`` but U_0 = X_0,
+    then V_B..V_1, ``V_k = i(X_k - X_-k)``: the cos and sin coefficients.  G̃
+    is even in k, so the signed layout's error factors scale them unchanged.
+    """
+    for axis in range(-ndim, -1):
+        x = np.moveaxis(band, axis, 0)
+        top = len(x) // 2
+        pos, neg = x[top:0:-1], x[top + 1 :]  # bins B..1 and -B..-1
+        band = np.moveaxis(np.concatenate([x[:1], (pos + neg)[::-1], 1j * (pos - neg)]), 0, axis)
+    return np.ascontiguousarray(band)
 
 
 def _outer(vectors) -> np.ndarray:
@@ -409,13 +427,13 @@ def _solve_guard(cfg: ReconConfig, q: Optional[np.ndarray] = None):
 
 
 def _along_axes(mats, stack: np.ndarray) -> np.ndarray:
-    """``stack`` with ``mats[i]`` applied along the i-th of its last axes: ``M_y δ M_xᵀ`` in 2-D.
+    """``stack`` with the symmetric ``mats[i]`` applied along its i-th last axis: ``M_y δ M_x``.
 
     Every leading axis is a stack axis, so each matrix product runs on the
     same slices, of the same strides, however many trials and iterates.
     """
     for axis, m in zip(range(-len(mats), 0), mats):
-        stack = (m @ stack.swapaxes(axis, -2)).swapaxes(axis, -2)
+        stack = stack @ m if axis == -1 else (m @ stack.swapaxes(axis, -2)).swapaxes(axis, -2)
     return stack
 
 
@@ -456,14 +474,12 @@ def _scores(index, fixed: np.ndarray, configs: Sequence[ReconConfig], references
     iterate to rounding.  With R the reference's band, o the reference less
     the inverse transform of R, and O the band of o's interior, zero-filled,
     iterate j's interior error is o + b_j, where b_j has the band
-    ``B_j = (R - T) + e_j·T``.  So its energy is
-    ``|o|**2 + 2 Re(B_j · w conj(O)) + (conj(B_j)·(M⁻ B_j) + Re B_j·(M⁺ B_j)) / 2``,
-    with w the product of the axes' weights (:func:`_axis_gram`); the last
-    term is ``sum (Re z_j)**2``, by ``(Re z)**2 = (|z|**2 + Re z**2) / 2``.
-    R, o and O are computed once for all configurations, and a
-    configuration adds no transform.  Each trial's sums and matrix products
-    run on slices laid out as in a call with that trial alone, so neither
-    the batch nor the other configurations change a cell.  The iterates go
+    ``B_j = (R - T) + e_j·T``.  With a the real coefficients of B_j folded
+    (:func:`_fold`), its energy is ``|o|**2 + a·(G a + 2c)``, c from O
+    folded (:func:`_axis_gram`).  R, o and O serve every configuration,
+    which adds no transform.  Each trial's sums and matrix products run on
+    slices laid out as in a call with that trial alone, so neither the batch
+    nor the other configurations change a cell.  The iterates go
     through in stacks of at most ``BATCH_POINTS`` band coefficients over all
     trials.  An overflow raises :func:`iterate`'s error for the configuration
     it occurred in, or for the first while the reference is transformed.
@@ -477,27 +493,21 @@ def _scores(index, fixed: np.ndarray, configs: Sequence[ReconConfig], references
         )
     if not np.isfinite(refs).all():
         raise ConfigurationError("reference and estimate must be finite")  # as snr_db says it
-    weights, minus, plus = zip(
-        *[_axis_gram(g, axis == len(grid) - 1) for axis, g in enumerate(grid)]
-    )
+    weights, grams = zip(*[_axis_gram(g, axis == len(grid) - 1) for axis, g in enumerate(grid)])
     size = max(1, BATCH_POINTS // fixed.size)
     with _solve_guard(configs[0]):
         energy, floor, band, rest = _reference(refs, index, shape)
-        # one matrix-vector product per trial: (iterates x band) by the trial's band
-        cross = (_outer(weights) * np.conj(rest)).reshape(trials, -1, 1)
-        gap = (band - fixed)[:, np.newaxis]
+        gap, fixed, rest = [_fold(x, len(grid)) for x in (band - fixed, fixed, rest)]
+        cross = 2.0 * (_outer(weights) * rest).view(np.float64)[:, np.newaxis]
     out = []
     for cfg in configs:
         cells = [[] for _ in range(trials)]
         q, factors = _factors(cfg)
         with _solve_guard(cfg, q):
             for rows in iter(lambda: list(islice(factors, size)), []):
-                stack = gap + np.stack(rows) * fixed[:, np.newaxis]
-                quad = np.conj(stack) * _along_axes(minus, stack)
-                quad += stack * _along_axes(plus, stack)
-                flat = stack.reshape(trials, len(rows), -1)
-                quad = quad.reshape(trials, len(rows), -1).sum(axis=-1).real
-                err = floor[:, np.newaxis] + 2.0 * (flat @ cross)[..., 0].real + 0.5 * quad
+                a = (gap[:, np.newaxis] + np.stack(rows) * fixed[:, np.newaxis]).view(np.float64)
+                err = (a * (_along_axes(grams, a) + cross)).reshape(trials, len(rows), -1)
+                err = floor[:, np.newaxis] + err.sum(axis=-1)
                 if not np.all(np.isfinite(err)):
                     # the matmul's overflow can escape the guard, as in a threaded BLAS
                     raise FloatingPointError("overflow in the traced error energies")

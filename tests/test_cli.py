@@ -523,6 +523,18 @@ class TestImage:
         assert "not divisible by 4" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_frame_bounds_summing_to_one_rejected(self, tmp_path, capsys):
+        # at A + B <= 1 the step 2/(A+B) is >= 2, so DC never contracts: the
+        # run once wrote a black 4.80 dB image and exited 0
+        src = tmp_path / "s.pgm"
+        write_pgm(synthetic_scene(16, 16, seed=1), src)
+        out_dir = tmp_path / "outdir"
+        argv = ["image", src, "--methods", "iterative:2", "--accelerate", "--out-dir", out_dir]
+        assert run([*argv, "--frame-a", 0.5, "--frame-b", 0.5]) == 2
+        err = capsys.readouterr().err
+        assert "step 2/(A+B) of frame bounds A=0.5, B=0.5 must lie in (0, 2)" in err
+        assert not out_dir.exists()
+
     def test_bad_method_token_exit_code(self, tmp_path, capsys):
         src = tmp_path / "scene.pgm"
         write_pgm(synthetic_scene(16, 16, seed=1), src)

@@ -215,6 +215,13 @@ class TestChebyshev:
         with pytest.raises(ConfigurationError):
             ChebyshevAccel(1.0, np.inf)
 
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.3, 0.4), (0.1, 0.9)])
+    def test_step_of_two_or_more_rejected(self, a, b):
+        # at A + B <= 1 the step 2/(A+B) is >= 2: q = 1 - step at DC, where
+        # every kind's gain is 1, so that bin never contracts
+        with pytest.raises(ConfigurationError, match=r"step 2/\(A\+B\) .* must lie in \(0, 2\)"):
+            ChebyshevAccel(a, b)
+
     def test_accelerates_its_base_iteration(self, grid):
         x = gen_bandlimited(21, grid, 34.0)
         s = sample(x)
@@ -504,8 +511,9 @@ class TestSpectralIterate:
         # the run diverges
         rep = iterate(s, ReconConfig(op, relax=1.9, iterations=10))
         assert rep.non_contraction
-        # Chebyshev steps by 2/(A+B): bounds far below the gain overshoot it
-        rep = iterate(s, ReconConfig(op, iterations=10, acceleration=ChebyshevAccel(0.3, 0.4)))
+        # Chebyshev steps by 2/(A+B): bounds below the gain overshoot it, as
+        # |1 - 1.905*1.061| = 1.021 at (0.52, 0.53)
+        rep = iterate(s, ReconConfig(op, iterations=10, acceleration=ChebyshevAccel(0.52, 0.53)))
         assert rep.non_contraction
         # the default bounds do not bracket the plain gain [0.645, 1], yet
         # 2/(A+B) = 2/3 still contracts every bin
@@ -541,10 +549,11 @@ class TestBandTrace:
     """The SNR trace from the band against a long-double inverse transform and sums per iterate."""
 
     LOOPS = [dict(relax=1.0), dict(relax=0.7), dict(acceleration=ChebyshevAccel())]
-    # the worst cell measured 8.1e-9 dB off below SNR_CHECKED_BELOW_DB and
-    # 5.0e-4 dB below FLOOR_DB, where the float64 rounding of R - T, about
-    # 1e-16 of T, is no longer small beside the error band e_j·T; at the
-    # float64 floor (about 290 dB) rounding moves cells by whole dB
+    # the worst cell measured 8.1e-9 dB off below SNR_CHECKED_BELOW_DB on 1-D
+    # and 2-D grids, 1.9e-8 dB on the 3-D grid, and 5.0e-4 dB below FLOOR_DB,
+    # where the float64 rounding of R - T, about 1e-16 of T, is no longer
+    # small beside the error band e_j·T; at the float64 floor (about 290 dB)
+    # rounding moves cells by whole dB
     SNR_TOL_DB = 1e-6
     SNR_CHECKED_BELOW_DB = 150.0
     FLOOR_TOL_DB = 1e-3
@@ -605,10 +614,12 @@ class TestBandTrace:
             (GridSpec(16, 2), GridSpec(12, 2)),
             (GridSpec(25, 8, 2), GridSpec(16, 4)),
             (GridSpec(25, 2), GridSpec(13, 2)),
+            # two non-last axes folded, one at rate 2, and an odd last axis
+            (GridSpec(9, 4), GridSpec(10, 4, 2), GridSpec(7, 4)),
         ],
         ids=[
             "64x16", "25x8-odd", "32x8-rate2", "24x8-by-16x4", "16x2-by-12x2", "25x8-rate2-by-16x4",
-            "25x2-by-13x2-odd",
+            "25x2-by-13x2-odd", "9x4-by-10x4-rate2-by-7x4-odd",
         ],
     )
     def test_matches_transcribed_trace(self, grid, kind, noisy):
@@ -883,6 +894,82 @@ class TestBandGain:
     def test_read_only(self):
         for array in solver._axis_band(GridSpec(16, 4), SH, 1, False):
             assert not array.flags.writeable
+
+    @pytest.mark.parametrize("kind", [SH, LI], ids=["sh", "li"])
+    @pytest.mark.parametrize("grid", [GridSpec(16, 4), GridSpec(25, 8), GridSpec(33, 6, 2)])
+    def test_even_in_signed_bins(self, kind, grid):
+        # the trace folds bins k and -k onto one cos and one sin coefficient,
+        # which one error factor scales only if G̃(-k) is G̃(k), bitwise
+        for modules in range(3):
+            index, _, gain = solver._axis_band(grid, kind, modules, False)
+            top = (index.size - 1) // 2
+            assert top > 0
+            np.testing.assert_array_equal(gain[top + 1 :], gain[top:0:-1])
+            # and bin -k's gain is the response summed over its own aliases
+            m = np.arange(-modules, modules + 1)
+            aliases = np.arange(-top, 0)[:, np.newaxis] + grid.n_coarse * m
+            raw = samplers._response(kind, grid.ticks_per_sample, aliases / grid.n_fine).sum(axis=1)
+            np.testing.assert_allclose(gain[top + 1 :], raw / grid.ticks_per_sample, rtol=1e-14)
+
+
+class TestAxisGram:
+    """Each axis's real Gram matrix, and the fold, against explicit sums over the interior."""
+
+    @staticmethod
+    def rows(grid, last):
+        """The real row of each of one axis's band coefficients, written out."""
+        n = grid.n_fine
+        top = np.count_nonzero(solver._gain_mask(grid)) - 1
+        t = np.arange(n)
+
+        def cos(k):
+            return np.cos(2 * np.pi * k * t / n)
+
+        def sin(k):
+            return np.sin(2 * np.pi * k * t / n)
+
+        if last:  # the real and imaginary part of each rfft bin: w cos and -w sin
+            w = [(2.0 if k else 1.0) / n for k in range(top + 1)]
+            return np.array([r for k in range(top + 1) for r in (w[k] * cos(k), -w[k] * sin(k))])
+        # cos rows at 0..B, then sin rows at B..1, where the signed bins -B..-1 sat
+        return np.array([cos(k) for k in range(top + 1)] + [sin(k) for k in range(top, 0, -1)]) / n
+
+    @pytest.mark.parametrize("last", [True, False], ids=["last", "non-last"])
+    @pytest.mark.parametrize(
+        "grid", [GridSpec(16, 4), GridSpec(25, 8), GridSpec(33, 6, 2), GridSpec(13, 2)],
+        ids=["16x4", "25x8-odd", "33x6-odd-rate2", "13x2-odd"],
+    )
+    def test_gram_matches_interior_sum(self, grid, last):
+        rows = self.rows(grid, last)[:, solver._interior((grid.n_fine,))[0]]
+        want = rows @ rows.T
+        _, gram = solver._axis_gram(grid, last)
+        assert gram.shape == want.shape
+        assert np.max(np.abs(gram - want)) <= 1e-13 * np.max(np.abs(want))
+        np.testing.assert_array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [(GridSpec(9, 4), GridSpec(7, 4, 2)), (GridSpec(8, 4), GridSpec(6, 2), GridSpec(5, 4))],
+        ids=["9x4-by-7x4-rate2", "8x4-by-6x2-by-5x4"],
+    )
+    def test_fold_gives_interior_energy_and_cross_term(self, grid, rng):
+        # a band's inverse transform b and a real o zero outside the interior:
+        # sum b**2 and sum o*b over the interior from the folded bands alone
+        shape, ndim = tuple([g.n_fine for g in grid]), len(grid)
+        index = [solver._axis_band(g, SH, 0, a == ndim - 1)[0] for a, g in enumerate(grid)]
+        size = tuple([k.size for k in index])
+        band = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        b = solver._band_inverse(band[np.newaxis], index, shape)[0]
+        interior = solver._interior(shape)
+        o = np.zeros(shape)
+        o[interior] = rng.standard_normal(o[interior].shape)
+        weights, grams = zip(*[solver._axis_gram(g, a == ndim - 1) for a, g in enumerate(grid)])
+        a = solver._fold(band, ndim).view(np.float64)
+        rest = solver._fold(np.fft.rfftn(o)[np.ix_(*index)], ndim)
+        c = (solver._outer(weights) * rest).view(np.float64)
+        energy = np.sum(b[interior] ** 2)
+        assert np.sum(a * solver._along_axes(grams, a)) == pytest.approx(energy, rel=1e-13)
+        assert np.sum(a * c) == pytest.approx(np.sum(o * b), abs=1e-13 * energy)
 
 
 class TestFixedPointOracle:
