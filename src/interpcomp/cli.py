@@ -3,12 +3,13 @@
 Each subcommand reproduces one family of experiments as a CSV file with a
 header row and full round-trip float formatting, deterministic for a given
 seed.  Relative output paths resolve against $INTERPCOMP_OUT_DIR when set.
-The trial-running subcommands solve on a grid of ``--dims`` equal axes, each
-of ``--n-coarse`` samples and ``--ticks`` fine ticks per sample; the trials
-run in chunks of bounded memory, each drawn, sampled and scored as one array
-for every configuration on its grid (:func:`_mean_traces`).  Each subcommand
-returns the path of the CSV it wrote and :func:`main` prints it; ``analyze``
-prints its table to stdout instead.
+Every subcommand names its solves by ``--methods`` tokens of one grammar
+(:func:`_methods`).  The trial-running subcommands solve on a grid of
+``--dims`` equal axes, each of ``--n-coarse`` samples and ``--ticks`` fine
+ticks per sample; the trials run in chunks of bounded memory, each drawn,
+sampled and scored as one array for every configuration on its grid
+(:func:`_mean_traces`).  Each subcommand returns the path of the CSV it
+wrote and :func:`main` prints it; ``analyze`` prints its table instead.
 
 Subcommands: convergence, lambda-sweep, noise, rate, analyze, image.
 """
@@ -25,14 +26,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import analysis as ana
-from .imagebench import (
-    EnlargeConfig,
-    GrayImage,
-    decimate,
-    enlarge,
-    read_pgm,
-    write_pgm,
-)
+from .imagebench import EnlargeConfig, GrayImage, decimate, enlarge, read_pgm, write_pgm
 from .samplers import InterpKind, lattice
 from .signal_core import ConfigurationError, GridSpec, _awgn, _check_count, _draws, psnr_db
 from .solver import BATCH_POINTS, ChebyshevAccel, ReconConfig, ReconOperator, _traces
@@ -41,6 +35,10 @@ DEFAULT_TRIALS = 50
 DEFAULT_POWER_DB = 34.0
 DEFAULT_GRID = {1: (128, 16), 2: (32, 8)}  # --dims -> (--n-coarse, --ticks) when not given
 OUT_DIR_ENV = "INTERPCOMP_OUT_DIR"
+# method -> how many integer fields its token may give: K iterations, then M cosine modules
+_FIELDS = {"bilinear": (0,), "iterative": (1,), "hybrid": (2,), "chebyshev": (1, 2)}
+_ALL = "bilinear | iterative:K | hybrid:K:M | chebyshev:K[:M]"
+_TRIAL = "iterative:K | hybrid:K:M"  # the trials have no Chebyshev bounds of their own yet
 
 
 def _fmt(value) -> str:
@@ -81,10 +79,36 @@ def _nonempty(values: list, flag: str) -> list:
     return values
 
 
-def _configs(args, kind, series) -> List[ReconConfig]:
-    """One solve per (modules, relax, k_rate) of ``series``, on the trial grid of ``--dims`` axes.
+def _methods(args, forms=_ALL, one=False) -> List[tuple]:
+    """Each ``--methods`` token, one of ``forms``, as (EnlargeConfig method, K, M, accelerated).
 
-    All are built, and so checked, before the first trial runs.
+    A count the token lacks reads 0; ``chebyshev`` accelerates the iterative
+    method, or the hybrid when M is given.  Any other token, or a second one
+    where ``one`` is set, is a ConfigurationError that names it.
+    """
+    tokens = _nonempty([tok for tok in args.methods.split(",") if tok], "--methods")
+    if one and len(tokens) > 1:
+        raise ConfigurationError(f"{args.command} takes one method, got {args.methods!r}")
+    names = [form.split(":")[0] for form in forms.split(" | ")]
+    methods = []
+    for token in tokens:
+        name, *fields = token.split(":")
+        if name not in names or len(fields) not in _FIELDS[name]:
+            raise ConfigurationError(f"method {token!r}: {args.command} takes {forms}")
+        try:
+            k, m = [int(f) for f in fields] + [0] * (2 - len(fields))
+        except ValueError:
+            raise ConfigurationError(f"method {token!r}: K and M must be integers") from None
+        method = ("iterative", "hybrid")[len(fields) - 1] if name == "chebyshev" else name
+        methods.append((method, k, m, name == "chebyshev"))
+    return methods
+
+
+def _configs(args, kind, variants, one=False) -> List[ReconConfig]:
+    """One solve per token of :func:`_methods` and (relax, k_rate) of ``variants``.
+
+    Each is on the trial grid of ``--dims`` axes; all are built, and so
+    checked, before the first trial runs.
     """
     _check_count(args.trials, "--trials", 1)
     _check_count(args.seed, "--seed", 0)
@@ -92,14 +116,15 @@ def _configs(args, kind, series) -> List[ReconConfig]:
     n_coarse = n_coarse if args.n_coarse is None else args.n_coarse
     ticks = ticks if args.ticks is None else args.ticks
     configs = []
-    for modules, relax, k_rate in series:
-        op = ReconOperator((GridSpec(n_coarse, ticks, k_rate),) * args.dims, kind, modules)
-        configs.append(ReconConfig(op, relax=relax, iterations=args.iterations))
+    for _, iterations, modules, _ in _methods(args, _TRIAL, one):
+        for relax, k_rate in variants:
+            op = ReconOperator((GridSpec(n_coarse, ticks, k_rate),) * args.dims, kind, modules)
+            configs.append(ReconConfig(op, relax=relax, iterations=iterations))
     return configs
 
 
-def _mean_traces(args, series, noise_db=None) -> list:
-    """``(cfg, mean SNR trace, dB gained per iteration)`` of each configuration of ``series``.
+def _mean_traces(args, variants, noise_db=None, one=False) -> list:
+    """``(cfg, mean SNR trace, dB gained per iteration)`` of each configuration of :func:`_configs`.
 
     The gain runs from the mean initial SNR to the trace's last value.
     Every configuration is built and checked (:func:`_configs`) before the
@@ -112,7 +137,7 @@ def _mean_traces(args, series, noise_db=None) -> list:
     them once and scores every configuration on the grid.  The cells are
     bitwise those of one draw and one call per trial and configuration.
     """
-    configs = _configs(args, InterpKind(args.kind), series)
+    configs = _configs(args, InterpKind(args.kind), variants, one)
     inits, traces = [[] for _ in configs], [[] for _ in configs]
     for grid in dict.fromkeys(cfg.operator.grid for cfg in configs):
         on_grid = [i for i, cfg in enumerate(configs) if cfg.operator.grid == grid]
@@ -130,13 +155,13 @@ def _mean_traces(args, series, noise_db=None) -> list:
                 traces[i] += trace
     means = [(float(np.mean(a)), np.mean(np.asarray(b), axis=0)) for a, b in zip(inits, traces)]
     return [
-        (cfg, trace, (float(trace[-1]) - init) / args.iterations)
+        (cfg, trace, (float(trace[-1]) - init) / cfg.iterations)
         for cfg, (init, trace) in zip(configs, means)
     ]
 
 
 def cmd_convergence(args) -> str:
-    """Mean SNR per iteration for each module count.
+    """Mean SNR per iteration for each ``--methods`` token.
 
     Serves ``noise`` too: when ``args.noise_power_db`` is set, AWGN of that
     power is added to every input signal and reported in a last column.
@@ -147,11 +172,10 @@ def cmd_convergence(args) -> str:
     if noise_db is not None:
         header.append("noise_power_db")
         extra = (noise_db,)
-    series = [(m, args.relax, args.k_rate) for m in _nonempty(args.modules, "--modules")]
     rows = [
         (args.kind, cfg.operator.modules, args.relax, args.k_rate, it, float(snr),
          args.trials, args.seed, *extra)
-        for cfg, trace, _ in _mean_traces(args, series, noise_db)
+        for cfg, trace, _ in _mean_traces(args, [(args.relax, args.k_rate)], noise_db)
         for it, snr in enumerate(trace, start=1)
     ]
     return _write_csv(args.out, header, rows)
@@ -162,14 +186,14 @@ def cmd_lambda_sweep(args) -> str:
     for lam in lams:
         if not 0.0 < lam < 2.0:
             raise ConfigurationError(f"lambda grid values must lie in (0, 2), got {lam}")
-    series = [(args.modules_single, lam, args.k_rate) for lam in lams]
-    rows = [(cfg.relax, gain) for cfg, _, gain in _mean_traces(args, series)]
+    variants = [(lam, args.k_rate) for lam in lams]
+    rows = [(cfg.relax, gain) for cfg, _, gain in _mean_traces(args, variants, one=True)]
     return _write_csv(args.out, ["lambda", "avg_db_per_iteration"], rows)
 
 
 def cmd_rate(args) -> str:
     ks = _nonempty(args.k_rates, "--k-rates")
-    per_rate = _mean_traces(args, [(args.modules_single, args.relax, k) for k in ks])
+    per_rate = _mean_traces(args, [(args.relax, k) for k in ks], one=True)
     base_gain = per_rate[0][2]
     rows = [
         (k, it, float(snr), gain, gain - base_gain)
@@ -182,23 +206,23 @@ def cmd_rate(args) -> str:
 
 def cmd_analyze(args) -> None:
     kind = InterpKind(args.kind)
-    modules, relax, k_rate = args.modules_single, args.relax, args.k_rate
-    r = ana.contraction_factor(kind, modules, relax, k_rate)
+    ((_, iterations, modules, _),) = _methods(args, _TRIAL, one=True)
+    r = ana.contraction_factor(kind, modules, args.relax, args.k_rate)
     pairs = [
         ("kind", kind.value),
         ("modules", modules),
-        ("lambda", relax),
-        ("k_rate", k_rate),
+        ("lambda", args.relax),
+        ("k_rate", args.k_rate),
         ("contraction_factor", r),
-        ("lambda_opt_minimax", ana.lambda_opt_minimax(kind, modules, k_rate)),
+        ("lambda_opt_minimax", ana.lambda_opt_minimax(kind, modules, args.k_rate)),
     ]
     if modules == 1:
         pairs += [
             ("lambda_opt_recomputed", ana.lambda_opt_paper(kind)),
             ("lambda_opt_paper_printed", ana.PAPER_PRINTED_LAMBDA_OPT[kind]),
         ]
-    noise = ana.noise_tolerance_coeff(kind, modules, relax, iteration_k=2)
-    adds, mults = ana.op_counts(args.iterations, args.fft_block, modules == 1)
+    noise = ana.noise_tolerance_coeff(kind, modules, args.relax, iteration_k=2)
+    adds, mults = ana.op_counts(iterations, args.fft_block, modules == 1)
     if modules > 1:  # the paper counts the plain method and the one-module hybrid only
         adds = mults = "n/a"
     pairs += [
@@ -218,34 +242,18 @@ def cmd_analyze(args) -> None:
             print(f"{key:<{width}}  {_fmt(val)}")
 
 
-def _parse_method(token: str, factor: int, relax: float, acceleration) -> EnlargeConfig:
-    """bilinear | iterative:ITERS | hybrid:ITERS:MODULES, at the given factor and relaxation."""
-    name, *fields = token.split(":")
-    arity = {"bilinear": 0, "iterative": 1, "hybrid": 2}.get(name, -1)  # -1: no such method
-    if len(fields) > arity:
-        raise ConfigurationError(f"method {token!r}: use bilinear, iterative:N or hybrid:N:M")
-    try:
-        counts = [int(f) for f in fields]
-    except ValueError:
-        raise ConfigurationError(f"method {token!r}: ITERS and MODULES must be integers") from None
-    return EnlargeConfig(  # EnlargeConfig's defaults fill what the token leaves out
-        factor=factor, method=name, relax=relax, acceleration=acceleration,
-        **dict(zip(("iterations", "modules"), counts)),
-    )
-
-
 def cmd_image(args) -> str:
     original = read_pgm(args.image)
-    bounds = ChebyshevAccel(args.frame_a, args.frame_b)  # checked without --accelerate too
-    accel = bounds if args.accelerate else None
+    bounds = ChebyshevAccel(args.frame_a, args.frame_b)  # checked with no chebyshev token too
     methods = [
-        _parse_method(tok, args.factor, args.relax, accel) for tok in args.methods.split(",")
+        EnlargeConfig(args.factor, method, k, m, args.relax, bounds if accelerated else None)
+        for method, k, m, accelerated in _methods(args)
     ]
-    low = decimate(original, args.factor)  # checks the size before any directory is made
+    low = decimate(original, args.factor)
+    recons = [enlarge(low, cfg) for cfg in methods]  # so a failed solve leaves no output
     out_dir = _resolve_out(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     write_pgm(low, os.path.join(out_dir, "decimated.pgm"))
-    recons = [enlarge(low, cfg) for cfg in methods]  # every method runs before any write
     rows = []
     for cfg, recon in zip(methods, recons):
         tag = cfg.label.replace("(", "_").replace(")", "").replace(",", "_")
@@ -265,14 +273,14 @@ def cmd_image(args) -> str:
     return _write_csv(os.path.join(out_dir, "psnr.csv"), header, rows)
 
 
-def _add_common(p: argparse.ArgumentParser, *, trials=True, relax=True, k_rate=True):
-    """The configuration flags; ``trials`` adds those of the trial-running subcommands."""
+def _add_common(p: argparse.ArgumentParser, methods, *, trials=True, relax=True, k_rate=True):
+    """The configuration flags, ``methods`` the default; ``trials`` adds the trials' flags."""
     p.add_argument("--kind", default="sh", choices=[k.value for k in InterpKind], help="interpolator")
+    p.add_argument("--methods", default=methods, help=f"{_TRIAL}; K iterations, M modules")
     if relax:
         p.add_argument("--lambda", dest="relax", type=float, default=1.0, help="relaxation parameter")
     if k_rate:
         p.add_argument("--k-rate", type=int, default=1, help="sampling rate multiple of Nyquist")
-    p.add_argument("--iterations", type=int, default=10)
     if not trials:
         return
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
@@ -293,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convergence", help="mean SNR vs iteration for a list of module counts")
-    _add_common(p)
-    p.add_argument("--modules", type=_int_list, default=[0, 1, 2], help="comma list, e.g. 0,1,2")
+    p = sub.add_parser("convergence", help="mean SNR vs iteration for a list of methods")
+    _add_common(p, "iterative:10,hybrid:10:1,hybrid:10:2")
     p.add_argument("--out", default="convergence.csv")
     p.set_defaults(func=cmd_convergence, noise_power_db=None)
 
@@ -303,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lambda-sweep", help="average dB/iteration over a relaxation grid", allow_abbrev=False
     )
-    _add_common(p, relax=False)
-    p.add_argument("--modules", dest="modules_single", type=int, default=1)
+    _add_common(p, "hybrid:10:1", relax=False)
     p.add_argument(
         "--lambda-grid",
         dest="lambda_grid",
@@ -316,22 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lambda_sweep)
 
     p = sub.add_parser("noise", help="convergence traces with AWGN added to the input signal")
-    _add_common(p)
-    p.add_argument("--modules", type=_int_list, default=[0, 1, 2, 4])
+    _add_common(p, "iterative:10,hybrid:10:1,hybrid:10:2,hybrid:10:4")
     p.add_argument("--noise-power-db", type=float, default=-20.0)
     p.add_argument("--out", default="noise.csv")
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("rate", help="traces at several sampling-rate multiples", allow_abbrev=False)
-    _add_common(p, k_rate=False)
-    p.add_argument("--modules", dest="modules_single", type=int, default=1)
+    _add_common(p, "hybrid:10:1", k_rate=False)
     p.add_argument("--k-rates", type=_int_list, default=[1, 2])
     p.add_argument("--out", default="rate.csv")
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("analyze", help="closed-form constants for one configuration")
-    _add_common(p, trials=False)
-    p.add_argument("--modules", dest="modules_single", type=int, default=1)
+    _add_common(p, "hybrid:10:1", trials=False)
     p.add_argument("--fft-block", type=int, default=2048)
     p.add_argument("--csv", action="store_true", help="emit CSV instead of aligned text")
     p.set_defaults(func=cmd_analyze)
@@ -339,13 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("image", help="decimate + enlarge a PGM and report PSNR per method")
     p.add_argument("image", help="input PGM (P2 or P5, maxval 255)")
     p.add_argument("--factor", type=int, default=2)
-    p.add_argument(
-        "--methods",
-        default="bilinear,iterative:2,iterative:10,hybrid:2:1",
-        help="comma list: bilinear | iterative:N | hybrid:N:M",
-    )
+    methods = "bilinear,iterative:2,iterative:10,hybrid:2:1"
+    p.add_argument("--methods", default=methods, help=f"{_ALL}; K iterations, M modules")
     p.add_argument("--lambda", dest="relax", type=float, default=1.0)
-    p.add_argument("--accelerate", action="store_true", help="Chebyshev-accelerate the iteration")
     p.add_argument("--frame-a", type=float, default=1.0)
     p.add_argument("--frame-b", type=float, default=2.0)
     p.add_argument("--out-dir", default="image_bench")

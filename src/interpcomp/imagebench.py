@@ -235,9 +235,10 @@ class EnlargeConfig:
     def label(self) -> str:
         if self.method == "bilinear":
             return "bilinear"
+        name = self.method if self.acceleration is None else "chebyshev"
         if self.method == "iterative":
-            return f"iterative({self.iterations})"
-        return f"hybrid({self.iterations},{self.modules})"
+            return f"{name}({self.iterations})"
+        return f"{name}({self.iterations},{self.modules})"
 
 
 def enlarge_dense(low: GrayImage, cfg: EnlargeConfig) -> np.ndarray:

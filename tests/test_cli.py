@@ -8,7 +8,11 @@ import pytest
 
 from interpcomp import GridSpec, InterpKind, cli
 from interpcomp.cli import build_parser, main
-from interpcomp.imagebench import GrayImage, read_pgm, synthetic_scene, write_pgm
+from interpcomp.analysis import op_counts
+from interpcomp.imagebench import (
+    EnlargeConfig, GrayImage, decimate, enlarge, read_pgm, synthetic_scene, write_pgm,
+)
+from interpcomp.solver import ChebyshevAccel
 
 
 def read_rows(path):
@@ -23,7 +27,7 @@ def run(argv):
 class TestConvergence:
     def test_deterministic_bytes(self, tmp_path, capsys):
         args = [
-            "convergence", "--trials", 2, "--iterations", 3, "--modules", "0,1",
+            "convergence", "--trials", 2, "--methods", "iterative:3,hybrid:3:1",
             "--n-coarse", 32, "--seed", 5,
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -34,7 +38,7 @@ class TestConvergence:
     def test_one_row_per_iteration(self, tmp_path):
         out = tmp_path / "c.csv"
         assert run(
-            ["convergence", "--trials", 1, "--iterations", 1, "--modules", "0,1,2",
+            ["convergence", "--trials", 1, "--methods", "iterative:1,hybrid:1:1,hybrid:1:2",
              "--n-coarse", 32, "--out", out]
         ) == 0
         rows = read_rows(out)
@@ -47,7 +51,7 @@ class TestConvergence:
     def test_curves_ordered_by_modules(self, tmp_path):
         out = tmp_path / "c.csv"
         assert run(
-            ["convergence", "--trials", 5, "--iterations", 2, "--modules", "0,1,2",
+            ["convergence", "--trials", 5, "--methods", "iterative:2,hybrid:2:1,hybrid:2:2",
              "--out", out]
         ) == 0
         at2 = {
@@ -59,7 +63,7 @@ class TestConvergence:
 
     def test_invalid_parameter_exit_code(self, tmp_path, capsys):
         code = run(
-            ["convergence", "--lambda", "2.5", "--trials", 1, "--iterations", 1,
+            ["convergence", "--lambda", "2.5", "--trials", 1, "--methods", "iterative:1",
              "--out", tmp_path / "x.csv"]
         )
         assert code == 2
@@ -71,7 +75,7 @@ class TestConvergence:
         # 8000 iterations; the error names the contraction factor
         out = tmp_path / "x.csv"
         code = run(
-            ["convergence", "--lambda", "1.95", "--modules", "1", "--iterations", 8000,
+            ["convergence", "--lambda", "1.95", "--methods", "hybrid:8000:1",
              "--trials", 1, "--out", out]
         )
         assert code == 2
@@ -88,7 +92,7 @@ class TestConvergence:
 
     @pytest.mark.parametrize(
         "command,flag",
-        [("convergence", "--modules"), ("noise", "--modules"),
+        [("convergence", "--methods"), ("noise", "--methods"),
          ("lambda-sweep", "--lambda-grid"), ("rate", "--k-rates")],
     )
     def test_empty_list_exit_code(self, tmp_path, capsys, command, flag):
@@ -102,8 +106,8 @@ class TestConvergence:
         "argv",
         [
             ["lambda-sweep", "--lambda-grid", "0.5,1.0,2.5"],
-            ["convergence", "--modules", "0,1,9"],
-            ["noise", "--modules", "0,1,9"],
+            ["convergence", "--methods", "iterative:10,hybrid:10:1,hybrid:10:9"],
+            ["noise", "--methods", "iterative:10,hybrid:10:1,hybrid:10:9"],
             ["rate", "--k-rates", "1,2,0"],
         ],
         ids=["lambda-sweep", "convergence", "noise", "rate"],
@@ -127,10 +131,10 @@ class TestConvergence:
     @pytest.mark.parametrize(
         "argv,per_trial",
         [
-            (["convergence", "--modules", "0,1,2"], 1),
-            (["noise", "--modules", "0,1"], 1),
-            (["lambda-sweep", "--lambda-grid", "0.5,1.0"], 1),
-            (["rate", "--k-rates", "1,2"], 2),
+            (["convergence", "--methods", "iterative:2,hybrid:2:1,hybrid:2:2"], 1),
+            (["noise", "--methods", "iterative:2,hybrid:2:1"], 1),
+            (["lambda-sweep", "--methods", "hybrid:2:1", "--lambda-grid", "0.5,1.0"], 1),
+            (["rate", "--methods", "hybrid:2:1", "--k-rates", "1,2"], 2),
         ],
         ids=["convergence", "noise", "lambda-sweep", "rate"],
     )
@@ -146,7 +150,7 @@ class TestConvergence:
 
         monkeypatch.setattr(cli, "_draws", counted)
         out = tmp_path / "x.csv"
-        argv = [*argv, "--trials", 3, "--iterations", 2, "--n-coarse", 32, "--seed", 4]
+        argv = [*argv, "--trials", 3, "--n-coarse", 32, "--seed", 4]
         assert run([*argv, "--out", out]) == 0
         assert sorted(seeds) == sorted([4, 5, 6] * per_trial)
 
@@ -171,14 +175,14 @@ class TestConvergence:
             return generate(seeds, grid, *args, **kwargs)
 
         monkeypatch.setattr(cli, "_draws", recorded)
-        argv = ["convergence", *flags, "--trials", 1, "--iterations", 1, "--modules", 0]
+        argv = ["convergence", *flags, "--trials", 1, "--methods", "iterative:1"]
         assert run([*argv, "--out", tmp_path / "x.csv"]) == 0
         assert grids == [tuple(GridSpec(n, ticks) for n, ticks in axes)]
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INTERPCOMP_OUT_DIR", str(tmp_path / "outputs"))
         assert run(
-            ["convergence", "--trials", 1, "--iterations", 1, "--modules", "0",
+            ["convergence", "--trials", 1, "--methods", "iterative:1",
              "--n-coarse", 32, "--out", "conv.csv"]
         ) == 0
         assert (tmp_path / "outputs" / "conv.csv").exists()
@@ -188,7 +192,7 @@ class TestBatches:
     """The trials run in chunks of at most BATCH_POINTS points, each scored in one call per grid."""
 
     # 5 trials of 16 x 16 = 256 fine points each in 1-D
-    SMALL = ["--trials", 5, "--iterations", 3, "--n-coarse", 16, "--seed", 2]
+    SMALL = ["--trials", 5, "--n-coarse", 16, "--seed", 2]
 
     @staticmethod
     def recorded(monkeypatch):
@@ -206,10 +210,10 @@ class TestBatches:
     @pytest.mark.parametrize(
         "argv,per_grid",
         [
-            (["convergence", "--modules", "0,1,2"], [3]),
-            (["noise", "--modules", "0,1"], [2]),
-            (["lambda-sweep", "--lambda-grid", "0.5,1.0"], [2]),
-            (["rate", "--k-rates", "1,2"], [1, 1]),  # two rates, two grids
+            (["convergence", "--methods", "iterative:3,hybrid:3:1,hybrid:3:2"], [3]),
+            (["noise", "--methods", "iterative:3,hybrid:3:1"], [2]),
+            (["lambda-sweep", "--methods", "hybrid:3:1", "--lambda-grid", "0.5,1.0"], [2]),
+            (["rate", "--methods", "hybrid:3:1", "--k-rates", "1,2"], [1, 1]),  # two grids
         ],
         ids=["convergence", "noise", "lambda-sweep", "rate"],
     )
@@ -236,15 +240,20 @@ class TestBatches:
         "argv,points",
         [
             (
-                ["convergence", "--dims", 2, "--n-coarse", 8, "--ticks", 4, "--modules", "0,1"],
+                ["convergence", "--dims", 2, "--n-coarse", 8, "--ticks", 4,
+                 "--methods", "iterative:4,hybrid:4:1"],
                 32 * 32,
             ),
-            (["noise", "--n-coarse", 16], 16 * 16),
+            (
+                ["noise", "--n-coarse", 16,
+                 "--methods", "iterative:4,hybrid:4:1,hybrid:4:2,hybrid:4:4"],
+                16 * 16,
+            ),
         ],
         ids=["convergence-2d", "noise"],
     )
     def test_chunks_change_no_byte(self, tmp_path, monkeypatch, argv, points):
-        argv = [*argv, "--trials", 5, "--iterations", 4, "--seed", 3]
+        argv = [*argv, "--trials", 5, "--seed", 3]
         whole = tmp_path / "whole.csv"
         assert run([*argv, "--out", whole]) == 0
         for budget in (1, 2 * points):  # one trial per chunk, then 2 + 2 + 1
@@ -256,8 +265,11 @@ class TestBatches:
     @pytest.mark.parametrize(
         "command,flag,lists",
         [
-            ("convergence", "--modules", ["0,1,2", "1", "2,0"]),
-            ("noise", "--modules", ["0,1,2", "2"]),
+            (
+                "convergence", "--methods",
+                ["iterative:3,hybrid:3:1,hybrid:3:2", "hybrid:3:1", "hybrid:3:2,iterative:3"],
+            ),
+            ("noise", "--methods", ["iterative:3,hybrid:3:1,hybrid:3:2", "hybrid:3:2"]),
             ("lambda-sweep", "--lambda-grid", ["0.5,1.0,1.5", "1.0", "1.5,0.5"]),
         ],
         ids=["convergence", "noise", "lambda-sweep"],
@@ -307,7 +319,7 @@ class TestLambdaSweep:
         out = tmp_path / "l.csv"
         assert run(
             ["lambda-sweep", "--lambda-grid", "1.0", "--trials", 1,
-             "--iterations", 3, "--n-coarse", 32, "--out", out]
+             "--methods", "hybrid:3:1", "--n-coarse", 32, "--out", out]
         ) == 0
         rows = read_rows(out)
         assert len(rows) == 1
@@ -316,7 +328,7 @@ class TestLambdaSweep:
     def test_grid_outside_range_rejected(self, tmp_path, capsys):
         code = run(
             ["lambda-sweep", "--lambda-grid", "0.5,2.5", "--trials", 1,
-             "--iterations", 2, "--out", tmp_path / "l.csv"]
+             "--methods", "hybrid:2:1", "--out", tmp_path / "l.csv"]
         )
         assert code == 2
         assert "lambda" in capsys.readouterr().err
@@ -324,8 +336,7 @@ class TestLambdaSweep:
 
 class TestNoise:
     def test_negligible_noise_matches_noiseless(self, tmp_path):
-        common = ["--trials", 3, "--iterations", 5, "--modules", "1",
-                  "--n-coarse", 64, "--seed", 3]
+        common = ["--trials", 3, "--methods", "hybrid:5:1", "--n-coarse", 64, "--seed", 3]
         clean, noisy = tmp_path / "clean.csv", tmp_path / "noisy.csv"
         assert run(["convergence", *common, "--out", clean]) == 0
         assert run(["noise", *common, "--noise-power-db", "-300", "--out", noisy]) == 0
@@ -337,7 +348,7 @@ class TestNoise:
     def test_peak_exists_at_minus_20db(self, tmp_path):
         out = tmp_path / "n.csv"
         assert run(
-            ["noise", "--trials", 5, "--iterations", 30, "--modules", "0",
+            ["noise", "--trials", 5, "--methods", "iterative:30",
              "--noise-power-db", "-20", "--out", out]
         ) == 0
         trace = [float(r["mean_snr_db"]) for r in read_rows(out)]
@@ -360,7 +371,7 @@ class TestRate:
     def test_same_rate_zero_difference(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run(
-            ["rate", "--k-rates", "1,1", "--trials", 2, "--iterations", 3,
+            ["rate", "--k-rates", "1,1", "--trials", 2, "--methods", "hybrid:3:1",
              "--n-coarse", 32, "--out", out]
         ) == 0
         diffs = {float(r["gain_diff_vs_first"]) for r in read_rows(out)}
@@ -369,7 +380,7 @@ class TestRate:
     def test_monotone_traces(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run(
-            ["rate", "--k-rates", "1,2", "--trials", 3, "--iterations", 4,
+            ["rate", "--k-rates", "1,2", "--trials", 3, "--methods", "hybrid:4:1",
              "--out", out]
         ) == 0
         rows = read_rows(out)
@@ -380,18 +391,18 @@ class TestRate:
 
 class TestAnalyze:
     def test_text_output(self, capsys):
-        assert run(["analyze", "--kind", "sh", "--modules", "1"]) == 0
+        assert run(["analyze", "--kind", "sh", "--methods", "hybrid:10:1"]) == 0
         out = capsys.readouterr().out
         assert "contraction_factor" in out
 
     def test_csv_parseable(self, capsys):
-        assert run(["analyze", "--kind", "sh", "--modules", "0", "--csv"]) == 0
+        assert run(["analyze", "--kind", "sh", "--methods", "iterative:10", "--csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         table = dict(row.split(",", 1) for row in lines[1:])
         assert float(table["contraction_factor"]) == pytest.approx(0.3634, abs=1e-3)
 
     def test_hybrid_value(self, capsys):
-        assert run(["analyze", "--kind", "sh", "--modules", "1", "--csv"]) == 0
+        assert run(["analyze", "--kind", "sh", "--methods", "hybrid:10:1", "--csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         table = dict(row.split(",", 1) for row in lines[1:])
         assert float(table["contraction_factor"]) == pytest.approx(0.06, abs=5e-3)
@@ -401,7 +412,7 @@ class TestAnalyze:
     )
     def test_op_counts_cover_zero_and_one_module(self, capsys, modules, adds, mults):
         # the paper counts the plain method and the one-module hybrid only
-        assert run(["analyze", "--modules", modules, "--csv"]) == 0
+        assert run(["analyze", "--methods", f"hybrid:10:{modules}", "--csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         table = dict(row.split(",", 1) for row in lines[1:])
         assert (table["adds_per_sample"], table["mults_per_sample"]) == (adds, mults)
@@ -490,29 +501,46 @@ class TestImage:
         write_pgm(synthetic_scene(32, 32, seed=4), src)
         out_dir = tmp_path / "bench"
         assert run(
-            ["image", src, "--methods", "bilinear,iterative:2", "--accelerate", "--lambda", 1.9,
+            ["image", src, "--methods", "bilinear,chebyshev:2", "--lambda", 1.9,
              "--frame-a", 1, "--frame-b", 2, "--out-dir", out_dir]
         ) == 0
         rows = read_rows(out_dir / "psnr.csv")
         assert [r["lambda"] for r in rows] == ["", "0.6666666666666666"]
 
+    def test_plain_and_accelerated_side_by_side(self, tmp_path):
+        # one run holds both solves under distinct labels, and the Chebyshev
+        # image is that of the iterative EnlargeConfig with the default bounds
+        scene = synthetic_scene(32, 32, seed=4)
+        src, out_dir = tmp_path / "scene.pgm", tmp_path / "bench"
+        write_pgm(scene, src)
+        argv = ["image", src, "--methods", "iterative:2,chebyshev:2", "--out-dir", out_dir]
+        assert run(argv) == 0
+        rows = read_rows(out_dir / "psnr.csv")
+        assert [r["method"] for r in rows] == ["iterative(2)", "chebyshev(2)"]
+        cfg = EnlargeConfig(method="iterative", iterations=2, acceleration=ChebyshevAccel(1, 2))
+        want = enlarge(decimate(scene, 2), cfg).pixels
+        assert np.array_equal(read_pgm(out_dir / "recon_chebyshev_2.pgm").pixels, want)
+        assert not np.array_equal(read_pgm(out_dir / "recon_iterative_2.pgm").pixels, want)
+
     def test_overflowing_hybrid_exit_code(self, tmp_path, capsys):
         # lambda 1.99 with one module does not contract, and 2000 iterations
-        # overflow float64: exit 2 with the factor named, and no warning.  The
-        # factor is the largest the solve applies, over the bins 0..n-1 of the
-        # image's cosine transform, not the extension band's 3.4775
+        # overflow float64: exit 2 with the factor named, no warning, and no
+        # output, though bilinear ran first.  The factor is the largest the
+        # solve applies, over the bins 0..n-1 of the image's cosine transform,
+        # not the extension band's 3.4775
         src = tmp_path / "scene.pgm"
         write_pgm(synthetic_scene(64, 64, seed=2), src, ascii_format=True)
         out_dir = tmp_path / "bench"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run(
-                ["image", src, "--methods", "hybrid:2000:1", "--lambda", 1.99,
+                ["image", src, "--methods", "bilinear,hybrid:2000:1", "--lambda", 1.99,
                  "--out-dir", out_dir]
             )
         assert code == 2
         err = capsys.readouterr().err
         assert "does not contract, max |1 - s*gain| = 3.33223 >= 1" in err
+        assert not out_dir.exists()
 
     def test_indivisible_factor_makes_no_out_dir(self, tmp_path, capsys):
         # the size check runs before the output directory is made
@@ -529,7 +557,7 @@ class TestImage:
         src = tmp_path / "s.pgm"
         write_pgm(synthetic_scene(16, 16, seed=1), src)
         out_dir = tmp_path / "outdir"
-        argv = ["image", src, "--methods", "iterative:2", "--accelerate", "--out-dir", out_dir]
+        argv = ["image", src, "--methods", "chebyshev:2", "--out-dir", out_dir]
         assert run([*argv, "--frame-a", 0.5, "--frame-b", 0.5]) == 2
         err = capsys.readouterr().err
         assert "step 2/(A+B) of frame bounds A=0.5, B=0.5 must lie in (0, 2)" in err
@@ -548,28 +576,26 @@ class TestImage:
 # that adds or drops a flag edits this table, so the diff shows it
 OPTIONS = {
     "convergence": [
-        "--dims", "--help", "--iterations", "--k-rate", "--kind", "--lambda", "--modules",
+        "--dims", "--help", "--k-rate", "--kind", "--lambda", "--methods",
         "--n-coarse", "--out", "--seed", "--ticks", "--trials", "-h",
     ],
     "lambda-sweep": [
-        "--dims", "--help", "--iterations", "--k-rate", "--kind", "--lambda-grid", "--modules",
+        "--dims", "--help", "--k-rate", "--kind", "--lambda-grid", "--methods",
         "--n-coarse", "--out", "--seed", "--ticks", "--trials", "-h",
     ],
     "noise": [
-        "--dims", "--help", "--iterations", "--k-rate", "--kind", "--lambda", "--modules",
+        "--dims", "--help", "--k-rate", "--kind", "--lambda", "--methods",
         "--n-coarse", "--noise-power-db", "--out", "--seed", "--ticks", "--trials", "-h",
     ],
     "rate": [
-        "--dims", "--help", "--iterations", "--k-rates", "--kind", "--lambda", "--modules",
+        "--dims", "--help", "--k-rates", "--kind", "--lambda", "--methods",
         "--n-coarse", "--out", "--seed", "--ticks", "--trials", "-h",
     ],
     "analyze": [
-        "--csv", "--fft-block", "--help", "--iterations", "--k-rate", "--kind", "--lambda",
-        "--modules", "-h",
+        "--csv", "--fft-block", "--help", "--k-rate", "--kind", "--lambda", "--methods", "-h",
     ],
     "image": [
-        "--accelerate", "--factor", "--frame-a", "--frame-b", "--help", "--lambda", "--methods",
-        "--out-dir", "-h",
+        "--factor", "--frame-a", "--frame-b", "--help", "--lambda", "--methods", "--out-dir", "-h",
     ],
 }
 
@@ -597,16 +623,22 @@ def test_kind_choices_follow_the_enum():
 
 
 # the numeric flags of each subcommand
-TRIAL_FLAGS = ["--trials", "--seed", "--dims", "--n-coarse", "--ticks", "--iterations"]
+TRIAL_FLAGS = ["--trials", "--seed", "--dims", "--n-coarse", "--ticks"]
 SWEPT_FLAGS = {
-    "convergence": [*TRIAL_FLAGS, "--lambda", "--modules", "--k-rate"],
-    "noise": [*TRIAL_FLAGS, "--lambda", "--modules", "--k-rate", "--noise-power-db"],
-    "lambda-sweep": [*TRIAL_FLAGS, "--modules", "--k-rate"],
-    "rate": [*TRIAL_FLAGS, "--lambda", "--modules"],
-    "analyze": ["--lambda", "--modules", "--k-rate", "--iterations", "--fft-block"],
+    "convergence": [*TRIAL_FLAGS, "--lambda", "--k-rate"],
+    "noise": [*TRIAL_FLAGS, "--lambda", "--k-rate", "--noise-power-db"],
+    "lambda-sweep": [*TRIAL_FLAGS, "--k-rate"],
+    "rate": [*TRIAL_FLAGS, "--lambda"],
+    "analyze": ["--lambda", "--k-rate", "--fft-block"],
     "image": ["--lambda", "--factor", "--frame-a", "--frame-b"],
 }
-TINY_TRIALS = ["--trials", 1, "--iterations", 2, "--n-coarse", 16]
+# each numeric field of each subcommand's --methods tokens, at the {} of a token
+TRIAL_FIELDS = ["iterative:{}", "hybrid:{}:1", "hybrid:2:{}"]
+SWEPT_FIELDS = {
+    **{command: TRIAL_FIELDS for command in SWEPT_FLAGS if command != "image"},
+    "image": [*TRIAL_FIELDS, "chebyshev:{}", "chebyshev:{}:1", "chebyshev:2:{}"],
+}
+TINY_TRIALS = ["--trials", 1, "--n-coarse", 16]
 
 
 @pytest.fixture(scope="module")
@@ -621,13 +653,13 @@ def tiny_argv(command, pgm, tmp_path, accelerate=True):
     if command == "analyze":
         return [command]
     if command == "image":
-        accel = ["--accelerate"] if accelerate else []
-        return [command, pgm, *accel, "--out-dir", tmp_path / "o"]
+        accel = ["--methods", "bilinear,chebyshev:2,chebyshev:10,chebyshev:2:1"]
+        return [command, pgm, *(accel if accelerate else []), "--out-dir", tmp_path / "o"]
     return [command, *TINY_TRIALS, "--out", tmp_path / "x.csv"]
 
 
 # (command, flags) runs that must fail before they write anything; an image
-# run is not accelerated, so its frame bounds are checked all the same
+# run has no chebyshev token, so its frame bounds are checked all the same
 REJECTED = [
     ("convergence", ["--seed", "-1"]),
     ("noise", ["--seed", "-1"]),
@@ -636,7 +668,7 @@ REJECTED = [
     ("convergence", ["--dims", "2", "--n-coarse", "0"]),
     ("noise", ["--dims", "2", "--ticks", "3"]),
     ("rate", ["--n-coarse", "3"]),
-    ("analyze", ["--modules", "-1"]),
+    ("analyze", ["--methods", "hybrid:10:-1"]),
     ("analyze", ["--lambda", "nan"]),
     ("analyze", ["--lambda", "inf"]),
     ("image", ["--lambda", "0"]),
@@ -693,6 +725,14 @@ class TestBoundarySweep:
             assert code in (0, 2), argv
 
     @pytest.mark.parametrize(
+        "command,template", [(c, t) for c, fields in SWEPT_FIELDS.items() for t in fields]
+    )
+    def test_method_field_exits_0_or_2(self, tmp_path, pgm16, command, template):
+        for value in ("-1", "0", "nan", "inf"):
+            argv = [*tiny_argv(command, pgm16, tmp_path), "--methods", template.format(value)]
+            assert run(argv) in (0, 2), argv
+
+    @pytest.mark.parametrize(
         "command,flags", REJECTED, ids=["-".join([c, *f]) for c, f in REJECTED]
     )
     def test_rejected_with_one_line(self, tmp_path, capsys, pgm16, command, flags):
@@ -721,3 +761,70 @@ class TestBoundarySweep:
         lines = capsys.readouterr().out.strip().splitlines()
         table = dict(row.split(",", 1) for row in lines[1:])
         assert table["predicted_db_per_iteration"] == "nan"
+
+
+ALL_COMMANDS = ["convergence", "noise", "lambda-sweep", "rate", "analyze", "image"]
+SOLVE_ONLY = ALL_COMMANDS[:-1]  # no bilinear and no chebyshev: the trials and analyze
+
+
+class TestMethodGrammar:
+    """bilinear | iterative:K | hybrid:K:M | chebyshev:K[:M], in every subcommand."""
+
+    # (token, its image label, K, M, the subcommands that take it)
+    VALID = [
+        ("bilinear", "bilinear", 0, 0, ["image"]),
+        ("iterative:2", "iterative(2)", 2, 0, ALL_COMMANDS),
+        ("hybrid:2:1", "hybrid(2,1)", 2, 1, ALL_COMMANDS),
+        ("chebyshev:2", "chebyshev(2)", 2, 0, ["image"]),
+        ("chebyshev:2:1", "chebyshev(2,1)", 2, 1, ["image"]),
+    ]
+    # (--methods value, the subcommands that reject it)
+    INVALID = [
+        ("bogus:2", ALL_COMMANDS),
+        ("iterative", ALL_COMMANDS),
+        ("hybrid:2", ALL_COMMANDS),
+        ("bilinear:7", ALL_COMMANDS),
+        ("chebyshev:3:1:2", ALL_COMMANDS),
+        ("iterative:4.0", ALL_COMMANDS),
+        ("bilinear", SOLVE_ONLY),
+        ("chebyshev:2", SOLVE_ONLY),
+        ("chebyshev:2:1", SOLVE_ONLY),
+        ("iterative:2,hybrid:2:1", ["lambda-sweep", "rate", "analyze"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "command,token,label,iterations,modules",
+        [(c, t, lab, k, m) for t, lab, k, m, commands in VALID for c in commands],
+    )
+    def test_valid_form_runs(
+        self, tmp_path, capsys, monkeypatch, pgm16, command, token, label, iterations, modules
+    ):
+        calls = TestBatches.recorded(monkeypatch)
+        argv = [*tiny_argv(command, pgm16, tmp_path, accelerate=False), "--methods", token]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        if command == "image":
+            (row,) = read_rows(tmp_path / "o" / "psnr.csv")
+            assert (row["method"], row["iters"], row["modules"]) == (
+                label, str(iterations), str(modules)
+            )
+        elif command == "analyze":
+            table = dict(line.split() for line in out.splitlines())
+            adds = op_counts(iterations, 2048, modules == 1)[0]
+            assert (table["modules"], table["adds_per_sample"]) == (str(modules), str(adds))
+        else:
+            solves = [cfg for configs, _ in calls for cfg in configs]
+            assert {(c.iterations, c.operator.modules, c.acceleration) for c in solves} == {
+                (iterations, modules, None)
+            }
+
+    @pytest.mark.parametrize(
+        "command,methods", [(c, m) for m, commands in INVALID for c in commands]
+    )
+    def test_invalid_form_rejected(self, tmp_path, capsys, pgm16, command, methods):
+        argv = [*tiny_argv(command, pgm16, tmp_path, accelerate=False), "--methods", methods]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"'{methods}'" in err
+        assert out == ""
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "o").exists()

@@ -30,9 +30,9 @@ SH = InterpKind.SAMPLE_AND_HOLD
 def trial_configs(trials=1, seed=0):
     """The CLI's solves on the default 1-D trial grid, for these ``--trials`` and ``--seed``."""
     args = argparse.Namespace(
-        trials=trials, seed=seed, dims=1, n_coarse=None, ticks=None, iterations=1
+        trials=trials, seed=seed, dims=1, n_coarse=None, ticks=None, methods="iterative:1"
     )
-    return cli._configs(args, SH, [(0, 1.0, 1)])
+    return cli._configs(args, SH, [(1.0, 1)])
 
 
 # (name in the error, a call that takes the count, an integer value it accepts)

@@ -41,33 +41,43 @@ TOLERANCE_DB = {
     "psnr_db": PSNR_TOL_DB,
 }
 
-SMALL_1D = ["--trials", "3", "--iterations", "4", "--n-coarse", "32", "--seed", "5"]
-SMALL_2D = [
-    "--dims", "2", "--trials", "2", "--iterations", "3",
-    "--n-coarse", "8", "--ticks", "4", "--seed", "5",
-]
+SMALL_1D = ["--trials", "3", "--n-coarse", "32", "--seed", "5"]
+SMALL_2D = ["--dims", "2", "--trials", "2", "--n-coarse", "8", "--ticks", "4", "--seed", "5"]
 
 # case -> CLI arguments; "{out}" is the case's output directory and
 # "{scene}" a 64x64 ASCII PGM of synthetic_scene(seed=2).  A case without
 # --out or --out-dir writes its standard output to "{out}/stdout.csv".
 CASES = {
-    "convergence_1d": ["convergence", *SMALL_1D, "--out", "{out}/convergence.csv"],
-    "convergence_2d": ["convergence", *SMALL_2D, "--out", "{out}/convergence.csv"],
+    "convergence_1d": [
+        "convergence", *SMALL_1D, "--methods", "iterative:4,hybrid:4:1,hybrid:4:2",
+        "--out", "{out}/convergence.csv",
+    ],
+    "convergence_2d": [
+        "convergence", *SMALL_2D, "--methods", "iterative:3,hybrid:3:1,hybrid:3:2",
+        "--out", "{out}/convergence.csv",
+    ],
     "lambda_sweep": [
-        "lambda-sweep", *SMALL_1D, "--lambda-grid", "0.5,1.0,1.5",
+        "lambda-sweep", *SMALL_1D, "--methods", "hybrid:4:1", "--lambda-grid", "0.5,1.0,1.5",
         "--out", "{out}/lambda_sweep.csv",
     ],
     "noise_1d": [
-        "noise", *SMALL_1D, "--kind", "li", "--modules", "0,1,2",
+        "noise", *SMALL_1D, "--kind", "li", "--methods", "iterative:4,hybrid:4:1,hybrid:4:2",
         "--out", "{out}/noise.csv",
     ],
-    "noise_2d": ["noise", *SMALL_2D, "--modules", "0,1", "--out", "{out}/noise.csv"],
-    "rate": ["rate", *SMALL_1D, "--k-rates", "1,2", "--out", "{out}/rate.csv"],
-    "analyze_sh1": ["analyze", "--kind", "sh", "--modules", "1", "--csv"],
-    "analyze_li0": ["analyze", "--kind", "li", "--modules", "0", "--lambda", "1.2", "--csv"],
+    "noise_2d": [
+        "noise", *SMALL_2D, "--methods", "iterative:3,hybrid:3:1", "--out", "{out}/noise.csv",
+    ],
+    "rate": [
+        "rate", *SMALL_1D, "--methods", "hybrid:4:1", "--k-rates", "1,2",
+        "--out", "{out}/rate.csv",
+    ],
+    "analyze_sh1": ["analyze", "--kind", "sh", "--methods", "hybrid:10:1", "--csv"],
+    "analyze_li0": [
+        "analyze", "--kind", "li", "--methods", "iterative:10", "--lambda", "1.2", "--csv",
+    ],
     "image": ["image", "{scene}", "--out-dir", "{out}"],
     "image_accelerate": [
-        "image", "{scene}", "--methods", "iterative:3,hybrid:3:1", "--accelerate",
+        "image", "{scene}", "--methods", "chebyshev:3,chebyshev:3:1",
         "--frame-a", "0.9", "--frame-b", "1.1", "--out-dir", "{out}",
     ],
 }
