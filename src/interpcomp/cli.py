@@ -4,14 +4,17 @@ Each subcommand reproduces one family of experiments as a CSV file with a
 header row and full round-trip float formatting, deterministic for a given
 seed.  Relative output paths resolve against $INTERPCOMP_OUT_DIR when set.
 Every subcommand names its solves by ``--methods`` tokens of one grammar
-(:func:`_methods`).  The trial-running subcommands solve on a grid of
-``--dims`` equal axes, each of ``--n-coarse`` samples and ``--ticks`` fine
-ticks per sample; the trials run in chunks of bounded memory, each drawn,
-sampled and scored as one array for every configuration on its grid
-(:func:`_mean_traces`).  Each subcommand returns the path of the CSV it
-wrote and :func:`main` prints it; ``analyze`` prints its table instead.
+(:func:`_methods`).  ``convergence`` runs every trial experiment: each
+token at each of the comma lists ``--lambda`` and ``--k-rate``, and at each
+``--noise-power-db`` if given, one CSV row per iteration that names its
+token.  The trials solve on a grid of ``--dims`` equal axes, each of
+``--n-coarse`` samples and ``--ticks`` fine ticks per sample; they run in
+chunks of bounded memory, each drawn, sampled and scored as one array for
+every configuration on its grid (:func:`cmd_convergence`).  Each
+subcommand returns the path of the CSV it wrote and :func:`main` prints
+it; ``analyze`` prints its table instead.
 
-Subcommands: convergence, lambda-sweep, noise, rate, analyze, image.
+Subcommands: convergence, analyze, image.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import numpy as np
 from . import analysis as ana
 from .imagebench import EnlargeConfig, GrayImage, decimate, enlarge, read_pgm, write_pgm
 from .samplers import InterpKind, lattice
-from .signal_core import ConfigurationError, GridSpec, _awgn, _check_count, _draws, psnr_db
+from .signal_core import (
+    ConfigurationError, GridSpec, _awgn, _check_count, _db_power, _draws, psnr_db,
+)
 from .solver import BATCH_POINTS, ChebyshevAccel, ReconConfig, ReconOperator, _traces
 
 DEFAULT_TRIALS = 50
@@ -104,103 +109,80 @@ def _methods(args, forms=_ALL, one=False) -> List[tuple]:
     return methods
 
 
-def _configs(args, kind, variants, one=False) -> List[ReconConfig]:
-    """One solve per token of :func:`_methods` and (relax, k_rate) of ``variants``.
+def _configs(args) -> List[tuple]:
+    """``(method token, ReconConfig)`` of each ``--methods`` token × ``--lambda`` × ``--k-rate``.
 
-    Each is on the trial grid of ``--dims`` axes; all are built, and so
-    checked, before the first trial runs.
+    In that order, each on the trial grid of ``--dims`` axes.  All of them,
+    the counts and every ``--noise-power-db`` are checked before the first
+    trial runs.  The token is canonical: it re-runs the configuration.
     """
     _check_count(args.trials, "--trials", 1)
     _check_count(args.seed, "--seed", 0)
+    for noise_db in _nonempty(args.noise_power_db, "--noise-power-db"):
+        if noise_db is not None:  # the default, [None], adds no noise
+            _db_power(noise_db, "--noise-power-db")
     n_coarse, ticks = DEFAULT_GRID[args.dims]
     n_coarse = n_coarse if args.n_coarse is None else args.n_coarse
     ticks = ticks if args.ticks is None else args.ticks
+    kind = InterpKind(args.kind)
+    relaxes, k_rates = _nonempty(args.relax, "--lambda"), _nonempty(args.k_rate, "--k-rate")
     configs = []
-    for _, iterations, modules, _ in _methods(args, _TRIAL, one):
-        for relax, k_rate in variants:
-            op = ReconOperator((GridSpec(n_coarse, ticks, k_rate),) * args.dims, kind, modules)
-            configs.append(ReconConfig(op, relax=relax, iterations=iterations))
+    for method, iterations, modules, _ in _methods(args, _TRIAL):
+        token = f"{method}:{iterations}" + (f":{modules}" if method == "hybrid" else "")
+        for relax in relaxes:
+            for k_rate in k_rates:
+                op = ReconOperator((GridSpec(n_coarse, ticks, k_rate),) * args.dims, kind, modules)
+                configs.append((token, ReconConfig(op, relax=relax, iterations=iterations)))
     return configs
 
 
-def _mean_traces(args, variants, noise_db=None, one=False) -> list:
-    """``(cfg, mean SNR trace, dB gained per iteration)`` of each configuration of :func:`_configs`.
+def cmd_convergence(args) -> str:
+    """Mean SNR per iteration of each configuration of :func:`_configs` at each noise power.
 
-    The gain runs from the mean initial SNR to the trace's last value.
-    Every configuration is built and checked (:func:`_configs`) before the
-    first trial.  The trials run in chunks of at most ``BATCH_POINTS``
-    fine-grid points, or of one trial where a trial alone is larger, so
-    memory does not grow with ``--trials``.  Per grid, a chunk is one array
-    from draw to score: its signals drawn with one transform pair
-    (``signal_core._draws``), the noise added to the whole stack, its lattice
-    slice as the samples, and one :func:`solver._traces` call that checks
+    A row's ``db_per_iteration`` is the configuration's gain from the mean
+    initial SNR to its trace's last value, per iteration.  The trials run in
+    chunks of at most ``BATCH_POINTS`` fine-grid points, or of one trial
+    where a trial alone is larger, so memory does not grow with
+    ``--trials``.  Per grid, a chunk is one array from draw to score: its
+    signals drawn with one transform pair (``signal_core._draws``), and for
+    each noise power the noise added to the whole stack, its lattice slice
+    taken as the samples, and one :func:`solver._traces` call that checks
     them once and scores every configuration on the grid.  The cells are
     bitwise those of one draw and one call per trial and configuration.
     """
-    configs = _configs(args, InterpKind(args.kind), variants, one)
-    inits, traces = [[] for _ in configs], [[] for _ in configs]
-    for grid in dict.fromkeys(cfg.operator.grid for cfg in configs):
-        on_grid = [i for i, cfg in enumerate(configs) if cfg.operator.grid == grid]
+    configs, powers = _configs(args), args.noise_power_db
+    cells = [[([], []) for _ in powers] for _ in configs]  # (inits, traces) per power
+    for grid in dict.fromkeys(cfg.operator.grid for _, cfg in configs):
+        on_grid = [i for i, (_, cfg) in enumerate(configs) if cfg.operator.grid == grid]
         size = max(1, BATCH_POINTS // math.prod([g.n_fine for g in grid]))
         for start in range(args.seed, args.seed + args.trials, size):
             seeds = range(start, min(start + size, args.seed + args.trials))
             xs = _draws(seeds, grid, DEFAULT_POWER_DB)
-            noisy = xs if noise_db is None else xs + _awgn(
-                [seed + 10_000_019 for seed in seeds], xs.shape[1:], noise_db
-            )
-            coarse = noisy[(slice(None),) + lattice(grid)]
-            cells = _traces(coarse, [configs[i] for i in on_grid], xs)
-            for i, (init, trace) in zip(on_grid, cells):
-                inits[i] += init
-                traces[i] += trace
-    means = [(float(np.mean(a)), np.mean(np.asarray(b), axis=0)) for a, b in zip(inits, traces)]
-    return [
-        (cfg, trace, (float(trace[-1]) - init) / cfg.iterations)
-        for cfg, (init, trace) in zip(configs, means)
+            for p, noise_db in enumerate(powers):
+                noisy = xs if noise_db is None else xs + _awgn(
+                    [seed + 10_000_019 for seed in seeds], xs.shape[1:], noise_db
+                )
+                coarse = noisy[(slice(None),) + lattice(grid)]
+                scored = _traces(coarse, [configs[i][1] for i in on_grid], xs)
+                for i, (init, trace) in zip(on_grid, scored):
+                    cells[i][p][0].extend(init)
+                    cells[i][p][1].extend(trace)
+    # `modules` repeats the token's M: readers key rows by it, as the benchmark does
+    header = [
+        "kind", "method", "modules", "lambda", "k_rate", "noise_power_db", "iteration",
+        "mean_snr_db", "db_per_iteration", "trials", "seed",
     ]
-
-
-def cmd_convergence(args) -> str:
-    """Mean SNR per iteration for each ``--methods`` token.
-
-    Serves ``noise`` too: when ``args.noise_power_db`` is set, AWGN of that
-    power is added to every input signal and reported in a last column.
-    """
-    noise_db = args.noise_power_db
-    header = ["method", "modules", "lambda", "k_rate", "iteration", "mean_snr_db", "trials", "seed"]
-    extra = ()
-    if noise_db is not None:
-        header.append("noise_power_db")
-        extra = (noise_db,)
-    rows = [
-        (args.kind, cfg.operator.modules, args.relax, args.k_rate, it, float(snr),
-         args.trials, args.seed, *extra)
-        for cfg, trace, _ in _mean_traces(args, [(args.relax, args.k_rate)], noise_db)
-        for it, snr in enumerate(trace, start=1)
-    ]
-    return _write_csv(args.out, header, rows)
-
-
-def cmd_lambda_sweep(args) -> str:
-    lams = _nonempty(args.lambda_grid, "--lambda-grid")
-    for lam in lams:
-        if not 0.0 < lam < 2.0:
-            raise ConfigurationError(f"lambda grid values must lie in (0, 2), got {lam}")
-    variants = [(lam, args.k_rate) for lam in lams]
-    rows = [(cfg.relax, gain) for cfg, _, gain in _mean_traces(args, variants, one=True)]
-    return _write_csv(args.out, ["lambda", "avg_db_per_iteration"], rows)
-
-
-def cmd_rate(args) -> str:
-    ks = _nonempty(args.k_rates, "--k-rates")
-    per_rate = _mean_traces(args, [(args.relax, k) for k in ks], one=True)
-    base_gain = per_rate[0][2]
-    rows = [
-        (k, it, float(snr), gain, gain - base_gain)
-        for k, (_, trace, gain) in zip(ks, per_rate)
-        for it, snr in enumerate(trace, start=1)
-    ]
-    header = ["k_rate", "iteration", "mean_snr_db", "avg_db_per_iter", "gain_diff_vs_first"]
+    rows = []
+    for (token, cfg), per_power in zip(configs, cells):
+        for noise_db, (inits, traces) in zip(powers, per_power):
+            trace = np.mean(np.asarray(traces), axis=0)
+            gain = (float(trace[-1]) - float(np.mean(inits))) / cfg.iterations
+            op, noise = cfg.operator, "" if noise_db is None else noise_db
+            rows += [
+                (args.kind, token, op.modules, cfg.relax, op.grid[0].rate_multiple, noise,
+                 it, float(snr), gain, args.trials, args.seed)
+                for it, snr in enumerate(trace, start=1)
+            ]
     return _write_csv(args.out, header, rows)
 
 
@@ -273,25 +255,11 @@ def cmd_image(args) -> str:
     return _write_csv(os.path.join(out_dir, "psnr.csv"), header, rows)
 
 
-def _add_common(p: argparse.ArgumentParser, methods, *, trials=True, relax=True, k_rate=True):
-    """The configuration flags, ``methods`` the default; ``trials`` adds the trials' flags."""
-    p.add_argument("--kind", default="sh", choices=[k.value for k in InterpKind], help="interpolator")
+def _add_kind_methods(p: argparse.ArgumentParser, methods: str) -> None:
+    """``--kind`` and ``--methods``, ``methods`` the default, of the trials and ``analyze``."""
+    kinds = [k.value for k in InterpKind]
+    p.add_argument("--kind", default="sh", choices=kinds, help="interpolator")
     p.add_argument("--methods", default=methods, help=f"{_TRIAL}; K iterations, M modules")
-    if relax:
-        p.add_argument("--lambda", dest="relax", type=float, default=1.0, help="relaxation parameter")
-    if k_rate:
-        p.add_argument("--k-rate", type=int, default=1, help="sampling rate multiple of Nyquist")
-    if not trials:
-        return
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", type=int, default=1, choices=[1, 2], help="1-D signals or 2-D fields")
-    p.add_argument(
-        "--n-coarse", type=int, help="coarse samples per axis (default 128 in 1-D, 32 in 2-D)"
-    )
-    p.add_argument(
-        "--ticks", type=int, help="fine ticks per sampling interval (default 16 in 1-D, 8 in 2-D)"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,40 +269,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convergence", help="mean SNR vs iteration for a list of methods")
-    _add_common(p, "iterative:10,hybrid:10:1,hybrid:10:2")
-    p.add_argument("--out", default="convergence.csv")
-    p.set_defaults(func=cmd_convergence, noise_power_db=None)
-
-    # no abbreviations, so that a flag left out is not read as the list flag it begins
-    p = sub.add_parser(
-        "lambda-sweep", help="average dB/iteration over a relaxation grid", allow_abbrev=False
-    )
-    _add_common(p, "hybrid:10:1", relax=False)
+    p = sub.add_parser("convergence", help="mean SNR vs iteration of every method and variant")
+    _add_kind_methods(p, "iterative:10,hybrid:10:1,hybrid:10:2")
+    p.add_argument("--lambda", dest="relax", type=_float_list, default="1.0", help="comma list")
+    p.add_argument("--k-rate", type=_int_list, default="1", help="comma list of rate multiples")
     p.add_argument(
-        "--lambda-grid",
-        dest="lambda_grid",
-        type=_float_list,
-        default=[round(0.05 * i, 2) for i in range(2, 40)],
-        help="comma list of relaxation values in (0,2)",
+        "--noise-power-db", type=_float_list, default=[None],
+        help="comma list of AWGN powers, default none; negative as --noise-power-db=-30,-20",
     )
-    p.add_argument("--out", default="lambda_sweep.csv")
-    p.set_defaults(func=cmd_lambda_sweep)
-
-    p = sub.add_parser("noise", help="convergence traces with AWGN added to the input signal")
-    _add_common(p, "iterative:10,hybrid:10:1,hybrid:10:2,hybrid:10:4")
-    p.add_argument("--noise-power-db", type=float, default=-20.0)
-    p.add_argument("--out", default="noise.csv")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dims", type=int, default=1, choices=[1, 2], help="1-D signals or 2-D fields")
+    p.add_argument(
+        "--n-coarse", type=int, help="coarse samples per axis (default 128 in 1-D, 32 in 2-D)"
+    )
+    p.add_argument(
+        "--ticks", type=int, help="fine ticks per sampling interval (default 16 in 1-D, 8 in 2-D)"
+    )
+    p.add_argument("--out", default="convergence.csv")
     p.set_defaults(func=cmd_convergence)
 
-    p = sub.add_parser("rate", help="traces at several sampling-rate multiples", allow_abbrev=False)
-    _add_common(p, "hybrid:10:1", k_rate=False)
-    p.add_argument("--k-rates", type=_int_list, default=[1, 2])
-    p.add_argument("--out", default="rate.csv")
-    p.set_defaults(func=cmd_rate)
-
     p = sub.add_parser("analyze", help="closed-form constants for one configuration")
-    _add_common(p, "hybrid:10:1", trials=False)
+    _add_kind_methods(p, "hybrid:10:1")
+    p.add_argument("--lambda", dest="relax", type=float, default=1.0, help="relaxation parameter")
+    p.add_argument("--k-rate", type=int, default=1, help="sampling rate multiple of Nyquist")
     p.add_argument("--fft-block", type=int, default=2048)
     p.add_argument("--csv", action="store_true", help="emit CSV instead of aligned text")
     p.set_defaults(func=cmd_analyze)

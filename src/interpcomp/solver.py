@@ -94,7 +94,7 @@ __all__ = [
 # fixed_point_oracle solves a dense system on the band; keep instances small
 ORACLE_MAX_FINE = 512
 # the points of one array of a batched solve: fine-grid points per chunk of
-# trials (cli._mean_traces) and band coefficients per stack of traced
+# trials (cli.cmd_convergence) and band coefficients per stack of traced
 # iterates, so that a run's memory stays that of a few such arrays, whatever
 # its trial or iteration count.  2**16 points is 512 KiB of float64: a 2-D
 # trial of 256 x 256 points runs alone, since two of them in one batch ran
