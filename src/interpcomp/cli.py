@@ -24,6 +24,7 @@ import csv
 import math
 import os
 import sys
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -262,6 +263,7 @@ def _add_kind_methods(p: argparse.ArgumentParser, methods: str) -> None:
     p.add_argument("--methods", default=methods, help=f"{_TRIAL}; K iterations, M modules")
 
 
+@lru_cache(maxsize=None)  # one per process: parsing leaves it, and its defaults, unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="interpcomp",
@@ -312,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         path = args.func(args)
         if path is not None:

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import islice
+from itertools import islice, repeat
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -481,8 +481,10 @@ def _scores(index, fixed: np.ndarray, configs: Sequence[ReconConfig], references
     slices laid out as in a call with that trial alone, so neither the batch
     nor the other configurations change a cell.  The iterates go
     through in stacks of at most ``BATCH_POINTS`` band coefficients over all
-    trials.  An overflow raises :func:`iterate`'s error for the configuration
-    it occurred in, or for the first while the reference is transformed.
+    trials, each row turned to dB by one ``map`` of :func:`_snr_cell`, whose
+    ``math.log10`` keeps the cells' bits off the CPU's vector paths.  An
+    overflow raises :func:`iterate`'s error for the configuration it
+    occurred in, or for the first while the reference is transformed.
     """
     grid = configs[0].operator.grid
     shape = tuple([g.n_fine for g in grid])
@@ -512,7 +514,7 @@ def _scores(index, fixed: np.ndarray, configs: Sequence[ReconConfig], references
                     # the matmul's overflow can escape the guard, as in a threaded BLAS
                     raise FloatingPointError("overflow in the traced error energies")
                 for trial, power, errs in zip(cells, energy, err.tolist()):
-                    trial += [_snr_cell(power, x) for x in errs]
+                    trial += map(_snr_cell, repeat(power), errs)
         start = cfg.acceleration is None
         out.append(([c[0] if start else None for c in cells], [c[start:] for c in cells]))
     return out

@@ -1,6 +1,10 @@
 import argparse
+import copy
 import csv
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -48,6 +52,30 @@ class TestConvergence:
         assert run(args + ["--out", a]) == 0
         assert run(args + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_two_calls_share_no_parsed_state(self, tmp_path):
+        # the parser is built once per process: a first call's flags must not
+        # reach a second call at the defaults, whose CSV is a fresh process's,
+        # and a run leaves the parser's defaults, lists included, as they were
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        defaults = {
+            name: [copy.deepcopy(a.default) for a in p._actions] for name, p in sub.choices.items()
+        }
+        first, second, fresh = [tmp_path / f"{name}.csv" for name in ("first", "second", "fresh")]
+        flags = ["--noise-power-db=-20", "--lambda", "0.5,1.5", "--trials", 2]
+        assert run(["convergence", *flags, "--out", first]) == 0
+        assert run(["convergence", "--out", second]) == 0
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "interpcomp.cli", "convergence", "--out", str(fresh)]
+        subprocess.run(argv, check=True, env=env, cwd=tmp_path, capture_output=True)
+        assert second.read_bytes() == fresh.read_bytes()
+        assert {r["noise_power_db"] for r in read_rows(second)} == {""}
+        assert {
+            name: [a.default for a in p._actions] for name, p in sub.choices.items()
+        } == defaults
+        (noise,) = [a for a in sub.choices["convergence"]._actions if a.dest == "noise_power_db"]
+        assert noise.default == [None]
 
     def test_one_row_per_iteration(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -414,19 +442,20 @@ class TestNoise:
     def test_negative_list_in_equals_form(self, tmp_path):
         # argparse reads a bare "-30,-20" as a flag, so a list of negative
         # powers is given as --noise-power-db=...; each power's rows are those
-        # of a run of that power alone
-        argv = ["convergence", *TINY_TRIALS, "--methods", "iterative:2,hybrid:2:1"]
-        both = tmp_path / "both.csv"
-        assert run([*argv, "--noise-power-db=-30,-20", "--out", both]) == 0
-        rows = read_rows(both)
-        assert [(r["method"], r["noise_power_db"]) for r in rows if r["iteration"] == "1"] == [
-            ("iterative:2", "-30.0"), ("iterative:2", "-20.0"),
-            ("hybrid:2:1", "-30.0"), ("hybrid:2:1", "-20.0"),
-        ]
-        for power in ("-30.0", "-20.0"):
-            alone = tmp_path / f"{power}.csv"
-            assert run([*argv, f"--noise-power-db={power}", "--out", alone]) == 0
-            assert read_rows(alone) == [r for r in rows if r["noise_power_db"] == power]
+        # of a run of that power alone, in 1-D and on 2-D chunks of 16 trials
+        for grid in (TINY_TRIALS, ["--dims", 2, "--n-coarse", 8, "--ticks", 8, "--trials", 20]):
+            argv = ["convergence", *grid, "--methods", "iterative:2,hybrid:2:1"]
+            both = tmp_path / "both.csv"
+            assert run([*argv, "--noise-power-db=-30,-20", "--out", both]) == 0
+            rows = read_rows(both)
+            assert [(r["method"], r["noise_power_db"]) for r in rows if r["iteration"] == "1"] == [
+                ("iterative:2", "-30.0"), ("iterative:2", "-20.0"),
+                ("hybrid:2:1", "-30.0"), ("hybrid:2:1", "-20.0"),
+            ]
+            for power in ("-30.0", "-20.0"):
+                alone = tmp_path / f"{power}.csv"
+                assert run([*argv, f"--noise-power-db={power}", "--out", alone]) == 0
+                assert read_rows(alone) == [r for r in rows if r["noise_power_db"] == power]
 
 
 class TestRate:
