@@ -16,8 +16,8 @@ is the reconstruction solve: it computes each iterate per DFT bin in
 closed form, from the operator's per-bin gain and the band of the samples'
 trigonometric interpolant.  Its fine-grid work is one inverse transform
 for the estimate.  When it traces the SNR of every iterate, it scores each
-iterate from band coefficients, after three fine transforms of the
-reference, whatever the iteration count.
+iterate from band coefficients, after a fine transform of the reference
+and two for its part off the band, whatever the iteration count.
 """
 
 from .signal_core import (

@@ -9,8 +9,9 @@ token at each of the comma lists ``--lambda`` and ``--k-rate``, and at each
 ``--noise-power-db`` if given, one CSV row per iteration that names its
 token.  The trials solve on a grid of ``--dims`` equal axes, each of
 ``--n-coarse`` samples and ``--ticks`` fine ticks per sample; they run in
-chunks of bounded memory, each drawn, sampled and scored as one array for
-every configuration on its grid (:func:`cmd_convergence`).  Each
+chunks of bounded memory, each drawn as spectra, sampled from the band and
+scored as one array for every configuration on its grid, with no fine-grid
+signal built (:func:`cmd_convergence`).  Each
 subcommand returns the path of the CSV it wrote and :func:`main` prints
 it; ``analyze`` prints its table instead.
 
@@ -33,7 +34,7 @@ from . import analysis as ana
 from .imagebench import EnlargeConfig, GrayImage, decimate, enlarge, read_pgm, write_pgm
 from .samplers import InterpKind, lattice
 from .signal_core import (
-    ConfigurationError, GridSpec, _awgn, _check_count, _db_power, _draws, psnr_db,
+    ConfigurationError, GridSpec, _awgn, _band_samples, _check_count, _db_power, _draws, psnr_db,
 )
 from .solver import BATCH_POINTS, ChebyshevAccel, ReconConfig, ReconOperator, _traces
 
@@ -61,7 +62,6 @@ def _resolve_out(path: str) -> str:
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> str:
-    path = _resolve_out(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -145,26 +145,28 @@ def cmd_convergence(args) -> str:
     chunks of at most ``BATCH_POINTS`` fine-grid points, or of one trial
     where a trial alone is larger, so memory does not grow with
     ``--trials``.  Per grid, a chunk is one array from draw to score: its
-    signals drawn with one transform pair (``signal_core._draws``), and for
-    each noise power the noise added to the whole stack, its lattice slice
-    taken as the samples, and one :func:`solver._traces` call that checks
-    them once and scores every configuration on the grid.  The cells are
-    bitwise those of one draw and one call per trial and configuration.
+    signals' spectra drawn with one transform (``signal_core._draws``), their
+    samples from one coarse inverse of the band (``_band_samples``), and for
+    each noise power the lattice slice of fine-grid noise added to them and
+    one :func:`solver._traces` call that checks them once and scores every
+    configuration on the grid against the spectra.  The cells are bitwise
+    those of one draw and one call per trial and configuration.
     """
     configs, powers = _configs(args), args.noise_power_db
     cells = [[([], []) for _ in powers] for _ in configs]  # (inits, traces) per power
     for grid in dict.fromkeys(cfg.operator.grid for _, cfg in configs):
         on_grid = [i for i, (_, cfg) in enumerate(configs) if cfg.operator.grid == grid]
-        size = max(1, BATCH_POINTS // math.prod([g.n_fine for g in grid]))
+        shape = tuple([g.n_fine for g in grid])
+        size = max(1, BATCH_POINTS // math.prod(shape))
         for start in range(args.seed, args.seed + args.trials, size):
             seeds = range(start, min(start + size, args.seed + args.trials))
-            xs = _draws(seeds, grid, DEFAULT_POWER_DB)
+            spectra = _draws(seeds, grid, DEFAULT_POWER_DB)
+            clean = _band_samples(spectra, grid)
             for p, noise_db in enumerate(powers):
-                noisy = xs if noise_db is None else xs + _awgn(
-                    [seed + 10_000_019 for seed in seeds], xs.shape[1:], noise_db
-                )
-                coarse = noisy[(slice(None),) + lattice(grid)]
-                scored = _traces(coarse, [configs[i][1] for i in on_grid], xs)
+                coarse = clean if noise_db is None else clean + _awgn(
+                    [seed + 10_000_019 for seed in seeds], shape, noise_db
+                )[(slice(None),) + lattice(grid)]
+                scored = _traces(coarse, [configs[i][1] for i in on_grid], spectra)
                 for i, (init, trace) in zip(on_grid, scored):
                     cells[i][p][0].extend(init)
                     cells[i][p][1].extend(trace)
@@ -184,7 +186,7 @@ def cmd_convergence(args) -> str:
                  it, float(snr), gain, args.trials, args.seed)
                 for it, snr in enumerate(trace, start=1)
             ]
-    return _write_csv(args.out, header, rows)
+    return _write_csv(_resolve_out(args.out), header, rows)
 
 
 def cmd_analyze(args) -> None:

@@ -150,14 +150,15 @@ def gen_bandlimited(seed: int, grid, power_db: float) -> DenseSignal:
     edges: in 1-D it is zero at and above the band edge; on several axes it
     is the classical radially band-limited field, with no content in the
     corners of the rectangular passband used by the reconstruction lowpass.
-    It is the one row of :func:`_draws` of ``[seed]``, bitwise.
+    It is the ``irfftn`` of the one row of :func:`_draws` of ``[seed]``.
     """
-    return DenseSignal(grid, _draws([seed], grid, power_db)[0])
+    spec, shape = _draws([seed], grid, power_db)[0], [g.n_fine for g in per_axis(grid)]
+    return DenseSignal(grid, np.fft.irfftn(spec, shape, range(spec.ndim)))
 
 
 @lru_cache(maxsize=64)
 def _draw_cut(grids: tuple) -> np.ndarray:
-    """The ``rfftn`` bins of ``grids``' fine shape that :func:`gen_bandlimited` zeroes."""
+    """The ``rfftn`` bins of ``grids``' fine shape that :func:`_draws` zeroes."""
     radius_sq = 0.0
     for axis, g in enumerate(grids):
         f = (np.fft.rfftfreq if axis == len(grids) - 1 else np.fft.fftfreq)(g.n_fine) / g.band_edge
@@ -171,22 +172,36 @@ def _draw_cut(grids: tuple) -> np.ndarray:
 
 
 def _draws(seeds, grid, power_db: float) -> np.ndarray:
-    """:func:`gen_bandlimited` of each seed, one row each, bitwise, from one rfftn/irfftn pair."""
+    """The ``rfftn`` of each seed's :func:`gen_bandlimited`, one row each, from one transform."""
     scale = _db_power(power_db, "power_db")
     grids = per_axis(grid)
     shape = tuple([g.n_fine for g in grids])
     axes = tuple(range(1, len(grids) + 1))
     spec = np.fft.rfftn(_awgn(seeds, shape, 0.0), axes=axes)  # unit-power white noise
     np.copyto(spec, 0.0, where=_draw_cut(grids))
-    x = np.fft.irfftn(spec, s=shape, axes=axes)
-    powers = np.mean(x * x, axis=axes).tolist()
+    sq = np.square(spec.real) + np.square(spec.imag)
+    sq[..., 1:] *= 2.0  # Parseval: a last-axis bin k > 0 stands for -k too; Nyquist is cut
+    powers = (np.sum(sq, axis=axes) / math.prod(shape) ** 2).tolist()
     if min(powers) <= 0.0:
         raise ConfigurationError("degenerate draw: filtered signal has zero power")
     ratios = [scale / power for power in powers]
     if math.inf in ratios:
         raise ConfigurationError(f"power_db = {power_db} dB overflows the scaled signal")
-    x *= np.sqrt(ratios).reshape((-1,) + (1,) * len(grids))
-    return x
+    spec *= np.sqrt(ratios).reshape((-1,) + (1,) * len(grids))
+    return spec
+
+
+def _band_samples(spectra: np.ndarray, grid) -> np.ndarray:
+    """The lattice samples of each row of :func:`_draws`, from one coarse ``irfftn`` of its band.
+
+    A draw is zero at |k| >= n_coarse/2 on every axis, so coarse bin j is fine
+    bin k = j mod n_coarse over ``ticks_per_sample``: a slice, not a fold.
+    """
+    grids = per_axis(grid)
+    index = [np.r_[: (g.n_coarse + 1) // 2, g.n_fine - g.n_coarse // 2 : g.n_fine] for g in grids]
+    index[-1] = np.arange(grids[-1].n_coarse // 2 + 1)  # the last axis holds rfft bins
+    band = spectra[(Ellipsis,) + np.ix_(*index)] / math.prod([g.ticks_per_sample for g in grids])
+    return np.fft.irfftn(band, [g.n_coarse for g in grids], range(1, band.ndim))
 
 
 def _awgn(seeds, shape: tuple, noise_power_db: float) -> np.ndarray:

@@ -43,19 +43,20 @@ On an image's even mirror extension the band is real and even, and
 :func:`_cosine_solve` runs the same solve as cosine transforms of the image.
 
 The SNR trace scores every iterate from band coefficients alone, with no
-estimate (:func:`_traces`).  Per trial it transforms the reference once, to
-its band R, and takes the reference's out-of-band remainder o, the reference
-less the inverse transform of R.  Iterate j's error is then o + b_j, where
-b_j is the inverse transform of the band ``B_j = (R - T) + e_j·T``.  Folded
-onto k >= 0 (:func:`_fold`), B_j's real coefficients a each weight one cos or
-sin row, so b_j's interior energy is ``a·(G a)``, one real Gram matrix G per
-axis (:func:`_axis_gram`), and its cross term with o is linear in a.  No
-term needs the reference to be band-limited.  The trials of a chunk sit on a
-leading batch axis, and one coarse ``rfftn`` and the reference's three fine
-transforms serve every configuration on the grid: a configuration then costs
-band arithmetic alone, and its cells are bitwise those of a call with one
-trial and that configuration alone.  A solve that overflows float64 names max |q| over the
-bins it applied (:func:`_solve_guard`): bins 0..n-1 in :func:`_cosine_solve`.
+estimate (:func:`_traces`).  It reads each reference's band R from its fine
+``rfftn`` spectrum; the remainder o, the inverse transform of the rest, is
+zero for a drawn trial.  Iterate j's error is then o + b_j, where b_j is the
+inverse transform of the band ``B_j = (R - T) + e_j·T``.  Folded onto k >= 0
+(:func:`_fold`), B_j's real coefficients a each weight one cos or sin row, so
+b_j's interior energy is ``a·(G a)``, one real Gram matrix G per axis
+(:func:`_axis_gram`), its cross term with o is linear in a, and the
+reference's energy is the same sum over R.  Only a remainder costs fine
+transforms.  The trials of a chunk sit on a leading batch axis, and one
+coarse ``rfftn`` serves every configuration on the grid: a configuration
+then costs band arithmetic alone, and its cells are bitwise those of a call
+with one trial and that configuration alone.  A solve that overflows float64
+names max |q| over the bins it applied (:func:`_solve_guard`): bins 0..n-1
+in :func:`_cosine_solve`.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ from .signal_core import (
     _check_count,
     _check_values,
     _interior,
+    _metric_inputs,
     _overflow_rejected,
-    _real,
     _snr_cell,
     per_axis,
 )
@@ -437,22 +438,21 @@ def _along_axes(mats, stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _reference(refs: np.ndarray, index, shape: tuple):
-    """Per trial, for :func:`_traces`: the reference's interior energy and band R, and o's.
+def _reference(spectra: np.ndarray, index, shape: tuple):
+    """Per trial, for :func:`_scores`: the interior energy of the remainder o, the band R, and O.
 
-    o is the reference less the inverse transform of R; its interior energy
-    and the band O of its interior, zero-filled, are returned after R.  The
-    fine-grid arrays are freed on return, before the stacks of iterates.
+    o is the inverse transform of the spectrum off the band and O the band of
+    its interior, zero-filled: zeros, with no transform, where no row has any.
     """
-    trials, axes = len(refs), tuple(range(1, refs.ndim))
-    interior = (slice(None),) + _interior(shape)
-    band = _gather(np.fft.rfftn(refs, axes=axes), index)
-    r = refs[interior]
-    placed = np.zeros(refs.shape)
-    o = np.subtract(r, _band_inverse(band, index, shape)[interior], out=placed[interior])
-    energy = (r * r).reshape(trials, -1).sum(axis=1).tolist()
-    floor = (o * o).reshape(trials, -1).sum(axis=1)
-    return energy, floor, band, _gather(np.fft.rfftn(placed, axes=axes), index)
+    band = _gather(spectra, index)
+    if np.count_nonzero(spectra) == np.count_nonzero(band):
+        return np.zeros(len(band)), band, np.zeros_like(band)
+    rest, axes = spectra.copy(), tuple(range(1, spectra.ndim))
+    rest[(Ellipsis,) + np.ix_(*index)] = 0.0
+    interior, placed = (slice(None),) + _interior(shape), np.zeros((len(band),) + shape)
+    o = placed[interior] = np.fft.irfftn(rest, s=shape, axes=axes)[interior]
+    floor = (o * o).reshape(len(o), -1).sum(axis=1)
+    return floor, band, _gather(np.fft.rfftn(placed, axes=axes), index)
 
 
 def _traces(coarse: np.ndarray, configs: Sequence[ReconConfig], references: np.ndarray) -> list:
@@ -467,49 +467,56 @@ def _scores(index, fixed: np.ndarray, configs: Sequence[ReconConfig], references
     """The initial cell and the trace of every trial, for every configuration on one grid.
 
     Row i of ``fixed`` is trial i's band T, at ``index``, and row i of the
-    real, finite stack ``references`` is its reference.  Returns one pair
-    ``(initial cells, traces)`` per configuration, each with one entry per
-    trial: :func:`snr_db` of the plain loop's start (None under Chebyshev),
-    and the list of :func:`snr_db` of every iterate, each scoring the exact
-    iterate to rounding.  With R the reference's band, o the reference less
-    the inverse transform of R, and O the band of o's interior, zero-filled,
-    iterate j's interior error is o + b_j, where b_j has the band
-    ``B_j = (R - T) + e_j·T``.  With a the real coefficients of B_j folded
-    (:func:`_fold`), its energy is ``|o|**2 + a·(G a + 2c)``, c from O
-    folded (:func:`_axis_gram`).  R, o and O serve every configuration,
-    which adds no transform.  Each trial's sums and matrix products run on
-    slices laid out as in a call with that trial alone, so neither the batch
-    nor the other configurations change a cell.  The iterates go
-    through in stacks of at most ``BATCH_POINTS`` band coefficients over all
-    trials, each row turned to dB by one ``map`` of :func:`_snr_cell`, whose
-    ``math.log10`` keeps the cells' bits off the CPU's vector paths.  An
-    overflow raises :func:`iterate`'s error for the configuration it
-    occurred in, or for the first while the reference is transformed.
+    finite stack ``references`` is the fine ``rfftn`` of its reference.
+    Returns one pair ``(initial cells, traces)`` per configuration, each
+    with one entry per trial: :func:`snr_db` of the plain loop's start (None
+    under Chebyshev), and the list of :func:`snr_db` of every iterate, each
+    scoring the exact iterate to rounding.  With R the reference's band, o
+    and O as :func:`_reference` returns them, iterate j's interior error is
+    o + b_j, where b_j has the band ``B_j = (R - T) + e_j·T``.  With a the
+    real coefficients of B_j folded (:func:`_fold`), its energy is
+    ``|o|**2 + a·(G a + 2c)``, c from O folded (:func:`_axis_gram`), and the
+    reference's is the same with R for B_j.  R, o and O serve every
+    configuration, which adds no transform.  Each trial's sums and matrix
+    products run on slices laid out as in a call with that trial alone, so
+    neither the batch nor the other configurations change a cell.  The
+    iterates go through in stacks of at most ``BATCH_POINTS`` band
+    coefficients over all trials, each row turned to dB by one ``map`` of
+    :func:`_snr_cell`, whose ``math.log10`` keeps the cells' bits off the
+    CPU's vector paths.  An overflow raises :func:`iterate`'s error for the
+    configuration it occurred in, or for the first while the reference is
+    scored.
     """
     grid = configs[0].operator.grid
     shape = tuple([g.n_fine for g in grid])
-    trials, refs = len(fixed), _real(references)
-    if refs.shape != (trials,) + shape:
+    trials, spectra = len(fixed), np.asarray(references)
+    want = (trials,) + shape[:-1] + (shape[-1] // 2 + 1,)
+    if spectra.shape != want:
         raise ConfigurationError(
-            f"shape mismatch: a traced solve needs references {(trials,) + shape}, got {refs.shape}"
+            f"shape mismatch: a traced solve needs reference spectra {want}, got {spectra.shape}"
         )
-    if not np.isfinite(refs).all():
+    if not np.isfinite(spectra).all():
         raise ConfigurationError("reference and estimate must be finite")  # as snr_db says it
     weights, grams = zip(*[_axis_gram(g, axis == len(grid) - 1) for axis, g in enumerate(grid)])
     size = max(1, BATCH_POINTS // fixed.size)
+
+    def energies(a):  # |o|**2 + a·(G a + 2c) of each trial's rows of real coefficients a
+        err = (a * (_along_axes(grams, a) + cross)).reshape(trials, a.shape[1], -1)
+        return floor[:, np.newaxis] + err.sum(axis=-1)
+
     with _solve_guard(configs[0]):
-        energy, floor, band, rest = _reference(refs, index, shape)
-        gap, fixed, rest = [_fold(x, len(grid)) for x in (band - fixed, fixed, rest)]
+        floor, band, rest = _reference(spectra, index, shape)
+        gap, fixed, band, rest = [_fold(x, len(grid)) for x in (band - fixed, fixed, band, rest)]
         cross = 2.0 * (_outer(weights) * rest).view(np.float64)[:, np.newaxis]
+        energy = energies(band.view(np.float64)[:, np.newaxis])[:, 0].tolist()
     out = []
     for cfg in configs:
         cells = [[] for _ in range(trials)]
         q, factors = _factors(cfg)
         with _solve_guard(cfg, q):
             for rows in iter(lambda: list(islice(factors, size)), []):
-                a = (gap[:, np.newaxis] + np.stack(rows) * fixed[:, np.newaxis]).view(np.float64)
-                err = (a * (_along_axes(grams, a) + cross)).reshape(trials, len(rows), -1)
-                err = floor[:, np.newaxis] + err.sum(axis=-1)
+                a = gap[:, np.newaxis] + np.stack(rows) * fixed[:, np.newaxis]
+                err = energies(a.view(np.float64))
                 if not np.all(np.isfinite(err)):
                     # the matmul's overflow can escape the guard, as in a threaded BLAS
                     raise FloatingPointError("overflow in the traced error energies")
@@ -527,9 +534,9 @@ def iterate(observed: CoarseSamples, cfg: ReconConfig, reference=None) -> ReconR
     recursion when ``cfg.acceleration`` is set, per band bin in closed form
     (see the module docstring).  One inverse transform returns the estimate;
     :func:`_cosine_solve` is this solve on an image's mirror extension.  With a
-    reference of the grid's shape, every iterate's SNR on the whole grid is
-    traced from band coefficients (:func:`_traces`), at a fixed number of
-    transforms whatever the iteration count.  A run that overflows float64
+    reference of the grid's shape, every iterate's SNR is traced from band
+    coefficients and the reference's ``rfftn`` (:func:`_scores`), at a fixed
+    number of transforms whatever the iteration count.  A run that overflows float64
     raises :class:`ConfigurationError`, which says whether a band bin does
     not contract.
     """
@@ -545,8 +552,10 @@ def iterate(observed: CoarseSamples, cfg: ReconConfig, reference=None) -> ReconR
         est = _band_inverse((1.0 - _last(factors)) * fixed, index, shape)[0]
     init = trace = None
     if reference is not None:
-        reference = np.asarray(getattr(reference, "values", reference))[np.newaxis]
-        [((init,), (trace,))] = _scores(index, fixed, [cfg], reference)
+        reference, _ = _metric_inputs(reference, est)
+        with _solve_guard(cfg, q):
+            spectrum = np.fft.rfftn(reference)[np.newaxis]
+        [((init,), (trace,))] = _scores(index, fixed, [cfg], spectrum)
     return ReconReport(
         estimate=DenseSignal(op.grid, est),
         snr_initial_db=init,

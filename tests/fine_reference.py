@@ -182,12 +182,16 @@ def chebyshev_loop(g_obs, apply_g, cfg, snr_of):
 def fine_traces(coarse, configs, references):
     """``solver._traces`` on the fine grid: one :func:`fine_solve` per configuration and trial.
 
-    ``coarse`` and ``references`` are stacks, one row per trial, as ``_traces`` takes them.
+    ``coarse`` and ``references`` are stacks, one row per trial, as ``_traces`` takes them:
+    each reference is the ``rfftn`` spectrum of a signal, which is inverted here.
     """
     out = []
     for cfg in configs:
-        rows = zip(coarse, references, strict=True)
-        reps = [fine_solve(CoarseSamples(cfg.operator.grid, s), cfg, x) for s, x in rows]
+        grid = cfg.operator.grid
+        shape = tuple(g.n_fine for g in grid)
+        xs = [np.fft.irfftn(x, s=shape, axes=range(len(shape))) for x in references]
+        rows = zip(coarse, xs, strict=True)
+        reps = [fine_solve(CoarseSamples(grid, s), cfg, x) for s, x in rows]
         out.append(([r.snr_initial_db for r in reps], [r.snr_trace_db for r in reps]))
     return out
 

@@ -439,6 +439,37 @@ class TestNoise:
         assert "does not contract" not in err
         assert not out.exists()
 
+    def test_transforms_per_chunk(self, tmp_path, monkeypatch):
+        # each chunk of 2-D trials on 64 x 64 points (16, then 4) draws its
+        # spectra with one fine rfftn, takes its samples from one coarse
+        # irfftn of the band, and transforms the noisy samples once per noise
+        # power; the fine signal is never built and no reference is transformed
+        transforms = []
+
+        def recorded(name, fn):
+            def wrapper(a, *args, **kwargs):
+                out = fn(a, *args, **kwargs)
+                transforms.append((name, np.shape(a), out.shape))
+                return out
+
+            return wrapper
+
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, recorded(name, getattr(np.fft, name)))
+        argv = ["convergence", "--dims", 2, "--n-coarse", 8, "--ticks", 8, "--trials", 20,
+                "--methods", "iterative:2,hybrid:2:1", "--noise-power-db=-20,-30"]
+        assert run([*argv, "--out", tmp_path / "n.csv"]) == 0
+        assert transforms == [
+            call
+            for t in (16, 4)
+            for call in [
+                ("rfftn", (t, 64, 64), (t, 64, 33)),
+                ("irfftn", (t, 8, 5), (t, 8, 8)),
+                ("rfftn", (t, 8, 8), (t, 8, 5)),
+                ("rfftn", (t, 8, 8), (t, 8, 5)),
+            ]
+        ]
+
     def test_negative_list_in_equals_form(self, tmp_path):
         # argparse reads a bare "-30,-20" as a flag, so a list of negative
         # powers is given as --noise-power-db=...; each power's rows are those
@@ -534,6 +565,16 @@ class TestImage:
         rows = read_rows(out_dir / "psnr.csv")
         assert [r["method"] for r in rows] == ["bilinear", "hybrid(2,1)"]
         assert float(rows[1]["psnr_db"]) > float(rows[0]["psnr_db"])
+
+    def test_relative_out_dir_env(self, tmp_path, monkeypatch):
+        # a relative $INTERPCOMP_OUT_DIR resolves the output directory once:
+        # the CSV goes beside the images, not under a second copy of the base
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("INTERPCOMP_OUT_DIR", "rel")
+        write_pgm(synthetic_scene(16, 16, seed=1), "s.pgm")
+        assert run(["image", "s.pgm", "--methods", "bilinear", "--out-dir", "ib"]) == 0
+        assert len(read_rows(tmp_path / "rel" / "ib" / "psnr.csv")) == 1
+        assert not (tmp_path / "rel" / "rel").exists()
 
     def test_constant_image_inf_written(self, tmp_path):
         src = tmp_path / "flat.pgm"

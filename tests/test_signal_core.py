@@ -15,7 +15,8 @@ from interpcomp import (
     psnr_db,
     snr_db,
 )
-from interpcomp.signal_core import _awgn, _draws, _snr_cell
+from interpcomp.samplers import lattice
+from interpcomp.signal_core import _awgn, _band_samples, _draws, _snr_cell
 
 
 class TestGridSpec:
@@ -150,7 +151,11 @@ class TestAddAwgn:
 
 
 def one_draw(seed, grids, power_db):
-    """A draw of one seed as ``gen_bandlimited`` made it per trial: its own transforms and power."""
+    """The spectrum of one seed's draw, as ``_draws`` makes each row: its own transform and power.
+
+    The power is Parseval's on the rfft bins: a bin k > 0 of the last axis
+    stands for k and -k.
+    """
     shape = tuple(g.n_fine for g in grids)
     axes = tuple(range(len(grids)))
     spec = np.fft.rfftn(np.random.default_rng(seed).standard_normal(shape), axes=axes)
@@ -160,13 +165,15 @@ def one_draw(seed, grids, power_db):
         f = (np.fft.rfftfreq(g.n_fine) if last else np.fft.fftfreq(g.n_fine)) / g.band_edge
         radius_sq = radius_sq + (f * f).reshape([-1 if a == axis else 1 for a in range(len(grids))])
     spec[radius_sq >= 1.0 - 1e-9] = 0.0
-    x = np.fft.irfftn(spec, s=shape, axes=axes)
-    x *= math.sqrt(10.0 ** (power_db / 10.0) / float(np.mean(x * x)))
-    return x
+    sq = spec.real**2 + spec.imag**2
+    sq[..., 1:] *= 2.0
+    power = float(np.sum(sq)) / math.prod(shape) ** 2
+    spec *= math.sqrt(10.0 ** (power_db / 10.0) / power)
+    return spec
 
 
 class TestChunkDraw:
-    """A chunk of trials drawn as one array, row by row bitwise the draw of its seed alone."""
+    """A chunk of trials drawn as one array of spectra, row by row bitwise the draw of its seed."""
 
     GRIDS = [
         (GridSpec(128, 16),),  # the CLI's 1-D default
@@ -175,25 +182,50 @@ class TestChunkDraw:
         (GridSpec(37, 4),),
         (GridSpec(37, 4), GridSpec(16, 4, 2)),
     ]
+    IDS = ["128x16", "32x8-2d", "32x8-rate2", "37x4", "37x4-by-16x4-rate2"]
     # a repeated seed must repeat its row: each row has its own rng
     SEEDS = [4, 11, 5, 4]
 
-    @pytest.mark.parametrize("grids", GRIDS, ids=["128x16", "32x8-2d", "32x8-rate2", "37x4",
-                                                  "37x4-by-16x4-rate2"])
+    @staticmethod
+    def values(spectrum, grids):
+        shape = tuple(g.n_fine for g in grids)
+        return np.fft.irfftn(spectrum, s=shape, axes=range(len(shape)))
+
+    @pytest.mark.parametrize("grids", GRIDS, ids=IDS)
     def test_rows_are_the_draws_of_their_seeds(self, grids):
         grid = grids[0] if len(grids) == 1 else grids
         chunk = _draws(self.SEEDS, grid, 34.0)
-        assert chunk.shape == (len(self.SEEDS),) + tuple(g.n_fine for g in grids)
+        shape = tuple(g.n_fine for g in grids)
+        assert chunk.shape == (len(self.SEEDS),) + shape[:-1] + (shape[-1] // 2 + 1,)
         for seed, row in zip(self.SEEDS, chunk, strict=True):
             np.testing.assert_array_equal(row, one_draw(seed, grids, 34.0))
-            np.testing.assert_array_equal(row, gen_bandlimited(seed, grid, 34.0).values)
+            np.testing.assert_array_equal(
+                self.values(row, grids), gen_bandlimited(seed, grid, 34.0).values
+            )
         assert not np.array_equal(chunk[0], chunk[1])
-        noise = _awgn([s + 7 for s in self.SEEDS], chunk.shape[1:], -20.0)
-        for seed, row, x in zip(self.SEEDS, noise, chunk, strict=True):
+        xs = [self.values(row, grids) for row in chunk]
+        noise = _awgn([s + 7 for s in self.SEEDS], shape, -20.0)
+        for seed, row, x in zip(self.SEEDS, noise, xs, strict=True):
             sigma = math.sqrt(10.0 ** (-20.0 / 10.0))
             one = x + sigma * np.random.default_rng(seed + 7).standard_normal(x.shape)
             np.testing.assert_array_equal(x + row, one)
             np.testing.assert_array_equal(x + row, add_awgn(DenseSignal(grid, x), -20.0, seed + 7).values)
+
+    @pytest.mark.parametrize("grids", GRIDS, ids=IDS)
+    def test_samples_and_power_from_the_band(self, grids):
+        # the lattice samples from one coarse inverse of the band, and the
+        # power from Parseval on the rfft bins, against the fine signal's own
+        grid = grids[0] if len(grids) == 1 else grids
+        chunk = _draws(self.SEEDS, grid, 34.0)
+        weight = np.full(chunk.shape[-1], 2.0)
+        weight[0] = 1.0
+        for seed, row, got in zip(self.SEEDS, chunk, _band_samples(chunk, grid), strict=True):
+            x = gen_bandlimited(seed, grid, 34.0).values
+            want = x[lattice(grids)]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            power = np.mean(x**2)
+            assert abs(np.sum(weight * np.abs(row) ** 2) / x.size**2 - power) <= 1e-12 * power
+            assert abs(power - 10**3.4) <= 1e-12 * 10**3.4
 
     def test_overflow_in_a_chunk_rejected(self):
         # at 3077 dB seeds 0 and 5 scale to finite values and seed 1 does not

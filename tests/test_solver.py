@@ -25,6 +25,7 @@ from fine_reference import (
     fine_solve, lowpass, measured_gain, observation, on_extension,
 )
 from interpcomp.samplers import CoarseSamples, interpolate
+from interpcomp.signal_core import _band_samples, _draws
 from interpcomp.solver import SingularSystemError, fixed_point_oracle
 
 SH = InterpKind.SAMPLE_AND_HOLD
@@ -33,8 +34,15 @@ LI = InterpKind.LINEAR
 
 def stacked(signals):
     """The values of ``signals`` (CoarseSamples, DenseSignals or arrays), one row each, as
-    ``solver._traces`` takes its coarse samples and references."""
+    ``solver._traces`` takes its coarse samples."""
     return np.stack([getattr(v, "values", v) for v in signals])
+
+
+def spectra(signals):
+    """The ``rfftn`` spectrum of each of ``signals``, one row each, as ``solver._traces``
+    takes its references."""
+    values = stacked(signals)
+    return np.fft.rfftn(values, axes=tuple(range(1, values.ndim)))
 
 
 class TestApplyOperator:
@@ -97,8 +105,6 @@ class TestIterate:
         cfg = ReconConfig(ReconOperator(grid, SH, 0))
         with pytest.raises(ConfigurationError, match="must be real"):
             iterate(sample(x), cfg, reference=x.values + 0j)
-        with pytest.raises(ConfigurationError, match="must be real"):
-            solver._traces(stacked([sample(x)]), [cfg], stacked([x.values + 0j]))
 
     def test_reduction_to_standard_method(self, grid):
         # zero modules must run the standard relaxed iteration: a from-scratch
@@ -439,19 +445,25 @@ class TestSpectralIterate:
         # interpolates, mixes and lowpasses nothing; it transforms the coarse
         # values once and the estimate's band back to the fine grid once,
         # transforming the columns only on the band's 9 of 33 rfft bins.  The
-        # trace transforms the coarse values, the reference forward, the
-        # reference's band back and its interior remainder forward, whatever
-        # its number of configurations and of iterates (the start and 10
-        # iterations); a batch of B trials makes the same transforms, each on
-        # a stack of B.  A traced solve scores the coarse transform it solved
-        # from, and makes no second one
+        # trace of references that are zero off the band, as drawn spectra
+        # are, transforms the coarse values alone, whatever its number of
+        # configurations and of iterates (the start and 10 iterations); a
+        # reference with content off the band, as any transformed signal has
+        # to rounding, adds its remainder's inverse and the forward transform
+        # of the remainder's interior.  A batch of B trials makes the same
+        # transforms, each on a stack of B.  A traced solve transforms its
+        # reference forward and scores the coarse transform it solved from
         grid = (GridSpec(24, 8), GridSpec(16, 4))
         cfgs = [ReconConfig(ReconOperator(grid, SH, m), iterations=10) for m in (0, 1, 2)]
-        xs = [gen_bandlimited(seed, grid, 0.0) for seed in (4, 5, 6)]
-        batch = [sample(x) for x in xs]
+        drawn = _draws([4, 5, 6], grid, 0.0)
+        batch = [CoarseSamples(grid, v) for v in _band_samples(drawn, grid)]
+        xs = [np.fft.irfftn(d, s=(192, 64), axes=(0, 1)) for d in drawn]
         warm = iterate(batch[0], cfgs[1]).estimate.values
         stages = self.stage_calls(monkeypatch)
         transforms = self.transform_calls(monkeypatch)
+
+        def coarse(trials):
+            return [("rfftn", (trials, 24, 16), (trials, 24, 9))]
 
         def inverse(trials):
             return [
@@ -459,23 +471,26 @@ class TestSpectralIterate:
                 ("irfft", (trials, 192, 9), (trials, 192, 64)),
             ]
 
-        def trace(trials):
-            forward = ("rfftn", (trials, 192, 64), (trials, 192, 33))
-            coarse = ("rfftn", (trials, 24, 16), (trials, 24, 9))
-            return [coarse, forward, *inverse(trials), forward]
+        def remainder(trials):
+            return [
+                ("irfftn", (trials, 192, 33), (trials, 192, 64)),
+                ("rfftn", (trials, 192, 64), (trials, 192, 33)),
+            ]
 
-        for reference, traced in ((None, []), (xs[0], trace(1)[1:])):
+        forward = [("rfftn", (192, 64), (192, 33))]
+        for reference, traced in ((None, []), (xs[0], forward + remainder(1))):
             stages.clear()
             transforms.clear()
             rep = iterate(batch[0], cfgs[1], reference=reference)
             assert stages == []
-            assert transforms == trace(1)[:1] + inverse(1) + traced
+            assert transforms == coarse(1) + inverse(1) + traced
             np.testing.assert_array_equal(rep.estimate.values, warm)
         for trials, configs in ((1, cfgs[:1]), (1, cfgs), (3, cfgs)):
-            transforms.clear()
-            solver._traces(stacked(batch[:trials]), configs, stacked(xs[:trials]))
-            assert stages == []
-            assert transforms == trace(trials)
+            for references, traced in ((drawn, []), (spectra(xs), remainder(trials))):
+                transforms.clear()
+                solver._traces(stacked(batch[:trials]), configs, references[:trials])
+                assert stages == []
+                assert transforms == coarse(trials) + traced
 
     def test_cold_solve_runs_no_stage_of_g(self, monkeypatch):
         # the per-bin gain is in closed form, so a solve with an empty cache
@@ -651,7 +666,7 @@ class TestBandTrace:
         for size, trials in ((1, 1), (7 * 17 * 7, 1), (1, 3), (3 * 7 * 17 * 7, 3)):
             monkeypatch.setattr(solver, "BATCH_POINTS", size)
             coarse = stacked([sample(x) for x in xs[:trials]])
-            [(inits, traces)] = solver._traces(coarse, [cfg], stacked(xs[:trials]))
+            [(inits, traces)] = solver._traces(coarse, [cfg], spectra(xs[:trials]))
             for init, trace, whole in zip(inits, traces, wholes):
                 assert [init] + trace == pytest.approx(whole, rel=1e-12)
 
@@ -698,7 +713,7 @@ class TestBandTrace:
             # with np.errstate inert, the finiteness check alone must catch it
             monkeypatch.setattr(np, "errstate", lambda **kwargs: contextlib.nullcontext())
             with pytest.raises(ConfigurationError, match=r"does not contract, .* = 1\.073"):
-                solver._traces(stacked([s]), [cfg], stacked([x]))
+                solver._traces(stacked([s]), [cfg], spectra([x]))
 
 
 class TestBatch:
@@ -725,7 +740,7 @@ class TestBatch:
             for modules in range(3)
             for loop in self.LOOPS
         ]
-        cells = solver._traces(stacked(batch), configs, stacked(xs))
+        cells = solver._traces(stacked(batch), configs, spectra(xs))
         for cfg, (inits, traces) in zip(configs, cells, strict=True):
             for s, x, init, trace in zip(batch, xs, inits, traces, strict=True):
                 one = iterate(s, cfg, reference=x)
@@ -737,14 +752,14 @@ class TestBatch:
         cfg = ReconConfig(ReconOperator(grid, SH, 1), iterations=3)
         xs = [gen_bandlimited(seed, grid, 0.0) for seed in range(3)]
         batch = [sample(x) for x in xs]
-        coarse, refs = stacked(batch), stacked(xs)
-        # rows a tick short, one trial too few or too many, one row alone
-        for bad in (refs[:, :-1], refs[:2], stacked(xs + xs[:1]), refs[0]):
+        coarse, refs = stacked(batch), spectra(xs)
+        # the spectra of rows a tick short, one trial too few or too many, one
+        # row alone, and signals of fine shape, not spectra
+        short = spectra([x.values[:-1] for x in xs])
+        for bad in (short, refs[:2], spectra(xs + xs[:1]), refs[0], stacked(xs)):
             with pytest.raises(ConfigurationError, match="shape mismatch"):
                 solver._traces(coarse, [cfg], bad)
-        with pytest.raises(ConfigurationError, match="must be real"):
-            solver._traces(coarse, [cfg], refs + 0j)
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.inf)):
             nonfinite = refs.copy()
             nonfinite[2, 5] = bad
             with pytest.raises(ConfigurationError, match="reference and estimate must be finite"):
@@ -775,7 +790,7 @@ class TestBatch:
         configs = [ReconConfig(op, iterations=10), ReconConfig(op, relax=1.95, iterations=8000)]
         message = r"within 8000 .* does not contract, .* = 1\.073"
         with pytest.raises(ConfigurationError, match=message):
-            solver._traces(stacked(batch), configs, stacked(xs))
+            solver._traces(stacked(batch), configs, spectra(xs))
 
 
 class TestBandInverse:
