@@ -31,10 +31,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import analysis as ana
-from .imagebench import EnlargeConfig, GrayImage, decimate, enlarge, read_pgm, write_pgm
+from .imagebench import EnlargeConfig, GrayImage, _enlarged, decimate, read_pgm, write_pgm
 from .samplers import InterpKind, lattice
 from .signal_core import (
-    ConfigurationError, GridSpec, _awgn, _band_samples, _check_count, _db_power, _draws, psnr_db,
+    PEAK, ConfigurationError, GridSpec, _awgn, _band_samples, _check_count, _db_power, _draws,
+    _snr_cell,
 )
 from .solver import BATCH_POINTS, ChebyshevAccel, ReconConfig, ReconOperator, _traces
 
@@ -146,11 +147,11 @@ def cmd_convergence(args) -> str:
     where a trial alone is larger, so memory does not grow with
     ``--trials``.  Per grid, a chunk is one array from draw to score: its
     signals' spectra drawn with one transform (``signal_core._draws``), their
-    samples from one coarse inverse of the band (``_band_samples``), and for
-    each noise power the lattice slice of fine-grid noise added to them and
-    one :func:`solver._traces` call that checks them once and scores every
-    configuration on the grid against the spectra.  The cells are bitwise
-    those of one draw and one call per trial and configuration.
+    samples from one coarse inverse of the band (``_band_samples``), the
+    lattice slice of one draw of unit-power fine-grid noise, and per noise
+    power that noise scaled and added to them and one :func:`solver._traces`
+    call that checks them once and scores every configuration on the grid.
+    The cells are bitwise those of one draw and one call per trial and configuration.
     """
     configs, powers = _configs(args), args.noise_power_db
     cells = [[([], []) for _ in powers] for _ in configs]  # (inits, traces) per power
@@ -162,10 +163,11 @@ def cmd_convergence(args) -> str:
             seeds = range(start, min(start + size, args.seed + args.trials))
             spectra = _draws(seeds, grid, DEFAULT_POWER_DB)
             clean = _band_samples(spectra, grid)
+            unit = None if None in powers else _awgn(  # scaled to each power: _awgn's bitwise
+                [seed + 10_000_019 for seed in seeds], shape, 0.0)[(slice(None),) + lattice(grid)]
             for p, noise_db in enumerate(powers):
-                coarse = clean if noise_db is None else clean + _awgn(
-                    [seed + 10_000_019 for seed in seeds], shape, noise_db
-                )[(slice(None),) + lattice(grid)]
+                power = None if noise_db is None else _db_power(noise_db, "noise_power_db")
+                coarse = clean if power is None else clean + unit * math.sqrt(power)
                 scored = _traces(coarse, [configs[i][1] for i in on_grid], spectra)
                 for i, (init, trace) in zip(on_grid, scored):
                     cells[i][p][0].extend(init)
@@ -228,6 +230,7 @@ def cmd_analyze(args) -> None:
 
 
 def cmd_image(args) -> str:
+    """Enlarge by each method from one forward cosine transform; PSNRs exact in integers."""
     original = read_pgm(args.image)
     bounds = ChebyshevAccel(args.frame_a, args.frame_b)  # checked with no chebyshev token too
     methods = [
@@ -235,7 +238,7 @@ def cmd_image(args) -> str:
         for method, k, m, accelerated in _methods(args)
     ]
     low = decimate(original, args.factor)
-    recons = [enlarge(low, cfg) for cfg in methods]  # so a failed solve leaves no output
+    recons = _enlarged(low, methods)  # so a failed solve leaves no output
     out_dir = _resolve_out(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     write_pgm(low, os.path.join(out_dir, "decimated.pgm"))
@@ -244,15 +247,14 @@ def cmd_image(args) -> str:
         tag = cfg.label.replace("(", "_").replace(")", "").replace(",", "_")
         write_pgm(recon, os.path.join(out_dir, f"recon_{tag}.pgm"))
         err = np.abs(recon.pixels.astype(np.int16) - original.pixels)  # exact in int16
-        peak = err.max()
-        scaled = err * (255.0 / peak if peak else 0.0)
-        write_pgm(
-            GrayImage(np.rint(scaled).astype(np.uint8)),
-            os.path.join(out_dir, f"err_{tag}.pgm"),
-        )
+        peak = int(err.max())
+        levels = np.rint(np.arange(peak + 1) * (255.0 / peak if peak else 0.0)).astype(np.uint8)
+        write_pgm(GrayImage(levels.take(err)), os.path.join(out_dir, f"err_{tag}.pgm"))
         step = cfg.relax if cfg.acceleration is None else cfg.acceleration.step
         relax = step if cfg.iterations else ""  # no lambda where nothing iterated
-        psnr = psnr_db(original.pixels, recon.pixels)
+        # an exact integer; below 2**53 (1.3e11 pixels) psnr_db's float sum is exact too
+        sse = int(np.square(err, dtype=np.int32).sum(dtype=np.int64))
+        psnr = _snr_cell(PEAK * PEAK, sse / err.size)
         rows.append((cfg.label, cfg.factor, cfg.iterations, cfg.modules, relax, psnr))
     header = ["method", "factor", "iters", "modules", "lambda", "psnr_db"]
     return _write_csv(os.path.join(out_dir, "psnr.csv"), header, rows)

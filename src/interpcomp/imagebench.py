@@ -9,15 +9,17 @@ pixel math stays in floating point and is clamped/rounded only on output.
 
 The iterative and hybrid methods solve as :func:`~interpcomp.solver.iterate`
 does, per band bin in closed form, by cosine transforms of the image itself
-(:func:`~interpcomp.solver._cosine_solve`), never building the extension.
-Bilinear interpolates the image padded by one mirrored row and column.
+(:func:`~interpcomp.solver._cosine_solve`), never building the extension; a
+run's methods share one forward transform (:func:`_dense`), and the CLI's PSNR
+is exact in integers.  Bilinear interpolates the image padded by one mirrored
+row and column.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -75,13 +77,6 @@ class GrayImage:
 # a header token after whitespace and comments; a comment runs to a newline or the
 # end, and no token starts with "#", so backtracking never reads a comment's tail
 _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
-
-# P2 raster bytes by class: ASCII whitespace (the set bytes.split() splits on), and
-# every byte that is neither whitespace nor a digit
-_RASTER_SPACE = np.zeros(256, dtype=bool)
-_RASTER_SPACE[list(b" \t\n\r\x0b\x0c")] = True
-_RASTER_BAD = ~_RASTER_SPACE
-_RASTER_BAD[ord("0") : ord("9") + 1] = False
 
 # row v: the decimal digits of v and a space, padded with zero bytes to 4
 _P2_TOKENS = np.frombuffer(
@@ -148,22 +143,33 @@ def read_pgm(path) -> GrayImage:
         pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
     else:
         raster = np.frombuffer(data, dtype=np.uint8, offset=pos)
-        space = _RASTER_SPACE.take(raster)  # take beats [] indexing 2x here
-        # the maxval token ends at whitespace, so raster[0] is a space and every
-        # token starts at a non-space byte right after a space
-        starts = np.flatnonzero(space[:-1] & ~space[1:]) + 1
-        if len(starts) < count:
-            raise PgmError(f"truncated raster: {count} pixels, got {len(starts)} values", len(data))
-        stop = starts[count] if len(starts) > count else len(raster)  # the pixels' bytes
-        bad = np.flatnonzero(_RASTER_BAD.take(raster[:stop]))
-        if bad.size:
-            raise PgmError("pixel values must be integers", pos + int(bad[0]))
-        # exactly count digit tokens, so fromstring parses each of them in C (it
-        # would also read "3x" as 3, "+5" as 5, and past the end with a count)
-        values = np.fromstring(data[pos : pos + stop], dtype=np.int64, sep=" ")
-        high = np.flatnonzero(values > 255)  # an overlong token saturates at int64 max
-        if high.size:
-            raise PgmError("pixel value out of 0..255", pos + int(starts[high[0]]))
+        space = (raster - 9 < 5) | (raster == 32)  # bytes.split()'s whitespace: 9..13 and 32
+        # raster[0] is a space (the maxval token ends at one), so the last bytes of
+        # runs alternate: the space before a token, then the token's last byte
+        edges = np.flatnonzero(space[:-1] != space[1:])
+        before = edges[::2]  # the space before each token
+        if len(before) < count:
+            raise PgmError(f"truncated raster: {count} pixels, got {len(before)} values", len(data))
+        stop = before[count] + 1 if len(before) > count else len(raster)  # the pixels' bytes
+        bad = ~space[:stop] & (raster[:stop] - 48 >= 10)
+        if bad.any():
+            raise PgmError("pixel values must be integers", pos + int(np.argmax(bad)))
+        # each pixel token's last byte, the file's own if the raster ends in a token
+        last = np.append(edges[1::2], len(raster) - 1)[:count]
+        # the bytes 0..3 places before each token's last, less 48, from views of the
+        # file that start as many bytes earlier: a digit, or below 0 for a space
+        ones, tens, hundreds, more = [
+            np.frombuffer(data, np.uint8, offset=pos - b)[last] - np.int16(48) for b in range(4)
+        ]
+        three = (tens >= 0) & (hundreds >= 0)
+        values = ones + 10 * np.maximum(tens, 0) + 100 * hundreds * three
+        high = values > 255
+        longer = np.flatnonzero(three & (more >= 0))
+        if longer.size:  # in range only with zeros before its last three digits
+            nonzero = np.cumsum(raster[:stop] - 49 < 9)  # digits 1..9 up to each byte
+            high[longer] |= nonzero[last[longer] - 3] > nonzero[before[longer]]
+        if high.any():
+            raise PgmError("pixel value out of 0..255", pos + int(before[np.argmax(high)]) + 1)
         pixels = values.astype(np.uint8)
     return GrayImage(pixels.reshape(height, width))
 
@@ -241,24 +247,38 @@ class EnlargeConfig:
         return f"{name}({self.iterations},{self.modules})"
 
 
+def _dense(low: GrayImage, configs: Sequence[EnlargeConfig]) -> Iterator[np.ndarray]:
+    """Float-valued enlargement (no clamping) of ``low`` by each of ``configs``, in turn."""
+    pixels = low.pixels.astype(np.float64)
+    solves = [ReconConfig(ReconOperator(tuple([GridSpec(2 * n, c.factor) for n in pixels.shape]),
+                                        InterpKind.SAMPLE_AND_HOLD, c.modules),
+                          c.relax, c.iterations, c.acceleration)
+              for c in configs if c.method != "bilinear"]
+    estimates = iter(_cosine_solve(pixels, solves) if solves else ())  # one forward transform
+    for cfg in configs:
+        if cfg.method != "bilinear":
+            yield next(estimates)
+        else:  # samples 0..n of the mirror extension; a 2-pixel axis pads to a grid's 4
+            ext = np.pad(pixels, [(0, max(1, 4 - n)) for n in pixels.shape], mode="symmetric")
+            grids = tuple([GridSpec(n, cfg.factor) for n in ext.shape])
+            full = interpolate(CoarseSamples(grids, ext), InterpKind.LINEAR).values
+            yield full[: low.height * cfg.factor, : low.width * cfg.factor]
+
+
 def enlarge_dense(low: GrayImage, cfg: EnlargeConfig) -> np.ndarray:
     """Float-valued enlargement (no clamping); shape (h*factor, w*factor)."""
-    pixels = low.pixels.astype(np.float64)
-    if cfg.method == "bilinear":
-        # samples 0..n of the mirror extension; a 2-pixel axis pads to a grid's 4
-        ext = np.pad(pixels, [(0, max(1, 4 - n)) for n in pixels.shape], mode="symmetric")
-        grids = tuple([GridSpec(n, cfg.factor) for n in ext.shape])
-        full = interpolate(CoarseSamples(grids, ext), InterpKind.LINEAR).values
-        return full[: low.height * cfg.factor, : low.width * cfg.factor]
-    grids = tuple([GridSpec(2 * n, cfg.factor) for n in pixels.shape])
-    op = ReconOperator(grids, InterpKind.SAMPLE_AND_HOLD, cfg.modules)
-    return _cosine_solve(pixels, ReconConfig(op, cfg.relax, cfg.iterations, cfg.acceleration))
+    return next(_dense(low, [cfg]))
+
+
+def _enlarged(low: GrayImage, configs: Sequence[EnlargeConfig]) -> list:
+    """:func:`enlarge` of ``low`` by each of ``configs``; each estimate is quantized in place."""
+    return [GrayImage(np.clip(np.rint(d, out=d), 0, 255, out=d).astype(np.uint8))
+            for d in _dense(low, configs)]
 
 
 def enlarge(low: GrayImage, cfg: EnlargeConfig) -> GrayImage:
     """Enlarged 8-bit image; clamping and rounding happen only here."""
-    dense = enlarge_dense(low, cfg)
-    return GrayImage(np.clip(np.rint(dense), 0, 255).astype(np.uint8))
+    return _enlarged(low, [cfg])[0]
 
 
 def synthetic_scene(width: int = 512, height: int = 512, seed: int = 0) -> GrayImage:

@@ -64,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import islice, repeat
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -564,44 +564,52 @@ def iterate(observed: CoarseSamples, cfg: ReconConfig, reference=None) -> ReconR
     )
 
 
-def _cosine_solve(values: np.ndarray, cfg: ReconConfig) -> np.ndarray:
-    """:func:`iterate`'s estimate on the even mirror extension of ``values``, on their own span.
+def _cosine_solve(values: np.ndarray, configs: Sequence[ReconConfig]) -> Iterator[np.ndarray]:
+    """:func:`iterate`'s estimate of each of ``configs`` on the even mirror extension of ``values``.
 
-    ``cfg`` is on the extension's grids, of 2n coarse samples per n values.
-    Its DFT at bin k is ``2 exp(i pi k/2n) C_k``, C the values' DCT-II
-    (Makhoul, IEEE Trans. ASSP, 1980), and 0 at k = n.  G̃ is real and even,
-    so with M = nR the estimate at tick t is ``irfft`` of length 2M of the
-    real band ``(1 - e_K)·T`` at t + R/2.  Each transform runs along the
-    band's last, contiguous axis, and the axes roll one place right between
-    transforms.  The forward pass (axes d-1..0) leaves the image's axes
-    rolled one left; q and the inverse (axes d-2..0, then d-1) take them
-    rolled one right, the same order at d <= 2, and the inverse ends on the
-    image's rows in the image's order, never transposed.  An overflow raises
-    :func:`iterate`'s error for the bins 0..n-1 applied: bin n, where G̃ is
-    most extreme, holds 0 and is never computed.
+    Each is cut to the values' span.  ``configs`` share the extension's grids,
+    of 2n coarse samples per n values.  Its DFT at bin k is ``2 exp(i pi k/2n)
+    C_k``, C the values' DCT-II (Makhoul, IEEE Trans. ASSP, 1980), and 0 at
+    k = n.  G̃ is real and even, so with M = nR the estimate at tick t is
+    ``irfft`` of length 2M of the real band ``(1 - e_K)·T`` at t + R/2: one
+    forward pass gives every configuration its T, and the estimates follow
+    lazily, one inverse at a time.  Each transform runs along the band's last,
+    contiguous axis, and the axes roll one place right between transforms.
+    The forward pass (axes d-1..0) leaves the image's axes rolled one left; q
+    and each inverse (axes d-2..0, then d-1) take them rolled one right, the
+    same order at d <= 2, and an inverse ends on the image's rows in the
+    image's order, never transposed.  An overflow raises :func:`iterate`'s
+    error for its configuration and the bins 0..n-1 applied: bin n, where G̃
+    is most extreme, holds 0 and is never computed.
     """
-    op = cfg.operator
+    op = configs[0].operator
+    if any(cfg.operator.grid != op.grid for cfg in configs):
+        raise ConfigurationError("the cosine solve takes configurations on one set of grids")
     band = _check_values(values, tuple([g.n_coarse // 2 for g in op.grid]), "the cosine solve")
-    # per axis: band bins 0..n-1, with T's weight R and the gain G̃
-    bands = [[a[: g.n_coarse // 2] for a in _axis_band(g, op.kind, op.modules, True)]
-             for g in op.grid]
-    for i, (g, (k, weight, _)) in enumerate(zip(reversed(op.grid), reversed(bands))):
+    # per configuration and axis: band bins 0..n-1, with T's weight R and the gain G̃
+    bands = [[[a[: g.n_coarse // 2] for a in _axis_band(g, o.kind, o.modules, True)]
+              for g in op.grid] for o in [cfg.operator for cfg in configs]]
+    for i, (g, (k, weight, _)) in enumerate(zip(reversed(op.grid), reversed(bands[0]))):
         band = np.ascontiguousarray(np.moveaxis(band, -1, 0)) if i else band
         line = np.fft.rfft(np.concatenate([band, band[..., ::-1]], axis=-1), axis=-1)[..., : k.size]
         band = weight * (np.exp(-1j * np.pi * k / g.n_coarse) * line).real
     # from the image's axes rolled one left to rolled one right: a copy at d >= 3 only
     axes = np.roll(np.arange(band.ndim), 1)
     band = np.ascontiguousarray(band.transpose(np.roll(axes, 1)))
-    q, factors = _factors(cfg, [bands[a][2] for a in axes])
-    with _solve_guard(cfg, q):
-        band = (1.0 - _last(factors)) * band
-        for i, a in enumerate(reversed(axes)):
-            band = np.ascontiguousarray(np.moveaxis(band, -1, 0)) if i else band
-            r, m = op.grid[a].ticks_per_sample, op.grid[a].n_fine // 2
-            band = np.fft.irfft(band, 2 * m, axis=-1)[..., r // 2 : r // 2 + m]
-    # a copy of the row slice, so the estimate does not hold the irfft's 2M-wide output
     shape = tuple([g.n_fine // 2 for g in op.grid])
-    return _check_values(band.copy(), shape, "the cosine solve")
+
+    def solve(cfg, axis_bands):  # its arrays are freed on return, before the next solve
+        q, factors = _factors(cfg, [axis_bands[a][2] for a in axes])
+        with _solve_guard(cfg, q):
+            est = (1.0 - _last(factors)) * band
+            for i, a in enumerate(reversed(axes)):
+                est = np.ascontiguousarray(np.moveaxis(est, -1, 0)) if i else est
+                r, m = op.grid[a].ticks_per_sample, op.grid[a].n_fine // 2
+                est = np.fft.irfft(est, 2 * m, axis=-1)[..., r // 2 : r // 2 + m]
+        # a copy of the row slice, so the estimate does not hold the irfft's 2M-wide output
+        return _check_values(est.copy(), shape, "the cosine solve")
+
+    return map(solve, configs, bands)
 
 
 def _band_basis(grid: GridSpec) -> np.ndarray:

@@ -12,8 +12,9 @@ sequence (``chebyshev_lambdas``) and the divergence flag are this
 module's own and share no code with the solve.
 ``fine_solve`` has ``iterate``'s signature and reports, so a test can
 swap it in for the solve.  ``fine_cosine_solve`` has the signature and
-result of the image solve, ``solver._cosine_solve``: ``on_extension`` builds
-the mirror extension, runs a solve on it and cuts the image's span from it.
+results of the image solve, ``solver._cosine_solve``, one estimate per
+configuration: for each, ``on_extension`` builds the mirror extension, runs a
+solve on it and cuts the image's span from it.
 ``fine_traces`` has the signature and result of the CLI's
 scorer, ``solver._traces``, as a plain loop of ``fine_solve`` over
 configurations and trials.  ``measured_gain`` measures the per-bin gain the
@@ -204,9 +205,9 @@ def on_extension(solve, values, cfg):
     return estimate[tuple(slice(n * g.ticks_per_sample) for n, g in zip(values.shape, grids))]
 
 
-def fine_cosine_solve(values, cfg):
-    """``solver._cosine_solve`` on the fine grid."""
-    return on_extension(fine_solve, values, cfg)
+def fine_cosine_solve(values, configs):
+    """``solver._cosine_solve`` on the fine grid: one solve per configuration, in order."""
+    return [on_extension(fine_solve, values, cfg) for cfg in configs]
 
 
 def fine_solve(observed, cfg, reference=None):

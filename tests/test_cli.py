@@ -16,6 +16,7 @@ from interpcomp.analysis import op_counts
 from interpcomp.imagebench import (
     EnlargeConfig, GrayImage, decimate, enlarge, read_pgm, synthetic_scene, write_pgm,
 )
+from interpcomp.signal_core import _awgn, psnr_db
 from interpcomp.solver import ChebyshevAccel
 
 
@@ -470,6 +471,26 @@ class TestNoise:
             ]
         ]
 
+    def test_one_noise_draw_per_chunk(self, tmp_path, monkeypatch):
+        # each chunk (16 trials, then 4) draws its unit-power normals once,
+        # whatever the number of powers, and scales them to each power
+        draws = []
+
+        def counted(seeds, shape, noise_power_db):
+            draws.append((len(seeds), shape, noise_power_db))
+            return _awgn(seeds, shape, noise_power_db)
+
+        monkeypatch.setattr(cli, "_awgn", counted)
+        argv = ["convergence", "--dims", 2, "--n-coarse", 8, "--ticks", 8, "--trials", 20,
+                "--methods", "iterative:2,hybrid:2:1"]
+        for powers in ("-20", "-20,-30", "-30,-20,-10"):
+            draws.clear()
+            assert run([*argv, f"--noise-power-db={powers}", "--out", tmp_path / "n.csv"]) == 0
+            assert draws == [(16, (64, 64), 0.0), (4, (64, 64), 0.0)]
+        draws.clear()
+        assert run([*argv, "--out", tmp_path / "clean.csv"]) == 0
+        assert draws == []
+
     def test_negative_list_in_equals_form(self, tmp_path):
         # argparse reads a bare "-30,-20" as a flag, so a list of negative
         # powers is given as --noise-power-db=...; each power's rows are those
@@ -566,6 +587,30 @@ class TestImage:
         assert [r["method"] for r in rows] == ["bilinear", "hybrid(2,1)"]
         assert float(rows[1]["psnr_db"]) > float(rows[0]["psnr_db"])
 
+    @staticmethod
+    def float_error_map(original, recon):
+        """The error map as a float formula: |error| scaled so that its peak is 255."""
+        err = np.abs(recon.astype(np.int16) - original)
+        peak = err.max()
+        return np.rint(err * (255.0 / peak if peak else 0.0)).astype(np.uint8)
+
+    def test_cells_and_error_maps_512(self, tmp_path):
+        # each PSNR cell, from the integer sum of squares, is psnr_db of the
+        # two images bitwise, and each error map is the float formula's
+        scene = synthetic_scene(512, 512, seed=4)
+        src, out_dir = tmp_path / "scene.pgm", tmp_path / "bench"
+        write_pgm(scene, src)
+        methods = "bilinear,iterative:2,iterative:10,hybrid:2:1,chebyshev:3,chebyshev:3:1"
+        assert run(["image", src, "--methods", methods, "--out-dir", out_dir]) == 0
+        rows = read_rows(out_dir / "psnr.csv")
+        assert len(rows) == 6
+        for row in rows:
+            tag = row["method"].replace("(", "_").replace(")", "").replace(",", "_")
+            recon = read_pgm(out_dir / f"recon_{tag}.pgm").pixels
+            assert float(row["psnr_db"]) == psnr_db(scene.pixels, recon), row
+            want = self.float_error_map(scene.pixels, recon)
+            assert np.array_equal(read_pgm(out_dir / f"err_{tag}.pgm").pixels, want), row
+
     def test_relative_out_dir_env(self, tmp_path, monkeypatch):
         # a relative $INTERPCOMP_OUT_DIR resolves the output directory once:
         # the CSV goes beside the images, not under a second copy of the base
@@ -578,7 +623,8 @@ class TestImage:
 
     def test_constant_image_inf_written(self, tmp_path):
         src = tmp_path / "flat.pgm"
-        write_pgm(GrayImage(np.full((16, 16), 99, dtype=np.uint8)), src)
+        flat = np.full((16, 16), 99, dtype=np.uint8)
+        write_pgm(GrayImage(flat), src)
         out_dir = tmp_path / "bench"
         assert run(
             ["image", src, "--methods", "bilinear", "--out-dir", out_dir]
@@ -586,6 +632,10 @@ class TestImage:
         with open(out_dir / "psnr.csv") as fh:
             text = fh.read()
         assert text.splitlines()[1].endswith("inf")
+        # a zero error has peak 0: the map is black, as the float formula's
+        err_map = read_pgm(out_dir / "err_bilinear.pgm").pixels
+        assert np.array_equal(err_map, np.zeros_like(flat))
+        assert np.array_equal(err_map, self.float_error_map(flat, flat))
 
     def test_rerun_overwrites_deterministically(self, tmp_path):
         src = tmp_path / "scene.pgm"
@@ -673,6 +723,22 @@ class TestImage:
             )
         assert code == 2
         err = capsys.readouterr().err
+        assert "does not contract, max |1 - s*gain| = 3.33223 >= 1" in err
+        assert not out_dir.exists()
+
+    def test_overflowing_method_named_among_others(self, tmp_path, capsys):
+        # the methods share one forward transform, and the one that overflows
+        # is named by its own factor and iteration count, not a neighbour's
+        src = tmp_path / "scene.pgm"
+        write_pgm(synthetic_scene(64, 64, seed=2), src)
+        out_dir = tmp_path / "bench"
+        code = run(
+            ["image", src, "--methods", "iterative:2,hybrid:2000:1,chebyshev:3",
+             "--lambda", 1.99, "--out-dir", out_dir]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "within 2000 iterations" in err
         assert "does not contract, max |1 - s*gain| = 3.33223 >= 1" in err
         assert not out_dir.exists()
 

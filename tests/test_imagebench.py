@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from interpcomp import (
@@ -34,6 +35,68 @@ from fine_reference import cosine_factor
 @pytest.fixture(scope="module")
 def scene256():
     return synthetic_scene(256, 256, seed=0)
+
+
+# the six bytes bytes.split() splits on, and bytes that are neither those nor
+# digits: next to the digits and the whitespace, ones str.split() would split
+# on (0x1c-0x1f, 0x85, 0xa0), a sign, a point, "#" and NUL
+P2_SPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+P2_STRAY = [b"/", b":", b"\x08", b"\x0e", b"\x1c", b"\x1f", b"\x85", b"\xa0", b"\xff",
+            b"#", b"+", b"-", b".", b"\x00", b"x"]
+
+
+@st.composite
+def p2_rasters(draw):
+    """(width, height, file bytes) of a P2 file whose raster may hold any fault of a raster."""
+    width, height = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    runs = st.lists(st.sampled_from(P2_SPACE), min_size=1, max_size=3).map(b"".join)
+    digits = st.integers(0, 255).map(str)
+    faulty = draw(st.booleans())
+    if faulty:  # also values above 255, of up to 8 digits
+        long = st.integers(1000, 10**8 - 1).map(str)  # a digit before the last three
+        digits = st.one_of(digits, st.text("0123456789", min_size=1, max_size=8), long)
+    # leading zeros, up to 8 digits in all
+    tokens = st.tuples(digits, st.integers(0, 5)).map(lambda t: ("0" * t[1] + t[0])[-8:].encode())
+    if faulty:  # now and then a stray byte in a token
+        stray = st.tuples(tokens, st.integers(0, 8), st.sampled_from(P2_STRAY + [b""] * 150))
+        tokens = stray.map(lambda t: t[0][: t[1]] + t[2] + t[0][t[1] :])
+    # a token or two short, for a truncated raster, or trailing tokens
+    size = draw(st.integers(width * height - 2, width * height + 2))
+    raster = b""
+    for tok in draw(st.lists(tokens, min_size=size, max_size=size)):
+        raster += draw(runs) + tok
+    raster += draw(st.one_of(runs, st.just(b"")))  # or none after the last token
+    return width, height, b"P2\n%d %d\n255" % (width, height) + raster
+
+
+def slow_read_p2(data, width, height):
+    """The pixels of a file from :func:`p2_rasters`, or read_pgm's (message, offset) for it."""
+    pos = data.index(b"255") + 3
+    raster, count = data[pos:], width * height
+
+    def error(message, offset):
+        return f"{message} (byte offset {offset})", offset
+
+    if len(raster) < 2 * count - 1:
+        need = 2 * count - 1
+        message = f"truncated raster: {count} pixels need at least {need} bytes, got {len(raster)}"
+        return error(message, len(data))
+    tokens = raster.split()
+    if len(tokens) < count:
+        return error(f"truncated raster: {count} pixels, got {len(tokens)} values", len(data))
+    tokens, starts, at = tokens[:count], [], 0
+    for tok in tokens:
+        at = raster.index(tok, at)
+        starts.append(at)
+        at += len(tok)
+    for tok, start in zip(tokens, starts):
+        for i, byte in enumerate(tok):
+            if not 48 <= byte <= 57:
+                return error("pixel values must be integers", pos + start + i)
+    for tok, start in zip(tokens, starts):
+        if int(tok) > 255:
+            return error("pixel value out of 0..255", pos + start)
+    return np.array([int(tok) for tok in tokens]).reshape(height, width)
 
 
 class TestPgmIO:
@@ -113,6 +176,17 @@ class TestPgmIO:
         assert "0..255" in str(err.value)
         assert err.value.offset == raw.index(b"999")
 
+    @pytest.mark.parametrize("token", [b"1000", b"00001200", b"1" + b"0" * 24 + b"255"])
+    def test_p2_long_value_out_of_range(self, tmp_path, token):
+        # a value's last three digits are in range, but a digit before them is not 0
+        raw = b"P2\n2 2\n255\n0 1 " + token + b" 3\n"
+        path = tmp_path / "big.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(PgmError) as err:
+            read_pgm(path)
+        assert "0..255" in str(err.value)
+        assert err.value.offset == raw.index(token)
+
     def test_p2_leading_zeros(self, tmp_path):
         path = tmp_path / "zeros.pgm"
         path.write_bytes(b"P2\n2 2\n255\n007 0255 00 0000000000000000000000001\n")
@@ -170,6 +244,22 @@ class TestPgmIO:
         header = f"P2\n{img.width} {img.height}\n255\n"
         assert path.read_bytes() == (header + text).encode("ascii")
         assert np.array_equal(read_pgm(path).pixels, pixels)
+
+    @given(p2_rasters())
+    @settings(max_examples=300, deadline=None)
+    def test_p2_reader_matches_split_reference(self, tmp_path_factory, case):
+        # bytes.split() and int are the slow reference for the byte parser:
+        # the same pixels, or the same error message and byte offset
+        width, height, data = case
+        path = tmp_path_factory.mktemp("p2") / "r.pgm"
+        path.write_bytes(data)
+        want = slow_read_p2(data, width, height)
+        try:
+            got = read_pgm(path).pixels
+        except PgmError as err:
+            assert (str(err), err.offset) == want
+        else:
+            assert isinstance(want, np.ndarray) and np.array_equal(got, want), want
 
     def test_nonpositive_size_p2(self, tmp_path):
         path = tmp_path / "neg.pgm"

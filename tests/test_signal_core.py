@@ -16,7 +16,7 @@ from interpcomp import (
     snr_db,
 )
 from interpcomp.samplers import lattice
-from interpcomp.signal_core import _awgn, _band_samples, _draws, _snr_cell
+from interpcomp.signal_core import _awgn, _band_samples, _db_power, _draws, _snr_cell
 
 
 class TestGridSpec:
@@ -226,6 +226,16 @@ class TestChunkDraw:
             power = np.mean(x**2)
             assert abs(np.sum(weight * np.abs(row) ** 2) / x.size**2 - power) <= 1e-12 * power
             assert abs(power - 10**3.4) <= 1e-12 * 10**3.4
+
+    @pytest.mark.parametrize("grids", GRIDS, ids=IDS)
+    def test_unit_noise_scales_to_each_power(self, grids):
+        # the CLI draws a chunk's unit-power normals once, slices the lattice
+        # and scales the slice to each noise power: _awgn's noise there bitwise
+        shape, at = tuple(g.n_fine for g in grids), (slice(None),) + lattice(grids)
+        unit = _awgn(self.SEEDS, shape, 0.0)[at]
+        for db in (-30.0, -20.0, -7.3, 0.0, 12.5, 300.0):
+            scaled = unit * math.sqrt(_db_power(db, "noise_power_db"))
+            np.testing.assert_array_equal(scaled, _awgn(self.SEEDS, shape, db)[at])
 
     def test_overflow_in_a_chunk_rejected(self):
         # at 3077 dB seeds 0 and 5 scale to finite values and seed 1 does not

@@ -842,24 +842,62 @@ class TestCosineSolve:
     def test_matches_iterate_on_the_extension(self, shape, factor, rng):
         values = rng.uniform(0.0, 255.0, shape)
         grids = tuple([GridSpec(2 * n, factor) for n in shape])
-        for cfg in self.configs(grids, factor):
-            got, want = solver._cosine_solve(values, cfg), on_extension(iterate, values, cfg)
+        configs = list(self.configs(grids, factor))
+        for cfg, got in zip(configs, solver._cosine_solve(values, configs), strict=True):
+            want = on_extension(iterate, values, cfg)
             assert got.shape == want.shape == tuple([n * factor for n in shape])
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), cfg
+
+    @pytest.mark.parametrize("factor", [2, 4, 6])
+    @pytest.mark.parametrize("shape", [(23,), (37, 29), (5, 4, 3)])
+    def test_mixed_list_equals_one_config_calls(self, shape, factor, rng):
+        # plain, hybrid and Chebyshev configurations share one forward
+        # transform, and each estimate is bitwise that of a call of its own
+        values = rng.uniform(0.0, 255.0, shape)
+        grids = tuple([GridSpec(2 * n, factor) for n in shape])
+        configs = list(self.configs(grids, factor))[::-1]
+        for cfg, got in zip(configs, solver._cosine_solve(values, configs), strict=True):
+            (alone,) = solver._cosine_solve(values, [cfg])
+            assert np.array_equal(got, alone), cfg
+
+    def test_one_forward_transform(self, rng, monkeypatch):
+        # the forward pass (one rfft per axis) runs once, and each
+        # configuration adds only its inverse (one irfft per axis)
+        calls = []
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, recorded(name, getattr(np.fft, name)))
+        grids = (GridSpec(14, 4), GridSpec(10, 4))
+        configs = list(self.configs(grids, 4))
+        list(solver._cosine_solve(rng.uniform(0.0, 255.0, (7, 5)), configs))
+        assert calls == ["rfft"] * 2 + ["irfft"] * 2 * len(configs)
+
+    def test_configurations_on_other_grids_rejected(self):
+        configs = [ReconConfig(ReconOperator((GridSpec(8, f),) * 2, SH, 0)) for f in (2, 4)]
+        with pytest.raises(ConfigurationError, match="one set of grids"):
+            solver._cosine_solve(np.ones((4, 4)), configs)
 
     @pytest.mark.parametrize("shape", [(7, 5), (23,), (5, 4, 3)])
     def test_estimate_owns_its_pixels(self, shape, rng):
         # C-contiguous, and not a view that keeps the irfft's 2M-wide output alive
         values = rng.uniform(0.0, 255.0, shape)
         grids = tuple([GridSpec(2 * n, 4) for n in shape])
-        for cfg in self.configs(grids, 4):
-            got = solver._cosine_solve(values, cfg)
+        configs = list(self.configs(grids, 4))
+        for cfg, got in zip(configs, solver._cosine_solve(values, configs), strict=True):
             assert got.flags.c_contiguous and got.base is None, cfg
 
     def test_overflow_named_as_by_iterate(self, rng):
         # iterate's message, naming the factor of the bins the cosine solve
         # applies: 2.66979, not the extension's 3.4775 at its coarse-Nyquist
-        # bins, which hold 0 and which it never computes
+        # bins, which hold 0 and which it never computes.  Among contracting
+        # configurations the overflowing one is named by its own factor
         values = rng.uniform(0.0, 255.0, (6, 5))
         grids = tuple([GridSpec(2 * n, 2) for n in values.shape])
         cfg = ReconConfig(ReconOperator(grids, SH, 1), relax=1.99, iterations=2000)
@@ -868,13 +906,15 @@ class TestCosineSolve:
         applied = f"{cosine_factor(cfg):.6g}"
         assert applied == "2.66979" and "= 3.4775 >= 1" in str(extension.value)
         want = str(extension.value).replace("3.4775", applied)
-        with pytest.raises(ConfigurationError, match=re.escape(want)):
-            solver._cosine_solve(values, cfg)
+        good = list(self.configs(grids, 2))
+        for configs in ([cfg], [good[0], cfg, good[-1]]):
+            with pytest.raises(ConfigurationError, match=re.escape(want)):
+                list(solver._cosine_solve(values, configs))
 
     def test_grid_of_another_size_rejected(self):
         cfg = ReconConfig(ReconOperator((GridSpec(8, 2), GridSpec(10, 2)), SH, 0))
         with pytest.raises(ConfigurationError, match="expected shape"):
-            solver._cosine_solve(np.ones((4, 4)), cfg)
+            solver._cosine_solve(np.ones((4, 4)), [cfg])
 
 
 class TestBandGain:
